@@ -8,10 +8,10 @@ certificate.
 from .scalars import (
     Coefficient,
     EvaluationError,
+    LinComb,
     ONE,
     QPoly,
     ZERO,
-    coeff_eval_zero,
     p_pow,
     q_pow,
     qbinomial,
@@ -33,14 +33,8 @@ from .qalgebras import (
     SphereAlgebra,
     SphereElement,
     SphereMonomial,
-    degree_support,
-    disc_mul,
-    disc_star,
-    is_invariant,
     kappa_iso,
     relation_residual,
-    sphere_mul,
-    sphere_star,
 )
 from .lens import (
     LensElement,
@@ -86,7 +80,6 @@ from .ktheory import (
     bass_class_report,
     bass_idempotent,
     cokernel,
-    crossed_mul,
     kernel_rank,
     lens_k_data,
     lens_k_groups,
@@ -94,7 +87,6 @@ from .ktheory import (
     project_to_torus,
     pullback_make,
     smith_normal_form,
-    torus_mul,
 )
 from .expr import ParseError, eval_expr, eval_normal_form, parse
 

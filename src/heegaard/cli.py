@@ -16,11 +16,30 @@ from typing import List, Optional
 
 from .scalars import qpoly_Q
 from .expr import ParseError, eval_expr, parse
+from .ktheory import bass_class_report, lens_k_groups
+from .principal import (
+    strong_connection_algebraic,
+    strong_connection_isometric,
+    verify_strong_connection,
+)
 from .units import is_unit
 from .reports import CheckEntry, Report
 from .rng import DEFAULT_SEED
 from .suites import SUITE_NAMES, SuiteOptions, run_suite
 from . import suites
+
+
+def _at_least(lo: int):
+    """argparse type: an integer >= lo (a smaller one is a usage error)."""
+
+    # argparse names the type function in its message for a non-integer
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
         c = add_cmd(name, help_)
         c.add_argument("expr", nargs=nargs)
         c.add_argument("--dialect", choices=("disc", "sphere", "lens", "prolong"), default="sphere")
-        c.add_argument("--N", type=int, default=None, help="lens type (lens dialect)")
+        c.add_argument("--N", type=_at_least(1), default=None, help="lens type (lens dialect)")
         return c
 
     add_expr_cmd("nf", "normal form of an expression")
@@ -70,13 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
     c = add_cmd("relcheck", "run a verification suite")
     c.add_argument("suite", choices=SUITE_NAMES)
     c.add_argument("--window", type=int, default=6)
-    c.add_argument("--types", type=int, nargs="*", default=None, help="lens types to check")
+    c.add_argument("--types", type=_at_least(1), nargs="*", default=None, help="lens types to check")
     c.add_argument("--nmax", type=int, default=7)
     c.add_argument("--samples", type=int, default=1000)
-    c.add_argument("--max", type=int, default=50, help="largest K-theory type")
+    c.add_argument("--max", type=_at_least(1), default=50, help="largest K-theory type")
 
     c = add_cmd("iso-check", "basis-isomorphism window certificate")
-    c.add_argument("--N", type=int, required=True)
+    c.add_argument("--N", type=_at_least(1), required=True)
     c.add_argument("--window", type=int, default=3)
     c.add_argument("--samples", type=int, default=500)
 
@@ -84,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("expr")
 
     c = add_cmd("sconn", "strong-connection axiom report")
-    c.add_argument("--N", type=int, required=True)
+    c.add_argument("--N", type=_at_least(1), required=True)
     c.add_argument(
         "--variant",
         choices=("corrected", "printed", "isometric"),
@@ -92,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     c = add_cmd("idem", "associated idempotent report")
-    c.add_argument("--N", type=int, required=True)
+    c.add_argument("--N", type=_at_least(2), required=True)
     c.add_argument(
         "--variant",
         choices=("corrected", "printed", "isometric"),
@@ -101,14 +120,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = add_cmd("ktheory", "K-groups of the lens pullback")
     g = c.add_mutually_exclusive_group()
-    g.add_argument("--N", type=int, default=None)
-    g.add_argument("--max", type=int, default=None)
+    g.add_argument("--N", type=_at_least(1), default=None)
+    g.add_argument("--max", type=_at_least(1), default=50)
 
     c = add_cmd("bass", "connecting-homomorphism class report")
-    c.add_argument("--N", type=int, required=True)
+    c.add_argument("--N", type=_at_least(1), required=True)
 
     c = add_cmd("prolong-check", "prolongation isomorphism checks")
-    c.add_argument("--N", type=int, required=True)
+    c.add_argument("--N", type=_at_least(1), required=True)
     c.add_argument("--samples", type=int, default=300)
     return p
 
@@ -182,46 +201,28 @@ def main(argv: Optional[List[str]] = None) -> int:
             entries = suites.suite_iso(opts, N=args.N, window=args.window, samples=args.samples)
             return _finish(mkreport(f"iso-check --N {args.N} --window {args.window}", entries), args)
         if args.command == "sconn":
-            from .principal import (
-                strong_connection_algebraic,
-                strong_connection_isometric,
-                verify_strong_connection,
-            )
-
             variant = {"printed": "printed_p_inverse"}.get(args.variant, args.variant)
             opts = SuiteOptions(seed=args.seed, nmax=args.N)
             entries = suites.suite_sconn(opts, variant)
             report = mkreport(f"sconn --N {args.N} --variant {args.variant}", entries)
-            print(report.render_text())
             if args.json:
-                import json as _json
-
                 conn = (
                     strong_connection_isometric(args.N)
                     if variant == "isometric"
                     else strong_connection_algebraic(args.N, variant)
                 )
-                axioms = {}
-                for c in verify_strong_connection(conn):
-                    axioms[f"{c.axiom}[n={c.n}]"] = c.residual
-                payload = _json.loads(report.to_json_bytes())
-                payload["axioms"] = axioms
-                with open(args.json, "wb") as fh:
-                    fh.write(
-                        _json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-                        + b"\n"
-                    )
-            return report.exit_code(strict=args.strict)
+                report.extra["axioms"] = {
+                    f"{c.axiom}[n={c.n}]": c.residual for c in verify_strong_connection(conn)
+                }
+            return _finish(report, args)
         if args.command == "idem":
             variant = {"printed": "printed_p_inverse"}.get(args.variant, args.variant)
             opts = SuiteOptions(seed=args.seed, nmax=args.N)
             entries = suites.suite_idem(opts, variant)
             return _finish(mkreport(f"idem --N {args.N} --variant {args.variant}", entries), args)
         if args.command == "ktheory":
-            from .ktheory import lens_k_groups
-
-            opts = SuiteOptions(seed=args.seed, kmax=args.max or 50)
-            types = [args.N] if args.N is not None else list(range(1, (args.max or 50) + 1))
+            opts = SuiteOptions(seed=args.seed, kmax=args.max)
+            types = [args.N] if args.N is not None else list(range(1, args.max + 1))
             groups = []
             for N in types:
                 res = lens_k_groups(N)
@@ -236,23 +237,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "K1": {"torsion": list(res.k1.torsion), "rank": res.k1.free_rank},
                     }
                 )
-            entries = suites.suite_ktheory(opts, single_n=args.N)
-            report = mkreport("ktheory", entries)
-            print(report.render_text())
-            if args.json:
-                import json as _json
-
-                payload = _json.loads(report.to_json_bytes())
-                payload["groups"] = groups
-                with open(args.json, "wb") as fh:
-                    fh.write(
-                        _json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-                        + b"\n"
-                    )
-            return report.exit_code(strict=args.strict)
+            report = mkreport("ktheory", suites.suite_ktheory(opts, single_n=args.N))
+            report.extra["groups"] = groups
+            return _finish(report, args)
         if args.command == "bass":
-            from .ktheory import bass_class_report
-
             rep = bass_class_report(args.N)
             print(f"connecting idempotent for the canonical class (type N={args.N}):")
             for row in rep.idempotent_matrix:

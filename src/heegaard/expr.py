@@ -232,7 +232,7 @@ def eval_expr(ast: Expr, dialect: str, N: int | None = None):
                     # star binds before the power: (g*)^e = g^(-e)
                     elem = d.atom_fn(f.atom, -f.power, N)
                 acc = acc * elem
-        acc = acc.scale(scalar) if hasattr(acc, "scale") else acc * scalar
+        acc = acc.scale(scalar)
         total = acc if total is None else total + acc
     return total
 

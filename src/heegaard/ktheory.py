@@ -13,10 +13,10 @@ indeterminate rather than guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .scalars import Coefficient, ONE, ZERO, w_pow
-from .qalgebras import DISC0, DiscAlgebra, DiscMonomial, _mono_str
+from .scalars import Coefficient, ONE, format_monomial, matrix_product, w_pow
+from .qalgebras import DISC0, AlgebraElement, DiscAlgebra, DiscMonomial, disc_mono_str
 
 IntMatrix = List[List[int]]
 
@@ -317,6 +317,20 @@ class CrossedAlgebra:
         """Phase for commuting u^n across x^mu."""
         return w_pow(2 * self.sign * self.mult * mu * n)
 
+    def mono_mul(self, t1, t2):
+        (f1, n1), (f2, n2) = t1, t2
+        # u^n1 crosses the disc part f2: each x-power picks up the twist
+        phase = self.twist_phase(f2.mu, n1)
+        return [((mono, n1 + n2), f * phase) for mono, f in self.disc.mono_mul(f1, f2)]
+
+    def star_mono(self, t):
+        f, n = t
+        mono, fac = self.disc.star_mono(f)
+        if mono is None:
+            return None, fac
+        # (f u^n)* = u^-n f* ; cross u^-n to the right of the starred part
+        return (mono, -n), fac * self.twist_phase(mono.mu, -n)
+
     def zero(self) -> "CrossedElement":
         return CrossedElement(self)
 
@@ -338,115 +352,13 @@ class CrossedAlgebra:
         return CrossedElement(self, {(DiscMonomial(0, 0), n): ONE})
 
 
-class CrossedElement:
-    __slots__ = ("alg", "_t")
+class CrossedElement(AlgebraElement):
+    __slots__ = ()
+    _one = (DiscMonomial(0, 0), 0)
 
-    def __init__(self, alg: CrossedAlgebra, terms=None):
-        self.alg = alg
-        if terms is None:
-            terms = {}
-        self._t = {tm: c for tm, c in terms.items() if c}
-
-    def terms(self):
-        return self._t.items()
-
-    def __bool__(self):
-        return bool(self._t)
-
-    def is_zero(self):
-        return not self._t
-
-    def _check(self, other):
-        if other.alg is not self.alg:
-            raise ValueError("mismatched crossed-product algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self._t)
-        for tm, c in other._t.items():
-            s = out.get(tm, ZERO) + c
-            if s:
-                out[tm] = s
-            else:
-                out.pop(tm, None)
-        return CrossedElement(self.alg, out)
-
-    def __neg__(self):
-        return CrossedElement(self.alg, {tm: -c for tm, c in self._t.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: Coefficient | int):
-        if isinstance(c, int):
-            c = Coefficient.integer(c)
-        if not c:
-            return CrossedElement(self.alg)
-        return CrossedElement(self.alg, {tm: cm * c for tm, cm in self._t.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (Coefficient, int)):
-            return self.scale(other)
-        self._check(other)
-        disc = self.alg.disc
-        out: Dict[Tuple[DiscMonomial, int], Coefficient] = {}
-        for (f1, n1), c1 in self._t.items():
-            for (f2, n2), c2 in other._t.items():
-                # u^n1 crosses the disc part f2: each x-power picks up the twist
-                c12 = c1 * c2 * self.alg.twist_phase(f2.mu, n1)
-                n = n1 + n2
-                for mono, f in disc.mono_mul(f1, f2):
-                    key = (mono, n)
-                    s = out.get(key, ZERO) + c12 * f
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return CrossedElement(self.alg, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Coefficient, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def star(self) -> "CrossedElement":
-        disc = self.alg.disc
-        out: Dict[Tuple[DiscMonomial, int], Coefficient] = {}
-        for (f, n), c in self._t.items():
-            mono, fac = disc.star_mono(f)
-            if mono is None:
-                continue
-            # (f u^n)* = u^-n f* ; cross u^-n to the right of the starred part
-            fac = fac * self.alg.twist_phase(mono.mu, -n)
-            key = (mono, -n)
-            s = out.get(key, ZERO) + c.conjugate() * fac
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return CrossedElement(self.alg, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, CrossedElement):
-            return NotImplemented
-        return self.alg is other.alg and self._t == other._t
-
-    def __str__(self):
-        if not self._t:
-            return "0"
-        out = []
-        for (mono, n), coeff in sorted(self._t.items()):
-            body = _mono_str((("X", mono.k), ("x", mono.mu), ("u", n)))
-            for sign, cbody in coeff.term_strings():
-                piece = cbody if body == "1" else (body if cbody == "1" else f"{cbody} {body}")
-                if not out:
-                    out.append(("-" if sign < 0 else "") + piece)
-                else:
-                    out.append(("- " if sign < 0 else "+ ") + piece)
-        return " ".join(out)
-
-    def __repr__(self):
-        return f"CrossedElement({self})"
+    @staticmethod
+    def mono_str(t) -> str:
+        return disc_mono_str(t[0], ("u", t[1]))
 
 
 class TorusAlgebra:
@@ -474,124 +386,22 @@ class TorusAlgebra:
     def U(self, b: int = 1) -> "TorusElement":
         return TorusElement(self, {(0, b): ONE})
 
+    def mono_mul(self, ab1, ab2):
+        (a1, b1), (a2, b2) = ab1, ab2
+        return (((a1 + a2, b1 + b2), w_pow(2 * self.mult * b1 * a2)),)
 
-class TorusElement:
-    __slots__ = ("alg", "_t")
-
-    def __init__(self, alg: TorusAlgebra, terms=None):
-        self.alg = alg
-        if terms is None:
-            terms = {}
-        self._t = {ab: c for ab, c in terms.items() if c}
-
-    def terms(self):
-        return self._t.items()
-
-    def __bool__(self):
-        return bool(self._t)
-
-    def is_zero(self):
-        return not self._t
-
-    def _check(self, other):
-        if other.alg is not self.alg:
-            raise ValueError("mismatched torus algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self._t)
-        for ab, c in other._t.items():
-            s = out.get(ab, ZERO) + c
-            if s:
-                out[ab] = s
-            else:
-                out.pop(ab, None)
-        return TorusElement(self.alg, out)
-
-    def __neg__(self):
-        return TorusElement(self.alg, {ab: -c for ab, c in self._t.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: Coefficient | int):
-        if isinstance(c, int):
-            c = Coefficient.integer(c)
-        if not c:
-            return TorusElement(self.alg)
-        return TorusElement(self.alg, {ab: cm * c for ab, cm in self._t.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (Coefficient, int)):
-            return self.scale(other)
-        self._check(other)
-        t = self.alg.mult
-        out: Dict[Tuple[int, int], Coefficient] = {}
-        for (a1, b1), c1 in self._t.items():
-            for (a2, b2), c2 in other._t.items():
-                c = c1 * c2 * w_pow(2 * t * b1 * a2)
-                key = (a1 + a2, b1 + b2)
-                s = out.get(key, ZERO) + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return TorusElement(self.alg, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Coefficient, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def star(self) -> "TorusElement":
-        t = self.alg.mult
-        out: Dict[Tuple[int, int], Coefficient] = {}
-        for (a, b), c in self._t.items():
-            key = (-a, -b)
-            s = out.get(key, ZERO) + c.conjugate() * w_pow(2 * t * a * b)
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return TorusElement(self.alg, out)
-
-    def pow_signed(self, e: int) -> "TorusElement":
-        if e < 0:
-            return self.star().pow_signed(-e)
-        acc = self.alg.one()
-        for _ in range(e):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self.alg is other.alg and self._t == other._t
-
-    def __str__(self):
-        if not self._t:
-            return "0"
-        out = []
-        for (a, b), coeff in sorted(self._t.items()):
-            body = _mono_str((("Z", a), ("U", b)))
-            for sign, cbody in coeff.term_strings():
-                piece = cbody if body == "1" else (body if cbody == "1" else f"{cbody} {body}")
-                if not out:
-                    out.append(("-" if sign < 0 else "") + piece)
-                else:
-                    out.append(("- " if sign < 0 else "+ ") + piece)
-        return " ".join(out)
-
-    def __repr__(self):
-        return f"TorusElement({self})"
+    def star_mono(self, ab):
+        a, b = ab
+        return (-a, -b), w_pow(2 * self.mult * a * b)
 
 
-def crossed_mul(r: CrossedElement, s: CrossedElement) -> CrossedElement:
-    return r * s
+class TorusElement(AlgebraElement):
+    __slots__ = ()
+    _one = (0, 0)
 
-
-def torus_mul(r: TorusElement, s: TorusElement) -> TorusElement:
-    return r * s
+    @staticmethod
+    def mono_str(ab) -> str:
+        return format_monomial((("Z", ab[0]), ("U", ab[1])))
 
 
 def project_to_torus(c: CrossedElement, leg: int, torus: TorusAlgebra | None = None) -> TorusElement:
@@ -656,10 +466,6 @@ def pullback_make(a_plus: CrossedElement, a_minus: CrossedElement,
     return PullbackElement(a_plus, a_minus)
 
 
-def pullback_add(x: PullbackElement, y: PullbackElement) -> PullbackElement:
-    return PullbackElement(x.plus + y.plus, x.minus + y.minus)
-
-
 def pullback_mul(x: PullbackElement, y: PullbackElement) -> PullbackElement:
     return PullbackElement(x.plus * y.plus, x.minus * y.minus)
 
@@ -667,41 +473,6 @@ def pullback_mul(x: PullbackElement, y: PullbackElement) -> PullbackElement:
 CrossedMatrix = List[List[CrossedElement]]
 TorusMatrix = List[List[TorusElement]]
 PullbackMatrix = List[List[PullbackElement]]
-
-
-def _cmat_mul(a: CrossedMatrix, b: CrossedMatrix, alg: CrossedAlgebra) -> CrossedMatrix:
-    n, inner, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = alg.zero()
-            for t in range(inner):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _tmat_mul(a: TorusMatrix, b: TorusMatrix, torus: TorusAlgebra) -> TorusMatrix:
-    n, inner, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = torus.zero()
-            for t in range(inner):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _cmat_scalar(alg: CrossedAlgebra, n: int, value: int) -> CrossedMatrix:
-    return [
-        [alg.scalar(value) if i == j else alg.zero() for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def _tmat_identity(torus: TorusAlgebra, n: int) -> TorusMatrix:
@@ -731,9 +502,9 @@ def bass_idempotent(
     ident = _tmat_identity(torus, n)
     if pd != u_mat:
         raise ValueError("leg projection of d does not equal the given matrix")
-    if _tmat_mul(pc, u_mat, torus) != ident or _tmat_mul(u_mat, pc, torus) != ident:
+    if matrix_product(pc, u_mat) != ident or matrix_product(u_mat, pc) != ident:
         raise ValueError("leg projection of c is not a two-sided inverse")
-    dc = _cmat_mul(d, c, alg)
+    dc = matrix_product(d, c)
     one_minus_dc = [
         [(alg.one() if i == j else alg.zero()) - dc[i][j] for j in range(n)]
         for i in range(n)
@@ -742,10 +513,11 @@ def bass_idempotent(
         [(alg.scalar(2) if i == j else alg.zero()) - dc[i][j] for j in range(n)]
         for i in range(n)
     ]
-    blk11 = _cmat_mul(_cmat_mul(c, two_minus_dc, alg), d, alg)
-    blk12 = _cmat_mul(_cmat_mul(c, two_minus_dc, alg), one_minus_dc, alg)
-    blk21 = _cmat_mul(one_minus_dc, d, alg)
-    blk22 = _cmat_mul(one_minus_dc, one_minus_dc, alg)
+    c_two_minus_dc = matrix_product(c, two_minus_dc)
+    blk11 = matrix_product(c_two_minus_dc, d)
+    blk12 = matrix_product(c_two_minus_dc, one_minus_dc)
+    blk21 = matrix_product(one_minus_dc, d)
+    blk22 = matrix_product(one_minus_dc, one_minus_dc)
     mzero = minus_alg.zero()
     mone = minus_alg.one()
     out: PullbackMatrix = []
@@ -763,8 +535,7 @@ def bass_idempotent(
     # symbolic idempotency check
     for leg in ("plus", "minus"):
         mat = [[getattr(out[i][j], leg) for j in range(2 * n)] for i in range(2 * n)]
-        lalg = alg if leg == "plus" else minus_alg
-        sq = _cmat_mul(mat, mat, lalg)
+        sq = matrix_product(mat, mat)
         for i in range(2 * n):
             for j in range(2 * n):
                 if sq[i][j] != mat[i][j]:

@@ -12,7 +12,18 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple
 
-from .scalars import Coefficient, ONE, ZERO, p_pow, q_pow, qpoly_Q, qpoly_Qpair, w_pow
+from .scalars import (
+    Coefficient,
+    LinComb,
+    ONE,
+    add_term,
+    format_monomial,
+    p_pow,
+    q_pow,
+    qpoly_Q,
+    qpoly_Qpair,
+    w_pow,
+)
 from .qalgebras import (
     CORE_A,
     CORE_B,
@@ -20,8 +31,6 @@ from .qalgebras import (
     SphereAlgebra,
     SphereElement,
     SphereMonomial,
-    _element_str,
-    _mono_str,
 )
 
 CORE_APRIME = 0
@@ -45,116 +54,45 @@ LENS_ONE = LensMonomial(CORE_BPRIME, 0, 0, 0)
 
 def lens_mono_str(m: LensMonomial) -> str:
     if m.core == CORE_APRIME:
-        return _mono_str((("A'", m.k), ("z'", m.mu), ("bt'", m.nu)))
-    return _mono_str((("B'", m.k), ("z'", m.mu), ("at'", m.nu)))
+        return format_monomial((("A'", m.k), ("z'", m.mu), ("bt'", m.nu)))
+    return format_monomial((("B'", m.k), ("z'", m.mu), ("at'", m.nu)))
 
 
-class LensElement:
-    """Finite combination of the abstract basis monomials for a fixed type N."""
+class LensElement(LinComb):
+    """Finite combination of the abstract basis monomials for a fixed type N.
 
-    __slots__ = ("N", "_t")
+    Products and adjoints are transported through the sphere engine."""
+
+    __slots__ = ("N",)
+    _ctx = "N"
+    _one = LENS_ONE
+    mono_str = staticmethod(lens_mono_str)
 
     def __init__(self, N: int, terms: Dict[LensMonomial, Coefficient] | None = None):
         if N < 1:
             raise ValueError("the lens type N must be >= 1")
         self.N = N
-        if terms is None:
-            terms = {}
-        self._t = {m: c for m, c in terms.items() if c}
+        super().__init__(terms)
         for m in self._t:
             if m.core == CORE_APRIME and m.k < 1:
                 raise ValueError("A'-family monomials need k >= 1")
             if m.k < 0:
                 raise ValueError("core powers are nonnegative")
 
-    def terms(self):
-        return self._t.items()
-
-    def sorted_terms(self):
-        return sorted(self._t.items())
-
-    def __bool__(self):
-        return bool(self._t)
-
-    def is_zero(self):
-        return not self._t
-
-    def _check(self, other: "LensElement"):
-        if self.N != other.N:
-            raise ValueError("mismatched lens types")
-
-    def __add__(self, other: "LensElement") -> "LensElement":
-        self._check(other)
-        out = dict(self._t)
-        for m, c in other._t.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return LensElement(self.N, out)
-
-    def __neg__(self):
-        return LensElement(self.N, {m: -c for m, c in self._t.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: Coefficient | int) -> "LensElement":
-        if isinstance(c, int):
-            c = Coefficient.integer(c)
-        if not c:
-            return LensElement(self.N)
-        return LensElement(self.N, {m: cm * c for m, cm in self._t.items()})
-
     def __mul__(self, other):
         if isinstance(other, (Coefficient, int)):
             return self.scale(other)
         return lens_mul(self, other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (Coefficient, int)):
-            return self.scale(other)
-        return NotImplemented
-
     def star(self) -> "LensElement":
         return lens_to_abstract(lens_from_abstract(self).star(), self.N)
-
-    def pow_signed(self, e: int) -> "LensElement":
-        if e < 0:
-            return self.star().pow_signed(-e)
-        acc = lens_one(self.N)
-        for _ in range(e):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, LensElement):
-            return NotImplemented
-        return self.N == other.N and self._t == other._t
-
-    def __str__(self):
-        return _element_str(self._t, lens_mono_str)
 
     def __repr__(self):
         return f"LensElement(N={self.N}, {self})"
 
 
-# -- constructors -------------------------------------------------------
-
-
-def lens_zero(N: int) -> LensElement:
-    return LensElement(N)
-
-
 def lens_one(N: int) -> LensElement:
     return LensElement(N, {LENS_ONE: ONE})
-
-
-def lens_scalar(N: int, c: Coefficient | int) -> LensElement:
-    if isinstance(c, int):
-        c = Coefficient.integer(c)
-    return LensElement(N, {LENS_ONE: c})
 
 
 def lens_gen(N: int, name: str, e: int = 1) -> LensElement:
@@ -252,14 +190,6 @@ def lens_to_abstract(r: SphereElement, N: int) -> LensElement:
     if not r.is_invariant(N):
         raise NonInvariantError("element is not invariant for this lens type")
     out: Dict[LensMonomial, Coefficient] = {}
-
-    def _accumulate(mono: LensMonomial, c: Coefficient):
-        s = out.get(mono, ZERO) + c
-        if s:
-            out[mono] = s
-        else:
-            del out[mono]
-
     rest = r
     # peel the core-free layer
     while True:
@@ -274,7 +204,7 @@ def lens_to_abstract(r: SphereElement, N: int) -> LensElement:
         if len(lead) != 1:
             raise AssertionError("candidate preimage misses the target monomial")
         factor = c * _invert_unit(lead[0])
-        _accumulate(cand, factor)
+        add_term(out, cand, factor)
         rest = rest - img.scale(factor)
     # remaining terms carry a core and invert exactly
     for m, c in rest.sorted_terms():
@@ -286,7 +216,7 @@ def lens_to_abstract(r: SphereElement, N: int) -> LensElement:
         imono, icoeff = _single_term(lens_from_abstract(LensElement(N, {cand: ONE})))
         if imono != m:
             raise AssertionError("core-family preimage mismatch")
-        _accumulate(cand, c * _invert_unit(icoeff))
+        add_term(out, cand, c * _invert_unit(icoeff))
     return LensElement(N, out)
 
 

@@ -12,142 +12,95 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .scalars import Coefficient, ONE, ZERO, p_pow
+from .scalars import (
+    Coefficient,
+    LinComb,
+    ONE,
+    ZERO,
+    add_term,
+    format_monomial,
+    matrix_product,
+    p_pow,
+)
 from .qalgebras import (
     CORE_A,
     SPHERE,
     SPHERE0,
+    AlgebraElement,
     SphereAlgebra,
     SphereElement,
     SphereMonomial,
     SPHERE_ONE,
+    sphere_mono_str,
 )
 
 
-class CyclicHopfElement:
+class _GroupLike(LinComb):
+    """Span of the powers of one group-like unitary generator: each power
+    m has comultiplication m (x) m, counit 1 and antipode -m."""
+
+    __slots__ = ()
+    _one = 0
+    __str__ = LinComb.grouped_str
+
+    def mono_str(self, m: int) -> str:
+        return format_monomial(((self._gen, m),))
+
+    def _reduce(self, m: int) -> int:
+        return m
+
+    def _mul_rule(self):
+        reduce = self._reduce
+        return lambda i, j: ((reduce(i + j), ONE),)
+
+    def comultiply(self) -> Dict[Tuple[int, int], Coefficient]:
+        return {(m, m): c for m, c in sorted(self._t.items())}
+
+    def counit(self) -> Coefficient:
+        return sum(self._t.values(), ZERO)
+
+    def antipode(self):
+        return self._new({self._reduce(-m): c for m, c in self._t.items()})
+
+
+class CyclicHopfElement(_GroupLike):
     """Element of the order-N cyclic group coordinate Hopf algebra; the
     generator ut is unitary with ut^N = 1 (indices reduce mod N)."""
 
-    __slots__ = ("N", "coeffs")
+    __slots__ = ("N",)
+    _ctx = "N"
+    _gen = "ut"
 
     def __init__(self, N: int, coeffs=None):
         if N < 1:
             raise ValueError("N must be >= 1")
         self.N = N
-        vec = [ZERO] * N
-        if coeffs is not None:
-            if isinstance(coeffs, dict):
-                for m, c in coeffs.items():
-                    vec[m % N] = vec[m % N] + c
-            else:
-                for m, c in enumerate(coeffs):
-                    vec[m % N] = vec[m % N] + c
-        self.coeffs = vec
+        self._t = {}
+        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs or ())
+        for m, c in items:
+            add_term(self._t, m % N, c)
+
+    def _reduce(self, m: int) -> int:
+        return m % self.N
 
     @staticmethod
     def generator_power(N: int, m: int) -> "CyclicHopfElement":
         return CyclicHopfElement(N, {m: ONE})
 
-    def __add__(self, other):
-        if self.N != other.N:
-            raise ValueError("mismatched cyclic orders")
-        return CyclicHopfElement(self.N, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __mul__(self, other):
-        if self.N != other.N:
-            raise ValueError("mismatched cyclic orders")
-        out: Dict[int, Coefficient] = {}
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    k = (i + j) % self.N
-                    out[k] = out.get(k, ZERO) + a * b
-        return CyclicHopfElement(self.N, out)
-
-    def __eq__(self, other):
-        return isinstance(other, CyclicHopfElement) and self.N == other.N and self.coeffs == other.coeffs
-
-    def comultiply(self) -> Dict[Tuple[int, int], Coefficient]:
-        return {(m, m): c for m, c in enumerate(self.coeffs) if c}
-
-    def counit(self) -> Coefficient:
-        acc = ZERO
-        for c in self.coeffs:
-            acc = acc + c
-        return acc
-
-    def antipode(self) -> "CyclicHopfElement":
-        return CyclicHopfElement(self.N, {-m: c for m, c in enumerate(self.coeffs) if c})
-
-    def __str__(self):
-        parts = []
-        for m, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            name = "1" if m == 0 else ("ut" if m == 1 else f"ut^{m}")
-            parts.append(f"({c}) {name}")
-        return " + ".join(parts) if parts else "0"
-
-
-class LaurentHopfElement:
+class LaurentHopfElement(_GroupLike):
     """Element of the circle coordinate Hopf algebra on the unitary u."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _gen = "u"
 
-    def __init__(self, coeffs: Dict[int, Coefficient] | None = None):
-        if coeffs is None:
-            coeffs = {}
-        self.coeffs = {m: c for m, c in coeffs.items() if c}
+    @property
+    def coeffs(self) -> Dict[int, Coefficient]:
+        return self._t
 
     @staticmethod
     def generator_power(m: int) -> "LaurentHopfElement":
         return LaurentHopfElement({m: ONE})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return LaurentHopfElement(out)
-
-    def __mul__(self, other):
-        out: Dict[int, Coefficient] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                s = out.get(k, ZERO) + a * b
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return LaurentHopfElement(out)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentHopfElement) and self.coeffs == other.coeffs
-
-    def comultiply(self) -> Dict[Tuple[int, int], Coefficient]:
-        return {(m, m): c for m, c in self.coeffs.items()}
-
-    def counit(self) -> Coefficient:
-        acc = ZERO
-        for c in self.coeffs.values():
-            acc = acc + c
-        return acc
-
-    def antipode(self) -> "LaurentHopfElement":
-        return LaurentHopfElement({-m: c for m, c in self.coeffs.items()})
-
-    def __str__(self):
-        parts = []
-        for m, c in sorted(self.coeffs.items()):
-            name = "1" if m == 0 else ("u" if m == 1 else f"u^{m}")
-            parts.append(f"({c}) {name}")
-        return " + ".join(parts) if parts else "0"
 
 
 def hopf_ops(h):
@@ -161,89 +114,44 @@ def hopf_ops(h):
 # ---------------------------------------------------------------------------
 
 
-class TensorSquare:
-    """Finite combination of pure tensors of sphere basis monomials."""
+class TensorSquare(AlgebraElement):
+    """Finite combination of pure tensors of sphere basis monomials, with
+    the product of A (x) A^op: (x (x) y)(v (x) w) = xv (x) wy."""
 
-    __slots__ = ("alg", "_t")
+    __slots__ = ()
+    __str__ = LinComb.grouped_str
 
-    def __init__(self, alg: SphereAlgebra, terms=None):
-        self.alg = alg
-        if terms is None:
-            terms = {}
-        self._t = {mm: c for mm, c in terms.items() if c}
+    @staticmethod
+    def mono_str(mm) -> str:
+        return f"{sphere_mono_str(mm[0])} (x) {sphere_mono_str(mm[1])}"
 
     @staticmethod
     def of(x: SphereElement, y: SphereElement) -> "TensorSquare":
-        out: Dict[Tuple[SphereMonomial, SphereMonomial], Coefficient] = {}
-        for m1, c1 in x.terms():
-            for m2, c2 in y.terms():
-                c = c1 * c2
-                if c:
-                    out[(m1, m2)] = out.get((m1, m2), ZERO) + c
-        return TensorSquare(x.alg, out)
+        terms = {(m1, m2): c1 * c2 for m1, c1 in x.terms() for m2, c2 in y.terms()}
+        return TensorSquare(x.alg, terms)
 
-    def terms(self):
-        return self._t.items()
+    def _mul_rule(self):
+        mono_mul = self.alg.mono_mul
 
-    def __bool__(self):
-        return bool(self._t)
+        def rule(t1, t2):
+            (x, y), (v, w) = t1, t2
+            return [((ml, mr), cl * cr) for ml, cl in mono_mul(x, v) for mr, cr in mono_mul(w, y)]
 
-    def __add__(self, other):
-        out = dict(self._t)
-        for mm, c in other._t.items():
-            s = out.get(mm, ZERO) + c
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
-        return TensorSquare(self.alg, out)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorSquare) and self.alg is other.alg and self._t == other._t
+        return rule
 
     def sandwich(self, inner: "TensorSquare") -> "TensorSquare":
         """Left legs multiply on the left of inner's left legs; right legs
         on the right of inner's right legs."""
-        out: Dict[Tuple[SphereMonomial, SphereMonomial], Coefficient] = {}
-        for (x, y), c1 in self._t.items():
-            for (v, w), c2 in inner._t.items():
-                c12 = c1 * c2
-                for ml, cl in self.alg.mono_mul(x, v):
-                    for mr, cr in self.alg.mono_mul(w, y):
-                        c = c12 * cl * cr
-                        if not c:
-                            continue
-                        key = (ml, mr)
-                        s = out.get(key, ZERO) + c
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
-        return TensorSquare(self.alg, out)
+        return self * inner
 
     def legs_multiplied_by_class(self, N: int) -> Dict[int, SphereElement]:
         """Multiply the legs of each term, grouped by right-leg degree mod N."""
         acc: Dict[int, Dict[SphereMonomial, Coefficient]] = {}
         for (x, y), c in self._t.items():
-            d = (y.mu + y.nu) % N
-            bucket = acc.setdefault(d, {})
+            bucket = acc.setdefault((y.mu + y.nu) % N, {})
             for mono, f in self.alg.mono_mul(x, y):
-                s = bucket.get(mono, ZERO) + c * f
-                if s:
-                    bucket[mono] = s
-                else:
-                    del bucket[mono]
+                add_term(bucket, mono, c * f)
         return {d: SphereElement(self.alg, t) for d, t in acc.items() if t}
-
-    def __str__(self):
-        if not self._t:
-            return "0"
-        from .qalgebras import sphere_mono_str
-
-        parts = []
-        for (m1, m2), c in sorted(self._t.items()):
-            parts.append(f"({c}) {sphere_mono_str(m1)} (x) {sphere_mono_str(m2)}")
-        return " + ".join(parts)
 
 
 @dataclass
@@ -382,16 +290,7 @@ class SphereMatrix:
     def __mul__(self, other: "SphereMatrix") -> "SphereMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.entries[0][0].alg.zero()
-                for t in range(self.cols):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            out.append(row)
-        return SphereMatrix(out)
+        return SphereMatrix(matrix_product(self.entries, other.entries))
 
     def __sub__(self, other: "SphereMatrix") -> "SphereMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -432,8 +331,7 @@ def associated_idempotent(conn: StrongConnection, n: int) -> SphereMatrix:
     alg = conn.algebra
     grouped: Dict[SphereMonomial, Dict[SphereMonomial, Coefficient]] = {}
     for (m1, m2), c in conn.values[n].terms():
-        bucket = grouped.setdefault(m2, {})
-        bucket[m1] = bucket.get(m1, ZERO) + c
+        grouped.setdefault(m2, {})[m1] = c
     right_legs = sorted(grouped, reverse=True)
     xs = [SphereElement(alg, grouped[m]) for m in right_legs]
     es = [SphereElement(alg, {m: ONE}) for m in right_legs]
@@ -467,154 +365,56 @@ def idempotent_check(E: SphereMatrix, N: int) -> IdempotentCheck:
 # ---------------------------------------------------------------------------
 
 
-class ProlongElement:
+class ProlongElement(AlgebraElement):
     """Combination of pure tensors (sphere monomial) (x) u^m.
 
     The same container represents both the plain tensor product and the
     invariant subalgebra; the maps below convert between the two roles.
+    The circle leg is central, so tensors print as plain products.
     """
 
-    __slots__ = ("alg", "_t")
+    __slots__ = ()
+    _one = (SPHERE_ONE, 0)
 
     def __init__(self, alg: SphereAlgebra = SPHERE, terms=None):
-        self.alg = alg
-        if terms is None:
-            terms = {}
-        self._t = {tm: c for tm, c in terms.items() if c}
+        super().__init__(alg, terms)
+
+    @staticmethod
+    def mono_str(t) -> str:
+        return sphere_mono_str(t[0], ("u", t[1]))
 
     @staticmethod
     def of(x: SphereElement, h: LaurentHopfElement) -> "ProlongElement":
-        out: Dict[Tuple[SphereMonomial, int], Coefficient] = {}
-        for mono, c1 in x.terms():
-            for m, c2 in h.coeffs.items():
-                c = c1 * c2
-                if c:
-                    out[(mono, m)] = out.get((mono, m), ZERO) + c
-        return ProlongElement(x.alg, out)
+        terms = {(mono, m): c1 * c2 for mono, c1 in x.terms() for m, c2 in h.coeffs.items()}
+        return ProlongElement(x.alg, terms)
 
-    def terms(self):
-        return self._t.items()
+    def _mul_rule(self):
+        mono_mul = self.alg.mono_mul
+        return lambda t1, t2: [((mono, t1[1] + t2[1]), f) for mono, f in mono_mul(t1[0], t2[0])]
 
-    def __bool__(self):
-        return bool(self._t)
+    def _star_rule(self):
+        star_mono = self.alg.star_mono
 
-    def __add__(self, other):
-        out = dict(self._t)
-        for tm, c in other._t.items():
-            s = out.get(tm, ZERO) + c
-            if s:
-                out[tm] = s
-            else:
-                out.pop(tm, None)
-        return ProlongElement(self.alg, out)
+        def rule(t):
+            mono, f = star_mono(t[0])
+            return (None if mono is None else (mono, -t[1])), f
 
-    def __sub__(self, other):
-        return self + ProlongElement(other.alg, {tm: -c for tm, c in other._t.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (Coefficient, int)):
-            return self.scale(other)
-        out: Dict[Tuple[SphereMonomial, int], Coefficient] = {}
-        for (x1, m1), c1 in self._t.items():
-            for (x2, m2), c2 in other._t.items():
-                c12 = c1 * c2
-                for mono, f in self.alg.mono_mul(x1, x2):
-                    key = (mono, m1 + m2)
-                    s = out.get(key, ZERO) + c12 * f
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return ProlongElement(self.alg, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Coefficient, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: Coefficient | int) -> "ProlongElement":
-        if isinstance(c, int):
-            c = Coefficient.integer(c)
-        if not c:
-            return ProlongElement(self.alg)
-        return ProlongElement(self.alg, {tm: cm * c for tm, cm in self._t.items()})
-
-    def star(self) -> "ProlongElement":
-        out: Dict[Tuple[SphereMonomial, int], Coefficient] = {}
-        for (mono, m), c in self._t.items():
-            smono, f = self.alg.star_mono(mono)
-            if smono is None:
-                continue
-            key = (smono, -m)
-            s = out.get(key, ZERO) + c.conjugate() * f
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return ProlongElement(self.alg, out)
-
-    def pow_signed(self, e: int) -> "ProlongElement":
-        if e < 0:
-            return self.star().pow_signed(-e)
-        acc = ProlongElement(self.alg, {(SPHERE_ONE, 0): ONE})
-        for _ in range(e):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProlongElement)
-            and self.alg is other.alg
-            and self._t == other._t
-        )
-
-    def __str__(self):
-        # the circle leg is central, so tensors print as plain products
-        if not self._t:
-            return "0"
-        from .qalgebras import sphere_mono_str
-
-        out = []
-        for (mono, m), coeff in sorted(self._t.items()):
-            body = sphere_mono_str(mono)
-            upart = "" if m == 0 else ("u" if m == 1 else f"u^{m}")
-            if body == "1":
-                body = upart or "1"
-            elif upart:
-                body = f"{body} {upart}"
-            for sign, cbody in coeff.term_strings():
-                piece = cbody if body == "1" else (body if cbody == "1" else f"{cbody} {body}")
-                if not out:
-                    out.append(("-" if sign < 0 else "") + piece)
-                else:
-                    out.append(("- " if sign < 0 else "+ ") + piece)
-        return " ".join(out)
+        return rule
 
 
 def prolong_phi(x: SphereElement, h: LaurentHopfElement, N: int) -> ProlongElement:
     """x (x) u^m  ->  x (x) u^(deg x + N m), term by term."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    out: Dict[Tuple[SphereMonomial, int], Coefficient] = {}
-    for mono, c1 in x.terms():
-        d = mono.mu + mono.nu
-        for m, c2 in h.coeffs.items():
-            c = c1 * c2
-            if c:
-                key = (mono, d + N * m)
-                out[key] = out.get(key, ZERO) + c
-    return ProlongElement(x.alg, out)
+    return prolong_phi_map(ProlongElement.of(x, h), N)
 
 
 def prolong_phi_map(t: ProlongElement, N: int) -> ProlongElement:
     """prolong_phi applied to an element already in tensor form."""
-    out = ProlongElement(t.alg)
-    acc: Dict[Tuple[SphereMonomial, int], Coefficient] = {}
+    out: Dict[Tuple[SphereMonomial, int], Coefficient] = {}
     for (mono, m), c in t.terms():
-        d = mono.mu + mono.nu
-        key = (mono, d + N * m)
-        acc[key] = acc.get(key, ZERO) + c
-    return ProlongElement(t.alg, acc)
+        add_term(out, (mono, mono.mu + mono.nu + N * m), c)
+    return ProlongElement(t.alg, out)
 
 
 def prolong_phi_inv(t: ProlongElement, N: int) -> ProlongElement:
@@ -629,8 +429,7 @@ def prolong_phi_inv(t: ProlongElement, N: int) -> ProlongElement:
             raise ValueError(
                 f"term of tensor degree {m} over monomial degree {d} is not invariant mod {N}"
             )
-        key = (mono, (m - d) // N)
-        out[key] = out.get(key, ZERO) + c
+        out[(mono, (m - d) // N)] = c
     return ProlongElement(t.alg, out)
 
 

@@ -24,8 +24,11 @@ from typing import Dict, NamedTuple, Tuple
 from .scalars import (
     Base,
     Coefficient,
+    LinComb,
     ONE,
     ZERO,
+    add_term,
+    format_monomial,
     qpoly_Qpair_base,
     var_pow,
     w_pow,
@@ -55,42 +58,33 @@ DISC_ONE = DiscMonomial(0, 0)
 SPHERE_ONE = SphereMonomial(CORE_A, 0, 0, 0)
 
 
-def _mono_str(pairs) -> str:
-    parts = []
-    for name, e in pairs:
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return " ".join(parts) if parts else "1"
+def disc_mono_str(m: DiscMonomial, *extra) -> str:
+    """X^k x^mu, followed by any further (name, exponent) factors."""
+    return format_monomial((("X", m.k), ("x", m.mu), *extra))
 
 
-def disc_mono_str(m: DiscMonomial) -> str:
-    return _mono_str((("X", m.k), ("x", m.mu)))
-
-
-def sphere_mono_str(m: SphereMonomial) -> str:
+def sphere_mono_str(m: SphereMonomial, *extra) -> str:
+    """A^k a^mu b^nu (or B^k ...), followed by any further factors."""
     core = "A" if m.core == CORE_A else "B"
-    return _mono_str(((core, m.k), ("a", m.mu), ("b", m.nu)))
+    return format_monomial(((core, m.k), ("a", m.mu), ("b", m.nu), *extra))
 
 
-def _element_str(terms, mono_str) -> str:
-    if not terms:
-        return "0"
-    out = []
-    for mono, coeff in sorted(terms.items()):
-        ms = mono_str(mono)
-        for sign, body in coeff.term_strings():
-            if ms == "1":
-                piece = body
-            elif body == "1":
-                piece = ms
-            else:
-                piece = f"{body} {ms}"
-            if not out:
-                out.append(("-" if sign < 0 else "") + piece)
-            else:
-                out.append(("- " if sign < 0 else "+ ") + piece)
-    return " ".join(out)
+class AlgebraElement(LinComb):
+    """A linear combination whose products and adjoints come from an
+    algebra object's ``mono_mul`` and ``star_mono``."""
+
+    __slots__ = ("alg",)
+    _ctx = "alg"
+
+    def __init__(self, alg, terms=None):
+        self.alg = alg
+        super().__init__(terms)
+
+    def _mul_rule(self):
+        return self.alg.mono_mul
+
+    def _star_rule(self):
+        return self.alg.star_mono
 
 
 class _EngineBase:
@@ -156,8 +150,7 @@ class DiscAlgebra(_EngineBase):
         mu = mu1 + mu2
         emitted: Dict[DiscMonomial, Coefficient] = {DiscMonomial(k1 + k2, mu): factor}
         for deg, c in cont.items():
-            mono = DiscMonomial(k1 + k2 + deg, mu)
-            emitted[mono] = emitted.get(mono, ZERO) + factor * c
+            add_term(emitted, DiscMonomial(k1 + k2 + deg, mu), factor * c)
         for mono, c in emitted.items():
             # evaluate first: a negative parameter power flags a product
             # escaping the normal-form span and must not be masked by a
@@ -206,118 +199,19 @@ class DiscAlgebra(_EngineBase):
         return DiscElement(self, {DiscMonomial(k, mu): coeff})
 
 
-class DiscElement:
-    __slots__ = ("alg", "_t")
-
-    def __init__(self, alg: DiscAlgebra, terms: Dict[DiscMonomial, Coefficient] | None = None):
-        self.alg = alg
-        if terms is None:
-            terms = {}
-        self._t = {m: c for m, c in terms.items() if c}
-
-    def terms(self):
-        return self._t.items()
-
-    def __bool__(self):
-        return bool(self._t)
-
-    def is_zero(self):
-        return not self._t
-
-    def _check(self, other):
-        if other.alg is not self.alg:
-            raise ValueError("elements belong to different disc algebras")
-
-    def __add__(self, other: "DiscElement") -> "DiscElement":
-        self._check(other)
-        out = dict(self._t)
-        for m, c in other._t.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return DiscElement(self.alg, out)
-
-    def __neg__(self):
-        return DiscElement(self.alg, {m: -c for m, c in self._t.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: Coefficient | int) -> "DiscElement":
-        if isinstance(c, int):
-            c = Coefficient.integer(c)
-        if not c:
-            return DiscElement(self.alg)
-        return DiscElement(self.alg, {m: cm * c for m, cm in self._t.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (Coefficient, int)):
-            return self.scale(other)
-        self._check(other)
-        out: Dict[DiscMonomial, Coefficient] = {}
-        for m1, c1 in self._t.items():
-            for m2, c2 in other._t.items():
-                c12 = c1 * c2
-                for mono, c in self.alg.mono_mul(m1, m2):
-                    s = out.get(mono, ZERO) + c12 * c
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        return DiscElement(self.alg, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Coefficient, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def star(self) -> "DiscElement":
-        out: Dict[DiscMonomial, Coefficient] = {}
-        for m, c in self._t.items():
-            mono, f = self.alg.star_mono(m)
-            if mono is None:
-                continue
-            s = out.get(mono, ZERO) + c.conjugate() * f
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        return DiscElement(self.alg, out)
-
-    def pow_signed(self, e: int) -> "DiscElement":
-        """e >= 0: ordinary power; e < 0: power of the adjoint."""
-        if e < 0:
-            return self.star().pow_signed(-e)
-        acc = self.alg.one()
-        for _ in range(e):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, DiscElement):
-            return NotImplemented
-        return self.alg is other.alg and self._t == other._t
-
-    def __str__(self):
-        return _element_str(self._t, disc_mono_str)
-
-    def __repr__(self):
-        return f"DiscElement({self})"
+class DiscElement(AlgebraElement):
+    __slots__ = ()
+    _one = DISC_ONE
+    mono_str = staticmethod(disc_mono_str)
+    # own bindings of the shared methods, so each can be wrapped per class
+    __mul__ = AlgebraElement.__mul__
+    star = AlgebraElement.star
+    pow_signed = AlgebraElement.pow_signed
 
 
 DISC = DiscAlgebra("p")
 DISC_INV = DiscAlgebra("p", sign=-1)
 DISC0 = DiscAlgebra("p", isometric=True)
-
-
-def disc_mul(r: DiscElement, s: DiscElement) -> DiscElement:
-    return r * s
-
-
-def disc_star(r: DiscElement) -> DiscElement:
-    return r.star()
 
 
 def kappa_iso(r: DiscElement) -> DiscElement:
@@ -408,22 +302,14 @@ class SphereAlgebra(_EngineBase):
         emitted: Dict[SphereMonomial, Coefficient] = {
             SphereMonomial(core, k, mu, nu): factor
         }
-
-        def _emit(mono: SphereMonomial, c: Coefficient):
-            s = emitted.get(mono, ZERO) + c
-            if s:
-                emitted[mono] = s
-            else:
-                del emitted[mono]
-
         for deg, c in cont_a.items():
             if k and core == CORE_B:
                 continue
-            _emit(SphereMonomial(CORE_A, k + deg, mu, nu), factor * c)
+            add_term(emitted, SphereMonomial(CORE_A, k + deg, mu, nu), factor * c)
         for deg, c in cont_b.items():
             if k and core == CORE_A:
                 continue
-            _emit(SphereMonomial(CORE_B, k + deg, mu, nu), factor * c)
+            add_term(emitted, SphereMonomial(CORE_B, k + deg, mu, nu), factor * c)
         out = []
         for mono, c in emitted.items():
             # evaluate first: escapes from the span must raise, not vanish
@@ -490,96 +376,14 @@ class SphereAlgebra(_EngineBase):
         return SphereElement(self, {SphereMonomial(core, k, mu, nu): coeff})
 
 
-class SphereElement:
-    __slots__ = ("alg", "_t")
-
-    def __init__(self, alg: SphereAlgebra, terms: Dict[SphereMonomial, Coefficient] | None = None):
-        self.alg = alg
-        if terms is None:
-            terms = {}
-        self._t = {m: c for m, c in terms.items() if c}
-
-    def terms(self):
-        return self._t.items()
-
-    def sorted_terms(self):
-        return sorted(self._t.items())
-
-    def __bool__(self):
-        return bool(self._t)
-
-    def is_zero(self):
-        return not self._t
-
-    def _check(self, other):
-        if other.alg is not self.alg:
-            raise ValueError("elements belong to different sphere algebras")
-
-    def __add__(self, other: "SphereElement") -> "SphereElement":
-        self._check(other)
-        out = dict(self._t)
-        for m, c in other._t.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return SphereElement(self.alg, out)
-
-    def __neg__(self):
-        return SphereElement(self.alg, {m: -c for m, c in self._t.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: Coefficient | int) -> "SphereElement":
-        if isinstance(c, int):
-            c = Coefficient.integer(c)
-        if not c:
-            return SphereElement(self.alg)
-        return SphereElement(self.alg, {m: cm * c for m, cm in self._t.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (Coefficient, int)):
-            return self.scale(other)
-        self._check(other)
-        out: Dict[SphereMonomial, Coefficient] = {}
-        for m1, c1 in self._t.items():
-            for m2, c2 in other._t.items():
-                c12 = c1 * c2
-                for mono, c in self.alg.mono_mul(m1, m2):
-                    s = out.get(mono, ZERO) + c12 * c
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        return SphereElement(self.alg, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Coefficient, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def star(self) -> "SphereElement":
-        out: Dict[SphereMonomial, Coefficient] = {}
-        for m, c in self._t.items():
-            mono, f = self.alg.star_mono(m)
-            if mono is None:
-                continue
-            s = out.get(mono, ZERO) + c.conjugate() * f
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        return SphereElement(self.alg, out)
-
-    def pow_signed(self, e: int) -> "SphereElement":
-        if e < 0:
-            return self.star().pow_signed(-e)
-        acc = self.alg.one()
-        for _ in range(e):
-            acc = acc * self
-        return acc
+class SphereElement(AlgebraElement):
+    __slots__ = ()
+    _one = SPHERE_ONE
+    mono_str = staticmethod(sphere_mono_str)
+    # own bindings of the shared methods, so each can be wrapped per class
+    __mul__ = AlgebraElement.__mul__
+    star = AlgebraElement.star
+    pow_signed = AlgebraElement.pow_signed
 
     def degree_support(self) -> set:
         return {m.mu + m.nu for m in self._t}
@@ -589,84 +393,15 @@ class SphereElement:
             raise ValueError("the cyclic order must be >= 1")
         return all(d % n == 0 for d in self.degree_support())
 
-    def __eq__(self, other):
-        if not isinstance(other, SphereElement):
-            return NotImplemented
-        return self.alg is other.alg and self._t == other._t
-
-    def __str__(self):
-        return _element_str(self._t, sphere_mono_str)
-
-    def __repr__(self):
-        return f"SphereElement({self})"
-
 
 SPHERE = SphereAlgebra()
 SPHERE0 = SphereAlgebra(isometric=True)
-
-
-def sphere_mul(r: SphereElement, s: SphereElement) -> SphereElement:
-    return r * s
-
-
-def sphere_star(r: SphereElement) -> SphereElement:
-    return r.star()
-
-
-def degree_support(r: SphereElement) -> set:
-    return r.degree_support()
-
-
-def is_invariant(r: SphereElement, n: int) -> bool:
-    return r.is_invariant(n)
 
 
 # ---------------------------------------------------------------------------
 # Relation residuals: left side minus right side of the named identity,
 # computed inside the engine.  The suite passes iff every residual is zero.
 # ---------------------------------------------------------------------------
-
-
-def _res_heegard_ab(alg):
-    a, b = alg.a(), alg.b()
-    return a * b - (b * a).scale(w_pow(2))
-
-
-def _res_heegard_abstar(alg):
-    a, bs = alg.a(), alg.b().star()
-    return a * bs - (bs * a).scale(w_pow(-2))
-
-
-def _res_heegard_aa(alg):
-    a = alg.a()
-    return a.star() * a - (a * a.star()).scale(var_pow("p", 1)) - alg.scalar(ONE - var_pow("p", 1))
-
-
-def _res_heegard_bb(alg):
-    b = alg.b()
-    return b.star() * b - (b * b.star()).scale(var_pow("q", 1)) - alg.scalar(ONE - var_pow("q", 1))
-
-
-def _res_heegard_AB(alg):
-    a, b, one = alg.a(), alg.b(), alg.one()
-    return (one - a * a.star()) * (one - b * b.star())
-
-
-def _res_core(alg, which):
-    a, b, A, B = alg.a(), alg.b(), alg.A(), alg.B()
-    if which == "Aa":
-        return A * a - (a * A).scale(var_pow("p", 1))
-    if which == "Ab":
-        return A * b - b * A
-    if which == "Ba":
-        return B * a - a * B
-    if which == "Bb":
-        return B * b - (b * B).scale(var_pow("q", 1))
-    if which == "Astar":
-        return A.star() - A
-    if which == "Bstar":
-        return B.star() - B
-    raise UnknownRelationError(which)
 
 
 def _res_aaminus(alg, n: int):
@@ -676,39 +411,46 @@ def _res_aaminus(alg, n: int):
     return lhs - rhs
 
 
-def _res_chlemma(alg, pair: str, mu: int):
-    """x^mu y^mu against the phase-corrected (xy)^mu for a pair commuting
-    up to a fixed phase."""
-    a, b = alg.a(), alg.b()
-    if pair == "ab":
-        x, y, phase_exp = a, b, 2  # x y = w^2 y x
-    elif pair == "abstar":
-        x, y, phase_exp = a, b.star(), -2
-    else:
-        raise UnknownRelationError(f"chlemma:{pair}")
+def _res_chlemma(x, y, phase_exp: int, mu: int):
+    """x^mu y^mu against the phase-corrected (xy)^mu for a pair with
+    x y = w^phase_exp y x."""
     lhs = x.pow_signed(mu) * y.pow_signed(mu)
     rhs = ((x * y).pow_signed(mu)).scale(w_pow(phase_exp * (mu * (mu - 1) // 2)))
     return lhs - rhs
 
 
+def _twisted_commutator(x, y, e: int):
+    """x y - w^e y x."""
+    return x * y - (y * x).scale(w_pow(e))
+
+
+_RELATIONS = {
+    "heegard:ab": lambda s: _twisted_commutator(s.a(), s.b(), 2),
+    "heegard:abstar": lambda s: _twisted_commutator(s.a(), s.b().star(), -2),
+    "heegard:aa": lambda s: (
+        s.a().star() * s.a() - (s.a() * s.a().star()).scale(var_pow("p", 1))
+        - s.scalar(ONE - var_pow("p", 1))
+    ),
+    "heegard:bb": lambda s: (
+        s.b().star() * s.b() - (s.b() * s.b().star()).scale(var_pow("q", 1))
+        - s.scalar(ONE - var_pow("q", 1))
+    ),
+    "heegard:AB": lambda s: (s.one() - s.a() * s.a().star()) * (s.one() - s.b() * s.b().star()),
+    "core:Aa": lambda s: s.A() * s.a() - (s.a() * s.A()).scale(var_pow("p", 1)),
+    "core:Ab": lambda s: s.A() * s.b() - s.b() * s.A(),
+    "core:Ba": lambda s: s.B() * s.a() - s.a() * s.B(),
+    "core:Bb": lambda s: s.B() * s.b() - (s.b() * s.B()).scale(var_pow("q", 1)),
+    "core:Astar": lambda s: s.A().star() - s.A(),
+    "core:Bstar": lambda s: s.B().star() - s.B(),
+    "aaminus": _res_aaminus,
+    "chlemma:ab": lambda s, mu: _res_chlemma(s.a(), s.b(), 2, mu),
+    "chlemma:abstar": lambda s, mu: _res_chlemma(s.a(), s.b().star(), -2, mu),
+}
+
+
 def relation_residual(rid: str, alg: SphereAlgebra = None, **params) -> SphereElement:
     """Normal form of LHS - RHS for the named displayed identity."""
-    if alg is None:
-        alg = SPHERE
-    if rid == "heegard:ab":
-        return _res_heegard_ab(alg)
-    if rid == "heegard:abstar":
-        return _res_heegard_abstar(alg)
-    if rid == "heegard:aa":
-        return _res_heegard_aa(alg)
-    if rid == "heegard:bb":
-        return _res_heegard_bb(alg)
-    if rid == "heegard:AB":
-        return _res_heegard_AB(alg)
-    if rid.startswith("core:"):
-        return _res_core(alg, rid.split(":", 1)[1])
-    if rid == "aaminus":
-        return _res_aaminus(alg, params["n"])
-    if rid.startswith("chlemma:"):
-        return _res_chlemma(alg, rid.split(":", 1)[1], params["mu"])
-    raise UnknownRelationError(rid)
+    rule = _RELATIONS.get(rid)
+    if rule is None:
+        raise UnknownRelationError(rid)
+    return rule(SPHERE if alg is None else alg, **params)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 PASS = "pass"
 FAIL = "fail"
@@ -32,6 +32,8 @@ class Report:
     seed: int
     entries: List[CheckEntry] = field(default_factory=list)
     elapsed: float = 0.0
+    # further top-level payload keys (deterministic data only)
+    extra: Dict[str, object] = field(default_factory=dict)
 
     def counts(self):
         c = {PASS: 0, FAIL: 0, KNOWN: 0}
@@ -58,6 +60,7 @@ class Report:
                 }
                 for e in sorted(self.entries, key=lambda e: e.id)
             ],
+            **self.extra,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
@@ -75,11 +78,3 @@ class Report:
             f" ({self.elapsed:.2f}s)"
         )
         return "\n".join(lines)
-
-    def merge(self, other: "Report") -> "Report":
-        return Report(
-            command=self.command,
-            seed=self.seed,
-            entries=self.entries + other.entries,
-            elapsed=self.elapsed + other.elapsed,
-        )

@@ -182,15 +182,7 @@ class Coefficient:
             yield sign, "*".join(parts)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        out = []
-        for sign, body in self.term_strings():
-            if not out:
-                out.append(("-" if sign < 0 else "") + body)
-            else:
-                out.append(("- " if sign < 0 else "+ ") + body)
-        return " ".join(out)
+        return signed_join(self.term_strings())
 
     def __repr__(self) -> str:
         return f"Coefficient({self})"
@@ -218,8 +210,202 @@ def var_pow(var: str, e: int) -> Coefficient:
     return p_pow(e) if var == "p" else q_pow(e)
 
 
-def coeff_eval_zero(c: Coefficient, var: str) -> Coefficient:
-    return c.eval_at_zero(var)
+# ---------------------------------------------------------------------------
+# Finite linear combinations of monomials: the one sparse core behind every
+# element type of the package.
+# ---------------------------------------------------------------------------
+
+
+def signed_join(pieces) -> str:
+    """Join (sign, body) pieces as ``a - b + c``; ``0`` when there are none."""
+    out = []
+    for sign, body in pieces:
+        if out:
+            out.append(("- " if sign < 0 else "+ ") + body)
+        else:
+            out.append(("-" if sign < 0 else "") + body)
+    return " ".join(out) if out else "0"
+
+
+def format_monomial(pairs) -> str:
+    """A power product from (name, exponent) pairs; ``1`` when all are zero."""
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in pairs if e]
+    return " ".join(parts) if parts else "1"
+
+
+def add_term(out: dict, key, c: Coefficient) -> None:
+    """out[key] += c, dropping the key when the sum vanishes."""
+    s = out.get(key, ZERO) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def matrix_product(a: list, b: list) -> list:
+    """Product of two matrices, given as lists of rows, of ring elements."""
+    cols = range(len(b[0]))
+    return [
+        [sum((row[t] * b[t][j] for t in range(1, len(b))), row[0] * b[0][j]) for j in cols]
+        for row in a
+    ]
+
+
+def _add_exponents(m1: int, m2: int):
+    return ((m1 + m2, ONE),)
+
+
+class LinComb:
+    """Immutable finite linear combination of normal-form monomials with
+    Coefficient coefficients; no stored coefficient is zero, so equality is
+    dictionary comparison.
+
+    A subclass describes its algebra and nothing else:
+
+    * ``_mul_rule()`` returns the monomial product, a callable
+      (m1, m2) -> sequence of (monomial, factor);
+    * ``_star_rule()`` returns the monomial adjoint, a callable
+      m -> (monomial, factor), with monomial ``None`` when the adjoint
+      vanishes; coefficients are conjugated on top;
+    * ``_one`` is the unit monomial and ``mono_str`` prints a monomial;
+    * ``_ctx`` names the slot holding what fixes the algebra (an algebra
+      object, a lens type, a cyclic order); two elements combine only when
+      it agrees.
+
+    A factor that is the ``ONE`` object itself is not multiplied in, so
+    rules with unit factors (polynomials, group algebras) cost one
+    coefficient product per term pair.
+    """
+
+    __slots__ = ("_t",)
+    _ctx: str | None = None
+
+    def __init__(self, terms: dict | None = None):
+        self._t = {m: c for m, c in terms.items() if c} if terms else {}
+
+    def _new(self, terms: dict) -> "LinComb":
+        """An element of the same algebra over a dict holding no zero."""
+        out = object.__new__(type(self))
+        if self._ctx:
+            setattr(out, self._ctx, getattr(self, self._ctx))
+        out._t = terms
+        return out
+
+    def _check(self, other: "LinComb") -> None:
+        ctx = self._ctx
+        if ctx and getattr(other, ctx) != getattr(self, ctx):
+            raise ValueError(f"{type(self).__name__} operands belong to different algebras")
+
+    # -- inspection ----------------------------------------------------
+
+    def terms(self):
+        return self._t.items()
+
+    def sorted_terms(self):
+        return sorted(self._t.items())
+
+    def __bool__(self) -> bool:
+        return bool(self._t)
+
+    def is_zero(self) -> bool:
+        return not self._t
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        ctx = self._ctx
+        return (not ctx or getattr(self, ctx) == getattr(other, ctx)) and self._t == other._t
+
+    # -- module structure ------------------------------------------------
+
+    def __add__(self, other):
+        self._check(other)
+        # add_term inlined here and in __mul__: these are the package's hottest loops
+        out = dict(self._t)
+        for m, c in other._t.items():
+            s = out.get(m, ZERO) + c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({m: -c for m, c in self._t.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: Coefficient | int):
+        if isinstance(c, int):
+            c = Coefficient.integer(c)
+        if not c:
+            return self._new({})
+        return self._new({m: cm * c for m, cm in self._t.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, (Coefficient, int)):
+            return self.scale(other)
+        return NotImplemented
+
+    # -- algebra structure -----------------------------------------------
+
+    def __mul__(self, other):
+        if isinstance(other, (Coefficient, int)):
+            return self.scale(other)
+        self._check(other)
+        mono_mul = self._mul_rule()
+        out: dict = {}
+        for m1, c1 in self._t.items():
+            for m2, c2 in other._t.items():
+                c12 = c1 * c2
+                for mono, f in mono_mul(m1, m2):
+                    s = out.get(mono, ZERO) + (c12 if f is ONE else c12 * f)
+                    if s:
+                        out[mono] = s
+                    else:
+                        del out[mono]
+        return self._new(out)
+
+    def star(self):
+        star_mono = self._star_rule()
+        out: dict = {}
+        for m, c in self._t.items():
+            mono, f = star_mono(m)
+            if mono is not None:
+                add_term(out, mono, c.conjugate() if f is ONE else c.conjugate() * f)
+        return self._new(out)
+
+    def pow_signed(self, e: int):
+        """e >= 0: ordinary power; e < 0: power of the adjoint.
+
+        Left to right on purpose: multiplying by the short base costs a few
+        monomial products per term of the accumulator, where squaring an
+        m-term power costs m^2 of them.
+        """
+        if e < 0:
+            return self.star().pow_signed(-e)
+        acc = self._new({self._one: ONE})
+        for _ in range(e):
+            acc = acc * self
+        return acc
+
+    # -- printing ----------------------------------------------------------
+
+    def __str__(self) -> str:
+        pieces = []
+        for mono, coeff in self.sorted_terms():
+            ms = self.mono_str(mono)
+            for sign, body in coeff.term_strings():
+                pieces.append((sign, body if ms == "1" else ms if body == "1" else f"{body} {ms}"))
+        return signed_join(pieces)
+
+    def grouped_str(self) -> str:
+        """``(c) m + ...`` with each coefficient printed whole."""
+        return " + ".join(f"({c}) {self.mono_str(m)}" for m, c in self.sorted_terms()) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +470,7 @@ def qbinomial(n: int, m: int, var: str = "p") -> Coefficient:
 # ---------------------------------------------------------------------------
 
 
-class QPoly:
+class QPoly(LinComb):
     """Sparse polynomial in Y with Coefficient coefficients (degrees >= 0).
 
     Members of the contraction family have zero constant term and degree
@@ -292,113 +478,45 @@ class QPoly:
     e.g. 1 + Q arising in product rules.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _one = 0
 
-    def __init__(self, coeffs: Dict[int, Coefficient] | None = None, _trusted: bool = False):
-        if coeffs is None:
-            coeffs = {}
-        if not _trusted:
-            coeffs = {m: c for m, c in coeffs.items() if c}
-        self._coeffs = coeffs
+    @staticmethod
+    def mono_str(m: int) -> str:
+        return format_monomial((("Y", m),))
+
+    def _mul_rule(self):
+        return _add_exponents
 
     @staticmethod
     def zero() -> "QPoly":
-        return QPoly({}, _trusted=True)
+        return QPoly()
 
     @staticmethod
     def term(m: int, c: Coefficient) -> "QPoly":
         if m < 0:
             raise ValueError("Y-exponents are nonnegative")
-        return QPoly({m: c} if c else {}, _trusted=True)
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        out = dict(self._coeffs)
-        for m, c in other._coeffs.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return QPoly(out, _trusted=True)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly({m: -c for m, c in self._coeffs.items()}, _trusted=True)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Coefficient):
-            if not other:
-                return QPoly.zero()
-            return QPoly({m: c * other for m, c in self._coeffs.items()}, _trusted=True)
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        out: Dict[int, Coefficient] = {}
-        for m1, c1 in self._coeffs.items():
-            for m2, c2 in other._coeffs.items():
-                m = m1 + m2
-                s = out.get(m, ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return QPoly(out, _trusted=True)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return QPoly({m: c})
 
     def degree(self) -> int:
-        return max(self._coeffs) if self._coeffs else -1
+        return max(self._t) if self._t else -1
 
     def constant_term(self) -> Coefficient:
-        return self._coeffs.get(0, ZERO)
+        return self._t.get(0, ZERO)
 
     def coefficient(self, m: int) -> Coefficient:
-        return self._coeffs.get(m, ZERO)
+        return self._t.get(m, ZERO)
 
     def items(self) -> Iterator[Tuple[int, Coefficient]]:
-        return iter(sorted(self._coeffs.items()))
+        return iter(sorted(self._t.items()))
 
     def rescale_base(self, base: Base, e: int) -> "QPoly":
         """Substitute Y -> base^e * Y: the degree-m coefficient gains base^(e*m)."""
-        return QPoly(
-            {m: c * _base_pow(base, e * m) for m, c in self._coeffs.items()},
-            _trusted=True,
-        )
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        out = []
-        for m, c in self.items():
-            for sign, body in c.term_strings():
-                piece = body
-                if m > 0:
-                    ypart = "Y" if m == 1 else f"Y^{m}"
-                    piece = ypart if body == "1" else f"{body} {ypart}"
-                if not out:
-                    out.append(("-" if sign < 0 else "") + piece)
-                else:
-                    out.append(("- " if sign < 0 else "+ ") + piece)
-        return " ".join(out)
-
-    def __repr__(self) -> str:
-        return f"QPoly({self})"
+        return self._new({m: c * _base_pow(base, e * m) for m, c in self._t.items()})
 
 
-_Y = QPoly({1: ONE}, _trusted=True)
-_QPOLY_ONE = QPoly({0: ONE}, _trusted=True)
+_Y = QPoly({1: ONE})
+_QPOLY_ONE = QPoly({0: ONE})
 
 
 def _q_closed_positive(n: int, base: Base) -> QPoly:
@@ -409,7 +527,7 @@ def _q_closed_positive(n: int, base: Base) -> QPoly:
         if m % 2:
             c = -c
         coeffs[m] = c
-    return QPoly(coeffs, _trusted=True)
+    return QPoly(coeffs)
 
 
 _QPOLY_MEMO: Dict[Tuple[int, Base], QPoly] = {}
@@ -433,7 +551,7 @@ def qpoly_Q_base(mu: int, base: Base) -> QPoly:
     if mu > 0:
         closed = _q_closed_positive(mu, base)
         if mu == 1:
-            rec = QPoly({1: -ONE}, _trusted=True)
+            rec = QPoly({1: -ONE})
         else:
             prev = qpoly_Q_base(mu - 1, base)
             rec = (_QPOLY_ONE - _Y) * prev.rescale_base(base, -1) - _Y
@@ -442,7 +560,7 @@ def qpoly_Q_base(mu: int, base: Base) -> QPoly:
         # the closed form for negative indices: inverse-base family at v*Y
         closed = _q_closed_positive(n, inv_base).rescale_base(base, 1)
         if n == 1:
-            rec = QPoly({1: -v}, _trusted=True)
+            rec = QPoly({1: -v})
         else:
             prev = qpoly_Q_base(mu + 1, base)
             rec = (_QPOLY_ONE - _Y * v) * prev.rescale_base(base, 1) - _Y * v

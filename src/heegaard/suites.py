@@ -706,73 +706,32 @@ def suite_prolong(opts: SuiteOptions, types: Sequence[int] = (2, 3), samples: in
 # ---------------------------------------------------------------------------
 
 
+_VARIANTS = ("corrected", "printed_p_inverse", "isometric")
+
+SUITES = {
+    "qidentities": suite_qidentities,
+    "disc": suite_disc,
+    "sphere": suite_sphere,
+    "lens": suite_lens,
+    "units": suite_units,
+    "sconn": lambda opts: [e for v in _VARIANTS for e in suite_sconn(opts, v)],
+    "idem": lambda opts: [e for v in _VARIANTS for e in suite_idem(opts, v)],
+    "ktheory": suite_ktheory,
+    "bass": suite_bass,
+    "prolong": suite_prolong,
+    "iso": suite_iso,
+}
+SUITE_NAMES = (*SUITES, "all")
+
+
 def run_suite(name: str, opts: SuiteOptions) -> Report:
-    """Execute a named verification suite with the documented windows."""
+    """Execute a named verification suite with the documented windows;
+    ``all`` runs every suite in registry order."""
     t0 = time.monotonic()
-    if name == "qidentities":
-        entries = suite_qidentities(opts)
-    elif name == "disc":
-        entries = suite_disc(opts)
-    elif name == "sphere":
-        entries = suite_sphere(opts)
-    elif name == "lens":
-        entries = suite_lens(opts)
-    elif name == "units":
-        entries = suite_units(opts)
-    elif name == "sconn":
-        entries = (
-            suite_sconn(opts, "corrected")
-            + suite_sconn(opts, "printed_p_inverse")
-            + suite_sconn(opts, "isometric")
-        )
-    elif name == "idem":
-        entries = (
-            suite_idem(opts, "corrected")
-            + suite_idem(opts, "printed_p_inverse")
-            + suite_idem(opts, "isometric")
-        )
-    elif name == "ktheory":
-        entries = suite_ktheory(opts)
-    elif name == "bass":
-        entries = suite_bass(opts)
-    elif name == "prolong":
-        entries = suite_prolong(opts)
-    elif name == "iso":
-        entries = suite_iso(opts)
-    elif name == "all":
-        entries = []
-        for part in (
-            "qidentities",
-            "disc",
-            "sphere",
-            "lens",
-            "units",
-            "sconn",
-            "idem",
-            "ktheory",
-            "bass",
-            "prolong",
-            "iso",
-        ):
-            entries.extend(run_suite(part, opts).entries)
+    if name == "all":
+        entries = [e for part in SUITES for e in run_suite(part, opts).entries]
     else:
-        raise KeyError(name)
+        entries = SUITES[name](opts)
     return Report(
         command=f"relcheck {name}", seed=opts.seed, entries=entries, elapsed=time.monotonic() - t0
     )
-
-
-SUITE_NAMES = (
-    "qidentities",
-    "disc",
-    "sphere",
-    "lens",
-    "units",
-    "sconn",
-    "idem",
-    "ktheory",
-    "bass",
-    "prolong",
-    "iso",
-    "all",
-)

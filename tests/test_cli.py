@@ -177,3 +177,62 @@ def test_report_exit_codes():
     assert rep.exit_code(strict=True) == 1
     rep = Report("x", 1, [CheckEntry("a", "fail", "r", "t")])
     assert rep.exit_code() == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sconn", "--N", "0"],
+        ["sconn", "--N", "-1"],
+        ["idem", "--N", "1"],
+        ["ktheory", "--max", "0"],
+        ["ktheory", "--N", "0"],
+        ["bass", "--N", "0"],
+        ["iso-check", "--N", "0"],
+        ["prolong-check", "--N", "0"],
+        ["nf", "z'", "--dialect", "lens", "--N", "0"],
+        ["relcheck", "lens", "--types", "0"],
+        ["relcheck", "lens", "--types", "2", "-3"],
+        ["relcheck", "ktheory", "--max", "0"],
+    ],
+)
+def test_cli_out_of_range_sizes_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >=" in capsys.readouterr().err
+
+
+def _canonical(data: bytes) -> bytes:
+    return json.dumps(json.loads(data), sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def test_cli_extra_json_payloads(tmp_path, capsys):
+    path = tmp_path / "sconn.json"
+    assert main(["sconn", "--N", "3", "--variant", "printed", "--json", str(path)]) == 0
+    data = path.read_bytes()
+    assert data == _canonical(data)
+    payload = json.loads(data)
+    assert set(payload) == {"axioms", "command", "entries", "seed"}
+    assert payload["command"] == "sconn --N 3 --variant printed"
+    axioms = payload["axioms"]
+    assert set(axioms) == {
+        f"{axiom}[n={n}]"
+        for n in range(3)
+        for axiom in ("unit-return", "left-colinearity", "right-colinearity")
+    } | {"unitality[n=0]"}
+    # the printed coefficient fails only the unit-return axiom, from degree one on
+    assert axioms["unit-return[n=1]"] == "class 1: p^-1 A - p A"
+    assert [k for k, v in axioms.items() if v != "0"] == ["unit-return[n=1]", "unit-return[n=2]"]
+
+    path = tmp_path / "ktheory.json"
+    assert main(["ktheory", "--max", "4", "--json", str(path)]) == 0
+    capsys.readouterr()
+    data = path.read_bytes()
+    assert data == _canonical(data)
+    payload = json.loads(data)
+    assert set(payload) == {"command", "entries", "groups", "seed"}
+    assert payload["groups"] == [
+        {"N": N, "K0": {"torsion": [N] if N > 1 else [], "rank": 1}, "K1": {"torsion": [], "rank": 1}}
+        for N in range(1, 5)
+    ]

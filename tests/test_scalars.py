@@ -14,7 +14,6 @@ from heegaard.scalars import (
     ONE,
     QPoly,
     ZERO,
-    coeff_eval_zero,
     p_pow,
     q_pow,
     qbinomial,
@@ -180,12 +179,12 @@ def test_rescale():
 
 
 def test_eval_zero_examples():
-    assert coeff_eval_zero(ONE - p_pow(1), "p") == ONE
-    assert coeff_eval_zero(q_pow(1) + p_pow(1) * q_pow(1), "p") == q_pow(1)
+    assert (ONE - p_pow(1)).eval_at_zero("p") == ONE
+    assert (q_pow(1) + p_pow(1) * q_pow(1)).eval_at_zero("p") == q_pow(1)
     with pytest.raises(EvaluationError):
-        coeff_eval_zero(p_pow(-1), "p")
+        p_pow(-1).eval_at_zero("p")
     # the other variable is untouched
-    assert coeff_eval_zero(q_pow(-2), "p") == q_pow(-2)
+    assert q_pow(-2).eval_at_zero("p") == q_pow(-2)
 
 
 # -- ring axioms (property-based) ----------------------------------------------
@@ -246,3 +245,45 @@ def test_printing_canonical():
     assert str(c) == "-p^-1*w^2 + 1"
     assert str(ZERO) == "0"
     assert str(Coefficient.integer(-3) * p_pow(2)) == "-3*p^2"
+
+
+# -- the shared linear-combination core ------------------------------------------
+
+
+def test_element_classes_share_one_core():
+    from heegaard.scalars import LinComb
+    from heegaard.qalgebras import DISC, SPHERE
+    from heegaard.lens import lens_gen
+    from heegaard.principal import (
+        CyclicHopfElement,
+        LaurentHopfElement,
+        ProlongElement,
+        TensorSquare,
+    )
+    from heegaard.ktheory import CrossedAlgebra, TorusAlgebra
+
+    examples = [
+        DISC.x(),
+        SPHERE.a(),
+        lens_gen(3, "z'"),
+        CrossedAlgebra(1).u(),
+        TorusAlgebra().Z(),
+        TensorSquare.of(SPHERE.a(), SPHERE.b()),
+        ProlongElement.of(SPHERE.a(), LaurentHopfElement.generator_power(1)),
+        LaurentHopfElement.generator_power(2),
+        CyclicHopfElement.generator_power(3, 1),
+        qpoly_Q(2),
+    ]
+    assert len({type(x) for x in examples}) == 10
+    for x in examples:
+        assert isinstance(x, LinComb)
+        # every class declares __slots__, so no instance carries a dict
+        assert not hasattr(x, "__dict__"), type(x).__name__
+        assert type(x).pow_signed is LinComb.pow_signed
+        assert x + (-x) == x.scale(0) and not x.scale(0)
+        assert x.scale(2) == x + x
+    # unit factors are not multiplied in: the product loop pays one
+    # coefficient product per term pair
+    q = qpoly_Q(3)
+    assert q * QPoly({0: ONE}) == q
+    assert str(QPoly({0: ONE, 2: -p_pow(1)})) == "1 - p Y^2"

@@ -5,7 +5,7 @@ import concurrent.futures
 from heegaard.qalgebras import SPHERE, SphereAlgebra
 from heegaard.reports import FAIL, KNOWN
 from heegaard.rng import SplitMix64, random_sphere_element
-from heegaard.suites import SUITE_NAMES, SuiteOptions, run_suite
+from heegaard.suites import SUITE_NAMES, SUITES, SuiteOptions, run_suite
 
 
 def test_run_all_suites_no_failures():
@@ -27,20 +27,20 @@ def test_run_all_suites_no_failures():
 
 
 def test_suite_registry_complete():
-    for name in SUITE_NAMES:
-        assert name == "all" or name in (
-            "qidentities",
-            "disc",
-            "sphere",
-            "lens",
-            "units",
-            "sconn",
-            "idem",
-            "ktheory",
-            "bass",
-            "prolong",
-            "iso",
-        )
+    assert SUITE_NAMES == (*SUITES, "all")
+    assert tuple(SUITES) == (
+        "qidentities",
+        "disc",
+        "sphere",
+        "lens",
+        "units",
+        "sconn",
+        "idem",
+        "ktheory",
+        "bass",
+        "prolong",
+        "iso",
+    )
 
 
 def test_engine_shared_across_threads():
