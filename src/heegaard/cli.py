@@ -88,16 +88,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = add_cmd("relcheck", "run a verification suite")
     c.add_argument("suite", choices=SUITE_NAMES)
-    c.add_argument("--window", type=int, default=6)
+    c.add_argument("--window", type=_at_least(1), default=6)
     c.add_argument("--types", type=_at_least(1), nargs="*", default=None, help="lens types to check")
-    c.add_argument("--nmax", type=int, default=7)
-    c.add_argument("--samples", type=int, default=1000)
+    c.add_argument("--nmax", type=_at_least(1), default=7)
+    c.add_argument("--samples", type=_at_least(1), default=1000)
     c.add_argument("--max", type=_at_least(1), default=50, help="largest K-theory type")
 
     c = add_cmd("iso-check", "basis-isomorphism window certificate")
     c.add_argument("--N", type=_at_least(1), required=True)
-    c.add_argument("--window", type=int, default=3)
-    c.add_argument("--samples", type=int, default=500)
+    c.add_argument("--window", type=_at_least(1), default=3)
+    c.add_argument("--samples", type=_at_least(1), default=500)
 
     c = add_cmd("unit-check", "decide invertibility of a sphere expression")
     c.add_argument("expr")
@@ -128,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = add_cmd("prolong-check", "prolongation isomorphism checks")
     c.add_argument("--N", type=_at_least(1), required=True)
-    c.add_argument("--samples", type=int, default=300)
+    c.add_argument("--samples", type=_at_least(1), default=300)
     return p
 
 

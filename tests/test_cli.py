@@ -1,5 +1,6 @@
 """Parser, printer, command surface, exit codes and report determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -194,6 +195,12 @@ def test_report_exit_codes():
         ["relcheck", "lens", "--types", "0"],
         ["relcheck", "lens", "--types", "2", "-3"],
         ["relcheck", "ktheory", "--max", "0"],
+        ["relcheck", "sconn", "--nmax", "0"],
+        ["relcheck", "lens", "--window", "0"],
+        ["relcheck", "units", "--samples", "0"],
+        ["iso-check", "--N", "2", "--window", "0"],
+        ["iso-check", "--N", "2", "--window", "1", "--samples", "0"],
+        ["prolong-check", "--N", "2", "--samples", "0"],
     ],
 )
 def test_cli_out_of_range_sizes_are_usage_errors(argv, capsys):
@@ -236,3 +243,13 @@ def test_cli_extra_json_payloads(tmp_path, capsys):
         {"N": N, "K0": {"torsion": [N] if N > 1 else [], "rank": 1}, "K1": {"torsion": [], "rank": 1}}
         for N in range(1, 5)
     ]
+
+
+def test_cli_relcheck_all_report_is_pinned(tmp_path, capsys):
+    # the deterministic report of the full run, byte for byte: a change that
+    # moves any verdict, residual, id or ordering changes this digest
+    path = tmp_path / "all.json"
+    assert main(["relcheck", "all", "--seed", "24195", "--json", str(path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "021b154fb7542e5ae7d90a83b87b6ab30119edb7299d492d7997aa8f89191b4f"

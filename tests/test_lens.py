@@ -5,6 +5,7 @@ import pytest
 
 from heegaard.scalars import ONE, p_pow, q_pow, qpoly_Q, w_pow
 from heegaard.qalgebras import SPHERE
+from heegaard import lens as lens_module
 from heegaard.lens import (
     CORE_APRIME,
     CORE_BPRIME,
@@ -163,6 +164,13 @@ def test_window_certificate():
         assert all(st == "pass" for _, st, _ in entries), entries
 
 
+def test_window_check_without_products_fails():
+    # zero spot checks inspected nothing, so the homomorphism verdict is a fail
+    entries = {cid: (st, info) for cid, st, info in basis_window_check(2, 1, samples=0)}
+    assert entries["iso:homomorphism"] == ("fail", "0 product spot checks")
+    assert entries["iso:roundtrip"][0] == entries["iso:independence"][0] == "pass"
+
+
 def test_va_vb_annihilate_and_va_stability():
     rng = SplitMix64(29)
     N = 3
@@ -251,6 +259,71 @@ def test_inverse_against_printed_formula_oracle():
                 acc = t if acc is None else acc + t
             img = lens_from_abstract(acc)
             assert printed_inverse(img, N) == lens_to_abstract(img, N) == acc
+
+
+def uncached_image(t):
+    """The generator map f with no memo: every basis image is multiplied out
+    from fresh powers of the generator images."""
+    N = t.N
+    gen = {g: lens_generator_image(g, N) for g in ("A'", "B'", "z'", "at'", "bt'")}
+    out = SPHERE.zero()
+    for m, c in t.terms():
+        if m.core == CORE_APRIME:
+            img = gen["A'"].pow_signed(m.k) * gen["z'"].pow_signed(m.mu) * gen["bt'"].pow_signed(m.nu)
+        else:
+            img = gen["B'"].pow_signed(m.k) * gen["z'"].pow_signed(m.mu) * gen["at'"].pow_signed(m.nu)
+        out = out + img.scale(c)
+    return out
+
+
+def random_lens_element(rng, N, terms=8):
+    # about a quarter of the coefficients are 1, the case where reusing a
+    # cached image as it stands is tempting
+    out = {}
+    while len(out) < terms:
+        core = rng.choice((CORE_APRIME, CORE_BPRIME))
+        k = rng.randint(1 if core == CORE_APRIME else 0, 2)
+        c = random_coefficient(rng) if rng.randint(0, 3) else ONE
+        out[LensMonomial(core, k, rng.randint(-2, 2), rng.randint(-2, 2))] = c
+    return LensElement(N, out)
+
+
+def test_cached_transport_against_uncached_oracle():
+    rng = SplitMix64(71)
+    for N in (1, 2, 3, 5, 7):
+        pairs = [(random_lens_element(rng, N), random_lens_element(rng, N)) for _ in range(4)]
+        images = [(uncached_image(t1), uncached_image(t2)) for t1, t2 in pairs]
+        for (t1, t2), (x1, x2) in zip(pairs, images):
+            assert lens_from_abstract(t1) == x1
+            assert lens_from_abstract(t2) == x2
+        # every image these calls read is cached now; none may change below
+        cached = {key: dict(img.terms()) for key, img in lens_module._BASIS_IMAGE_MEMO.items()}
+        for (t1, t2), (x1, x2) in zip(pairs, images):
+            # a product image has many core-free terms to peel
+            x = x1 * x2
+            got = lens_to_abstract(x, N)
+            assert printed_inverse(x, N) == got
+            assert uncached_image(got) == x
+            assert lens_from_abstract(got) == x
+            assert lens_mul(t1, t2) == got
+            assert lens_to_abstract(x1, N) == t1
+        for key, terms in cached.items():
+            assert dict(lens_module._BASIS_IMAGE_MEMO[key].terms()) == terms
+
+
+def test_failed_preimage_checks_raise_every_time():
+    # monomials outside the invariant subalgebra fail a check of the inverse
+    # map; the failure must not be cached as a preimage
+    from heegaard.qalgebras import CORE_A, SphereMonomial
+
+    for m, message in (
+        (SphereMonomial(CORE_A, 0, 1, 0), "candidate preimage misses the target monomial"),
+        (SphereMonomial(CORE_A, 1, 1, 0), "core-family preimage mismatch"),
+    ):
+        for _ in range(2):
+            with pytest.raises(AssertionError, match=message):
+                lens_module._preimage(2, m)
+        assert (2, m) not in lens_module._PREIMAGE_MEMO
 
 
 def test_lens_mul_associative_through_transport():

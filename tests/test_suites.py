@@ -1,10 +1,12 @@
 """Integration checks for the suite driver and the concurrency contract."""
 
 import concurrent.futures
+import sys
 
+from heegaard.lens import CORE_APRIME, CORE_BPRIME, LensElement, LensMonomial, lens_mul
 from heegaard.qalgebras import SPHERE, SphereAlgebra
 from heegaard.reports import FAIL, KNOWN
-from heegaard.rng import SplitMix64, random_sphere_element
+from heegaard.rng import SplitMix64, random_coefficient, random_sphere_element
 from heegaard.suites import SUITE_NAMES, SUITES, SuiteOptions, run_suite
 
 
@@ -76,3 +78,31 @@ def test_engine_shared_across_threads():
         rebuilt = list(pool.map(rebuild, pairs))
     for got, want in zip(rebuilt, sequential):
         assert dict(got.terms()) == dict(want.terms())
+
+
+def test_lens_transport_shared_across_threads():
+    # the lens image and preimage memos are append-only too: transported
+    # products filling them concurrently agree with the sequential results
+    rng = SplitMix64(24196)
+
+    def element(N):
+        terms = {}
+        while len(terms) < 4:
+            core = rng.choice((CORE_APRIME, CORE_BPRIME))
+            k = rng.randint(1 if core == CORE_APRIME else 0, 2)
+            terms[LensMonomial(core, k, rng.randint(-2, 2), rng.randint(-2, 2))] = random_coefficient(rng)
+        return LensElement(N, terms)
+
+    # lens types no other test uses, so the threads start from cold memos;
+    # a short switch interval interleaves the memo fills
+    pairs = [(element(N), element(N)) for N in (4, 6) for _ in range(30)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lens_mul, t1, t2) for t1, t2 in pairs]
+            concurrent_results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    sequential = [lens_mul(t1, t2) for t1, t2 in pairs]
+    assert concurrent_results == sequential
