@@ -8,6 +8,7 @@ certificate.
 from .scalars import (
     Coefficient,
     EvaluationError,
+    ExponentBoundError,
     LinComb,
     ONE,
     QPoly,

@@ -3,8 +3,10 @@ basis-isomorphism certificate, unit checks, connection/idempotent
 reports, K-group computation and the connecting-homomorphism report.
 
 Exit codes: 0 when every check passes or fails only inside the known
-printed-formula discrepancy allowlist, 1 on any other failure, 2 on
-usage errors.  --strict counts the known discrepancies as failures.
+printed-formula discrepancy allowlist, 1 on any other failure (an
+internal self-check that fails included), 2 on usage errors and on
+exponents beyond the coefficient ring's range.  --strict counts the
+known discrepancies as failures.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .scalars import qpoly_Q
+from .scalars import ExponentBoundError, qpoly_Q
 from .expr import ParseError, eval_expr, parse
 from .ktheory import bass_class_report, lens_k_groups
 from .principal import (
@@ -88,10 +90,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = add_cmd("relcheck", "run a verification suite")
     c.add_argument("suite", choices=SUITE_NAMES)
-    c.add_argument("--window", type=_at_least(1), default=6)
+    c.add_argument(
+        "--window", type=_at_least(1), default=None, help="default: each suite's own (lens 6, iso 3)"
+    )
     c.add_argument("--types", type=_at_least(1), nargs="*", default=None, help="lens types to check")
     c.add_argument("--nmax", type=_at_least(1), default=7)
-    c.add_argument("--samples", type=_at_least(1), default=1000)
+    c.add_argument(
+        "--samples",
+        type=_at_least(1),
+        default=None,
+        help="default: each suite's own (sphere, units, ktheory 1000; iso 500; prolong 300)",
+    )
     c.add_argument("--max", type=_at_least(1), default=50, help="largest K-theory type")
 
     c = add_cmd("iso-check", "basis-isomorphism window certificate")
@@ -197,8 +206,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             report = run_suite(args.suite, opts)
             return _finish(report, args)
         if args.command == "iso-check":
-            opts = SuiteOptions(seed=args.seed)
-            entries = suites.suite_iso(opts, N=args.N, window=args.window, samples=args.samples)
+            opts = SuiteOptions(seed=args.seed, window=args.window, samples=args.samples)
+            entries = suites.suite_iso(opts, N=args.N)
             return _finish(mkreport(f"iso-check --N {args.N} --window {args.window}", entries), args)
         if args.command == "sconn":
             variant = {"printed": "printed_p_inverse"}.get(args.variant, args.variant)
@@ -251,14 +260,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             entries = suites.suite_bass(opts, types=(args.N,))
             return _finish(mkreport(f"bass --N {args.N}", entries), args)
         if args.command == "prolong-check":
-            opts = SuiteOptions(seed=args.seed)
-            entries = suites.suite_prolong(opts, types=(args.N,), samples=args.samples)
+            opts = SuiteOptions(seed=args.seed, samples=args.samples)
+            entries = suites.suite_prolong(opts, types=(args.N,))
             return _finish(mkreport(f"prolong-check --N {args.N}", entries), args)
-    except ParseError as exc:
+    except (ParseError, ExponentBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except AssertionError as exc:
+        # an engine self-check (closed form against recursion, a lens
+        # preimage) failed: report it, not a traceback
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 1
     parser.error(f"unknown command {args.command!r}")
     return 2

@@ -7,20 +7,53 @@ integers are arbitrary precision; there is no floating point anywhere.
 The module also provides the deformed integer/binomial families and the
 one-variable contraction polynomials that drive every normal-form rule
 downstream.  Everything here is immutable and pure, hence thread-safe;
-the memo caches are append-only dicts guarded by the GIL.
+the memo caches are append-only dicts guarded by the GIL, and the range of
+checked contraction polynomials grows under a lock.
+
+Both layers run on packed integers (Kronecker substitution):
+
+* a ``Coefficient`` term p^i q^j w^k is keyed by the one int
+  ``i*2^(2S) + j*2^S + k`` with balanced digits, so a monomial product is
+  an int add and key order is the lexicographic order of the triples;
+* a one-variable polynomial sum c_d t^d is the one int sum c_d 2^(W*d),
+  with a digit width W taken from a proven bound on the digits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+import sys
+import threading
+from array import array
+from itertools import repeat
+from operator import add, itemgetter, lshift, neg
+from typing import Dict, Iterator, List, Tuple
 
 Triple = Tuple[int, int, int]
 
 _VAR_INDEX = {"p": 0, "q": 1, "w": 2}
 
+# Packed exponent keys: S bits per exponent, balanced digits.  Every
+# exponent of a stored term lies in [-_EMAX, _EMAX], so each digit stays
+# inside its slot and distinct triples get distinct keys.
+_S = 20
+_HALF = 1 << (_S - 1)
+_EMAX = _HALF - 1
+_DIGIT = (1 << _S) - 1
+_VAR_SHIFT = {"p": 2 * _S, "q": _S, "w": 0}
+
 
 class EvaluationError(ValueError):
     """Raised when a localized variable is evaluated where it is undefined."""
+
+
+class ExponentBoundError(OverflowError):
+    """Raised when an exponent leaves the range the packed keys can hold."""
+
+    def __init__(self, exponent: int):
+        super().__init__(
+            f"exponent {exponent} is outside the supported range "
+            f"[-{_EMAX}, {_EMAX}] of the Laurent coefficient ring"
+        )
 
 
 def _check_var(var: str) -> int:
@@ -29,49 +62,106 @@ def _check_var(var: str) -> int:
     return _VAR_INDEX[var]
 
 
+def _key(i: int, j: int, k: int) -> int:
+    """The packed key of p^i q^j w^k (exponents already within the bound)."""
+    return (i << 2 * _S) + (j << _S) + k
+
+
+def _unkey(key: int) -> Triple:
+    k = ((key + _HALF) & _DIGIT) - _HALF
+    key = (key - k) >> _S
+    j = ((key + _HALF) & _DIGIT) - _HALF
+    return (key - j) >> _S, j, k
+
+
+def _exponent_bound(*exps: int) -> int:
+    """The largest |exponent|, refused when a key cannot hold it."""
+    b = max(map(abs, exps), default=0)
+    if b > _EMAX:
+        raise ExponentBoundError(max(exps, key=abs))
+    return b
+
+
+def _coeff(terms: Dict[int, int], bound: int) -> "Coefficient":
+    """A Coefficient over packed keys holding no zero, every exponent of
+    every term at most ``bound`` in absolute value."""
+    out = object.__new__(Coefficient)
+    out._terms = terms
+    out._bound = bound
+    out._hash = None
+    return out
+
+
+def _product_bound(a: "Coefficient", b: "Coefficient") -> int:
+    """Exact exponent bound of a*b, for when the operands' bounds add up
+    past the limit.  Per variable, the extreme exponents of a product of
+    nonzero Laurent polynomials are the sums of the operands' extremes
+    (the leading parts multiply to a nonzero part), so this raises only
+    when a term of the product really leaves the range."""
+    if not a._terms or not b._terms:
+        return 0
+    ends = []
+    for idx in range(3):
+        ea = [_unkey(key)[idx] for key in a._terms]
+        eb = [_unkey(key)[idx] for key in b._terms]
+        ends += (min(ea) + min(eb), max(ea) + max(eb))
+    return _exponent_bound(*ends)
+
+
 class Coefficient:
     """A sparse Laurent polynomial: map (i, j, k) -> integer for p^i q^j w^k.
 
-    Instances are immutable; all operations return fresh values.  Equality
-    is termwise; no stored integer is zero.
+    Terms are stored under packed int keys (``_key``) with a per-object
+    bound on |exponent| kept in O(1) per operation: a sum keeps the larger
+    bound, a product the sum of bounds, re-derived exactly from the terms
+    only when that sum passes the limit.  Instances are immutable; all
+    operations return fresh values or one of their (immutable) operands.
+    Equality is termwise; no stored integer is zero.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_bound", "_hash")
 
-    def __init__(self, terms: Dict[Triple, int] | None = None, _trusted: bool = False):
-        if terms is None:
-            terms = {}
-        if not _trusted:
-            terms = {e: c for e, c in terms.items() if c}
-        self._terms = terms
+    def __init__(self, terms: Dict[Triple, int] | None = None):
+        terms = {e: c for e, c in (terms or {}).items() if c}
+        self._bound = _exponent_bound(*(x for e in terms for x in e))
+        self._terms = {_key(*e): c for e, c in terms.items()}
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def integer(n: int) -> "Coefficient":
-        return Coefficient({(0, 0, 0): n} if n else {}, _trusted=True)
+        return _coeff({0: n} if n else {}, 0)
 
     @staticmethod
     def monomial(n: int = 1, i: int = 0, j: int = 0, k: int = 0) -> "Coefficient":
-        return Coefficient({(i, j, k): n} if n else {}, _trusted=True)
+        if not n:
+            return _coeff({}, 0)
+        return _coeff({_key(i, j, k): n}, _exponent_bound(i, j, k))
 
     # -- ring structure ----------------------------------------------
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
         if not isinstance(other, Coefficient):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
+        a, b = self._terms, other._terms
+        if not b:
+            return self
+        if not a:
+            return other
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for e, c in b.items():
             s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return Coefficient(out, _trusted=True)
+                del out[e]
+        return _coeff(out, max(self._bound, other._bound))
 
     def __neg__(self) -> "Coefficient":
-        return Coefficient({e: -c for e, c in self._terms.items()}, _trusted=True)
+        return _coeff({e: -c for e, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
         if not isinstance(other, Coefficient):
@@ -82,31 +172,34 @@ class Coefficient:
         if isinstance(other, int):
             if other == 0:
                 return ZERO
-            return Coefficient({e: c * other for e, c in self._terms.items()}, _trusted=True)
+            return _coeff({e: c * other for e, c in self._terms.items()}, self._bound)
         if not isinstance(other, Coefficient):
             return NotImplemented
-        if len(other._terms) == 1:
-            ((oi, oj, ok), oc), = other._terms.items()
-            return Coefficient(
-                {(i + oi, j + oj, k + ok): c * oc for (i, j, k), c in self._terms.items()},
-                _trusted=True,
-            )
-        out: Dict[Triple, int] = {}
-        for (i1, j1, k1), c1 in self._terms.items():
-            for (i2, j2, k2), c2 in other._terms.items():
-                e = (i1 + i2, j1 + j2, k1 + k2)
+        bound = self._bound + other._bound
+        if bound > _EMAX:
+            bound = _product_bound(self, other)
+        a, b = self._terms, other._terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            ((eb, cb),) = b.items()
+            return _coeff({e + eb: c * cb for e, c in a.items()}, bound)
+        out: Dict[int, int] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return Coefficient(out, _trusted=True)
+        return _coeff(out, bound)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self._terms == ({(0, 0, 0): other} if other else {})
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, Coefficient):
             return NotImplemented
         return self._terms == other._terms
@@ -126,8 +219,9 @@ class Coefficient:
 
     def conjugate(self) -> "Coefficient":
         """p and q are fixed (real parameters); w is inverted."""
-        return Coefficient(
-            {(i, j, -k): c for (i, j, k), c in self._terms.items()}, _trusted=True
+        return _coeff(
+            {e - 2 * (((e + _HALF) & _DIGIT) - _HALF): c for e, c in self._terms.items()},
+            self._bound,
         )
 
     def eval_at_zero(self, var: str) -> "Coefficient":
@@ -136,16 +230,16 @@ class Coefficient:
         A negative var-exponent means the value is not defined there.
         """
         idx = _check_var(var)
-        out: Dict[Triple, int] = {}
+        out: Dict[int, int] = {}
         for e, c in self._terms.items():
-            d = e[idx]
+            d = _unkey(e)[idx]
             if d < 0:
                 raise EvaluationError(
                     f"negative power of {var} cannot be evaluated at {var}=0: {self}"
                 )
             if d == 0:
                 out[e] = c
-        return Coefficient(out, _trusted=True)
+        return _coeff(out, self._bound)
 
     # -- units ---------------------------------------------------------
 
@@ -153,22 +247,23 @@ class Coefficient:
         """Inverse if this is a ring unit (a single term with coefficient ±1)."""
         if len(self._terms) != 1:
             return None
-        ((i, j, k), c), = self._terms.items()
+        ((e, c),) = self._terms.items()
         if c not in (1, -1):
             return None
-        return Coefficient.monomial(c, -i, -j, -k)
+        return _coeff({-e: c}, self._bound)
 
     # -- inspection / printing ----------------------------------------
 
     def terms(self) -> Iterator[Tuple[Triple, int]]:
-        return iter(sorted(self._terms.items()))
+        """(exponent triple, integer) pairs in ascending triple order."""
+        return ((_unkey(e), c) for e, c in sorted(self._terms.items()))
 
     def term_strings(self) -> Iterator[Tuple[int, str]]:
         """Yield (sign, body) per term in canonical (ascending triple) order.
 
         The body is the unsigned factor string, e.g. ``3*p^-1*w^2`` or ``1``.
         """
-        for (i, j, k), c in sorted(self._terms.items()):
+        for (i, j, k), c in self.terms():
             sign = 1 if c > 0 else -1
             parts = []
             n = abs(c)
@@ -440,6 +535,87 @@ def qint(n: int, var: str = "p") -> Coefficient:
     return qint_base(n, (var, 1))
 
 
+# The deformed binomials C(n, m)_t, over the deformation unit t, packed as
+# ints sum c_d 2^(W*d) (Kronecker substitution t -> 2^W).  The coefficients
+# of C(n, m)_t are positive and add up to the ordinary binomial
+# C(n, m) < 2^n, so a digit width W >= n + 3 keeps every digit of a
+# binomial of row n, of the sum of two binomials of row n - 1 and of their
+# difference inside a balanced W-bit digit.  W is that bound rounded up to
+# whole 64-bit words, never a fixed width.  A packed binomial serves every
+# base: only decoding tells p from q and t from 1/t.
+#
+# Rows are built by the Pascal rule C(n, m) = C(n-1, m-1) + t^m C(n-1, m);
+# the contraction-polynomial check below rests on the other Pascal rule,
+# C(n, m) = C(n-1, m) + t^(n-m) C(n-1, m-1), so it also checks the rows.
+
+
+def _width(n: int) -> int:
+    """The digit width for row n of the binomials."""
+    return -(-(n + 3) // 64) * 64
+
+
+def _pascal_step(prev: List[int], width: int) -> List[int]:
+    """Row n from row n - 1, both packed at ``width``."""
+    return [1, *((prev[m] << width * m) + prev[m - 1] for m in range(1, len(prev))), 1]
+
+
+# rows asked for by qbinomial and qpoly_Q, each at its own width
+_ROW_MEMO: Dict[int, List[int]] = {}
+
+
+def _row(n: int, width: int = 0) -> List[int]:
+    """Row n packed at ``width`` (default: its own), built from the longest
+    memoized row below it at that width; kept only at its own width."""
+    width = width or _width(n)
+    got = _ROW_MEMO.get(n) if width == _width(n) else None
+    if got is None:
+        start = max((j for j in list(_ROW_MEMO) if j < n and _width(j) == width), default=0)
+        got = _ROW_MEMO[start] if start else [1]
+        for _ in range(start, n):
+            got = _pascal_step(got, width)
+        if width == _width(n):
+            _ROW_MEMO[n] = got
+    return got
+
+
+def _decode(sign: int, packed: int, width: int, low: int, var: str, step: int) -> Coefficient:
+    """The polynomial sign * sum c_d t^(low + d), t = var^step, whose
+    coefficients c_d >= 0 are the W-bit digits of ``packed``."""
+    ndigits = -(-packed.bit_length() // width)
+    words = array("Q", packed.to_bytes(ndigits * width // 8, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    # digit d is the little-endian run of 64-bit words d*r .. d*r + r - 1
+    r = width // 64
+    digits = words[0::r]
+    for t in range(1, r):
+        digits = map(add, digits, map(lshift, words[t::r], repeat(64 * t)))
+    if sign < 0:
+        digits = map(neg, digits)
+    bound = _exponent_bound(low, low + ndigits - 1)
+    terms = dict(filter(itemgetter(1), zip(_var_keys(var, step, low, ndigits), digits)))
+    return _coeff(terms, bound)
+
+
+# the keys of var^e, -E <= e <= E, at index e + E: decoded polynomials take
+# their keys from here, so memoized coefficients share one int per power
+_KEY_TABLES: Dict[str, List[int]] = {}
+
+
+def _var_keys(var: str, step: int, low: int, count: int) -> List[int]:
+    """The keys of t^low, ..., t^(low + count - 1) for t = var^step."""
+    table = _KEY_TABLES.get(var, [])
+    top = max(abs(low), abs(low + count - 1))
+    if len(table) <= 2 * top:
+        e = max(len(table), top)  # at least doubles the range
+        shift = _VAR_SHIFT[var]
+        table = _KEY_TABLES[var] = [x << shift for x in range(-e, e + 1)]
+    mid = len(table) // 2
+    if step > 0:
+        return table[mid + low : mid + low + count]
+    return table[mid - low - count + 1 : mid - low + 1][::-1]
+
+
 _QBINOM_MEMO: Dict[Tuple[int, int, Base], Coefficient] = {}
 
 
@@ -451,16 +627,14 @@ def qbinomial_base(n: int, m: int, base: Base) -> Coefficient:
     key = (n, m, base)
     got = _QBINOM_MEMO.get(key)
     if got is None:
-        # Pascal rule: C(n, m) = C(n-1, m) + v^(n-m) * C(n-1, m-1)
-        got = qbinomial_base(n - 1, m, base) + _base_pow(base, n - m) * qbinomial_base(
-            n - 1, m - 1, base
-        )
-        _QBINOM_MEMO[key] = got
+        var, s = base
+        got = _QBINOM_MEMO[key] = _decode(1, _row(n)[m], _width(n), 0, var, s)
     return got
 
 
 def qbinomial(n: int, m: int, var: str = "p") -> Coefficient:
-    """Deformed binomial coefficient, computed by the Pascal recursion."""
+    """Deformed binomial coefficient, computed by a Pascal recursion (the
+    qidentities suite checks the other one)."""
     _check_var(var)
     return qbinomial_base(n, m, (var, 1))
 
@@ -515,21 +689,80 @@ class QPoly(LinComb):
         return self._new({m: c * _base_pow(base, e * m) for m, c in self._t.items()})
 
 
-_Y = QPoly({1: ONE})
-_QPOLY_ONE = QPoly({0: ONE})
+# In the contraction layer a packed one-variable polynomial is a slot
+# (sign, packed, low): sign * t^low * sum c_d t^d, packed = sum c_d 2^(W*d).
+
+Slot = Tuple[int, int, int]
 
 
-def _q_closed_positive(n: int, base: Base) -> QPoly:
-    # sum over m of (-1)^m * v^(-n*m + m(m+1)/2) * C(n, m)_v * Y^m
-    coeffs: Dict[int, Coefficient] = {}
+def _closed_slots(row: List[int], n: int, inverse: bool) -> List[Slot]:
+    """The Y^1..Y^n coefficients of the closed form at index n (index -n
+    when ``inverse``), over t = the base (its inverse when ``inverse``):
+    (-1)^m t^(-n*m + m(m+1)/2) C(n, m)_t, times t^-m for a negative index
+    (the inverse-base family taken at base*Y)."""
+    return [
+        (-1 if m % 2 else 1, row[m], -n * m + m * (m + 1) // 2 - (m if inverse else 0))
+        for m in range(1, n + 1)
+    ]
+
+
+def _is_zero_sum(slots: List[Slot], width: int) -> bool:
+    """Whether the polynomials of ``slots`` add up to 0: their packed ints
+    are shifted to the lowest exponent among them and added."""
+    low = min(lo for _, _, lo in slots)
+    total = 0
+    for sign, p, lo in slots:
+        term = p << width * (lo - low)
+        total = total + term if sign > 0 else total - term
+    return not total
+
+
+def _check_recursion(n: int, inverse: bool, row: List[int], prev: List[int], width: int) -> None:
+    """Check the closed form at index n (-n when ``inverse``) against the
+    one-step recursion from the closed form at n - 1, given the binomial
+    rows n and n - 1 at one width, slot by slot as packed ints: the width
+    bounds every digit of closed - recursion, so that packed difference is
+    0 exactly when the two polynomials agree.
+
+    Q(+-n) = X - Y t^-i (1 + X), X = Q(+-(n-1)) at Y -> Y/t, i = 1 for a
+    negative index (Y/t is base*Y there, t being the inverse base); the 1
+    is slot 0 of ``lower``.
+    """
+    closed = _closed_slots(row, n, inverse)
+    lower = [(1, 1, 0), *_closed_slots(prev, n - 1, inverse)]
+    i = 1 if inverse else 0
     for m in range(1, n + 1):
-        c = qbinomial_base(n, m, base) * _base_pow(base, -n * m + m * (m + 1) // 2)
-        if m % 2:
-            c = -c
-        coeffs[m] = c
-    return QPoly(coeffs)
+        # closed_m - X_m + t^-i (1 + X)_(m-1)
+        sign, p, lo = lower[m - 1]
+        slots = [closed[m - 1], (sign, p, lo - (m - 1) - i)]
+        if m < n:
+            sign, p, lo = lower[m]
+            slots.append((-sign, p, lo - m))
+        if not _is_zero_sum(slots, width):
+            raise AssertionError(f"closed form and recursion disagree at index {-n if inverse else n}")
 
 
+def _check_up_to(n: int, inverse: bool) -> None:
+    """Walk the rows from the last checked index of this sign up to n,
+    checking each step; the caller holds _QPOLY_LOCK."""
+    checked = _QPOLY_CHECKED[inverse]
+    if checked >= n:
+        return
+    # the whole walk at the width of row n, which bounds every row below
+    width = _width(n)
+    row = _row(checked, width)
+    for k in range(checked + 1, n + 1):
+        prev, row = row, _pascal_step(row, width)
+        _check_recursion(k, inverse, row, prev, width)
+        _QPOLY_CHECKED[inverse] = k
+    _ROW_MEMO.setdefault(n, row)
+
+
+# per sign of the index: every index from 1 up to this one has passed
+# _check_recursion (the check does not depend on the base); walks that
+# extend it hold the lock
+_QPOLY_CHECKED = {False: 0, True: 0}
+_QPOLY_LOCK = threading.Lock()
 _QPOLY_MEMO: Dict[Tuple[int, Base], QPoly] = {}
 
 
@@ -537,7 +770,9 @@ def qpoly_Q_base(mu: int, base: Base) -> QPoly:
     """Index-mu contraction polynomial over the given base.
 
     Always computed twice — closed form and one-step recursion — and the
-    two results are checked against each other before being memoized.
+    two results are checked against each other at every index from 1 up to
+    |mu| (with the sign of mu) before the closed form is decoded and
+    memoized.
     """
     if mu == 0:
         return QPoly.zero()
@@ -545,29 +780,18 @@ def qpoly_Q_base(mu: int, base: Base) -> QPoly:
     got = _QPOLY_MEMO.get(key)
     if got is not None:
         return got
+    n, inverse = abs(mu), mu < 0
+    if _QPOLY_CHECKED[inverse] < n:
+        with _QPOLY_LOCK:
+            _check_up_to(n, inverse)
     var, s = base
-    inv_base = (var, -s)
-    v = _base_pow(base, 1)
-    if mu > 0:
-        closed = _q_closed_positive(mu, base)
-        if mu == 1:
-            rec = QPoly({1: -ONE})
-        else:
-            prev = qpoly_Q_base(mu - 1, base)
-            rec = (_QPOLY_ONE - _Y) * prev.rescale_base(base, -1) - _Y
-    else:
-        n = -mu
-        # the closed form for negative indices: inverse-base family at v*Y
-        closed = _q_closed_positive(n, inv_base).rescale_base(base, 1)
-        if n == 1:
-            rec = QPoly({1: -v})
-        else:
-            prev = qpoly_Q_base(mu + 1, base)
-            rec = (_QPOLY_ONE - _Y * v) * prev.rescale_base(base, 1) - _Y * v
-    if closed != rec:
-        raise AssertionError(f"closed form and recursion disagree at index {mu}")
-    _QPOLY_MEMO[key] = closed
-    return closed
+    step = -s if inverse else s
+    slots = _closed_slots(_row(n), n, inverse)
+    got = QPoly(
+        {m: _decode(sign, p, _width(n), low, var, step) for m, (sign, p, low) in enumerate(slots, 1)}
+    )
+    _QPOLY_MEMO[key] = got
+    return got
 
 
 def qpoly_Q(mu: int, var: str = "p") -> QPoly:

@@ -74,12 +74,21 @@ from .rng import DEFAULT_SEED, SplitMix64, random_coefficient, random_sphere_ele
 
 @dataclass
 class SuiteOptions:
+    """Sizes of the suites.  ``window`` and ``samples`` left at ``None`` give
+    each suite its own default (window: lens 6, iso 3; samples: sphere,
+    units and ktheory 1000, iso 500, prolong 300)."""
+
     seed: int = DEFAULT_SEED
-    window: int = 6
+    window: int | None = None
     lens_types: Tuple[int, ...] = (1, 2, 3, 5, 7)
     nmax: int = 7
-    samples: int = 1000
+    samples: int | None = None
     kmax: int = 50
+
+
+def _given(value: int | None, default: int) -> int:
+    """An option's value when it was given, else the suite's own default."""
+    return default if value is None else value
 
 
 def _entry(entries: List[CheckEntry], cid: str, tag: str, ok: bool, residual: str = "0"):
@@ -281,7 +290,7 @@ def suite_sphere(opts: SuiteOptions) -> List[CheckEntry]:
 
     rng = SplitMix64(opts.seed)
     bad_assoc = bad_star = bad_grade = bad_closure = None
-    n_triples = max(opts.samples, 1000)
+    n_triples = max(_given(opts.samples, 1000), 1000)
     for _ in range(n_triples):
         r = random_sphere_element(rng, SPHERE, terms=1, kmax=4, emax=5)
         s = random_sphere_element(rng, SPHERE, terms=1, kmax=4, emax=5)
@@ -328,7 +337,7 @@ def suite_sphere(opts: SuiteOptions) -> List[CheckEntry]:
 def suite_lens(opts: SuiteOptions) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
     for N in opts.lens_types:
-        for cid, status, residual in lens_relation_suite(N, opts.window):
+        for cid, status, residual in lens_relation_suite(N, _given(opts.window, 6)):
             tag = cid.split(":", 1)[0].split("[", 1)[0]
             entries.append(CheckEntry(f"{cid}[N={N}]", status, residual, tag))
         # subspace stability under transported products
@@ -361,8 +370,9 @@ def _random_lens_element(rng: SplitMix64, N: int, core: int, kmin: int | None = 
     return LensElement(N, {mono: random_coefficient(rng)})
 
 
-def suite_iso(opts: SuiteOptions, N: int = 3, window: int = 3, samples: int = 500) -> List[CheckEntry]:
+def suite_iso(opts: SuiteOptions, N: int = 3) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
+    window, samples = _given(opts.window, 3), _given(opts.samples, 500)
     for cid, status, info in basis_window_check(N, window, samples=samples, seed=opts.seed):
         entries.append(CheckEntry(f"{cid}[N={N},window={window}]", status, info, "thm:basis"))
     return entries
@@ -416,7 +426,7 @@ def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
 
     qualifying = 0
     bad = None
-    while qualifying < max(500, opts.samples // 2):
+    while qualifying < max(500, _given(opts.samples, 1000) // 2):
         r = random_sphere_element(rng, s, terms=2, kmax=3, emax=4)
         t = random_sphere_element(rng, s, terms=2, kmax=3, emax=4)
         try:
@@ -440,7 +450,7 @@ def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
 
     bad = None
     nonunits = 0
-    while nonunits < max(500, opts.samples // 2):
+    while nonunits < max(500, _given(opts.samples, 1000) // 2):
         r = random_sphere_element(rng, s, terms=rng.randint(1, 3))
         items = list(r.terms())
         if len(items) == 1 and items[0][0] == SPHERE_ONE:
@@ -536,6 +546,15 @@ def suite_sconn(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEnt
 
 def suite_idem(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEntry]:
     entries: List[CheckEntry] = []
+    if opts.nmax < 2:
+        # a range that checks no type is a failure, never a vacuous pass
+        _entry(
+            entries,
+            f"idem[{variant},nmax={opts.nmax}]",
+            "algstrong",
+            False,
+            "no lens type checked: N starts at 2",
+        )
     for N in range(2, opts.nmax + 1):
         if variant == "isometric":
             conn = strong_connection_isometric(N)
@@ -630,7 +649,7 @@ def suite_ktheory(opts: SuiteOptions, single_n: int | None = None) -> List[Check
         )
     rng = SplitMix64(opts.seed)
     bad = None
-    for _ in range(max(opts.samples, 1000)):
+    for _ in range(max(_given(opts.samples, 1000), 1000)):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
@@ -665,12 +684,12 @@ def suite_bass(opts: SuiteOptions, types: Sequence[int] = (1, 2, 3, 5)) -> List[
 # ---------------------------------------------------------------------------
 
 
-def suite_prolong(opts: SuiteOptions, types: Sequence[int] = (2, 3), samples: int = 300) -> List[CheckEntry]:
+def suite_prolong(opts: SuiteOptions, types: Sequence[int] = (2, 3)) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
     for N in types:
         rng = SplitMix64(opts.seed + N)
         bad_rt = bad_mult = bad_inv = None
-        for _ in range(max(samples, 300)):
+        for _ in range(_given(opts.samples, 300)):
             mono = random_sphere_monomial(rng, kmax=3, emax=4)
             x = SphereElement(SPHERE, {mono: random_coefficient(rng)})
             m = rng.randint(-4, 4)

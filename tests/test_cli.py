@@ -253,3 +253,86 @@ def test_cli_relcheck_all_report_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "021b154fb7542e5ae7d90a83b87b6ab30119edb7299d492d7997aa8f89191b4f"
+
+
+def test_cli_idem_with_no_lens_type_fails(capsys):
+    # idem starts at N = 2: a range below it checks nothing and must say so
+    assert main(["relcheck", "idem", "--nmax", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("no lens type checked: N starts at 2") == 3
+    assert "0 passed, 3 failed" in out
+    assert main(["relcheck", "idem", "--nmax", "2"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_cli_relcheck_iso_honours_window_and_samples(tmp_path, capsys):
+    path = tmp_path / "iso.json"
+    assert main(["relcheck", "iso", "--window", "1", "--samples", "2", "--json", str(path)]) == 0
+    entries = {e["id"]: e for e in json.loads(path.read_bytes())["entries"]}
+    assert set(entries) == {
+        f"iso:{name}[N=3,window=1]" for name in ("roundtrip", "independence", "homomorphism")
+    }
+    assert entries["iso:homomorphism[N=3,window=1]"]["residual"] == "2 product spot checks"
+    # without the options the suite keeps its own window and sample count
+    assert main(["relcheck", "iso", "--json", str(path)]) == 0
+    capsys.readouterr()
+    entries = {e["id"]: e for e in json.loads(path.read_bytes())["entries"]}
+    assert entries["iso:homomorphism[N=3,window=3]"]["residual"] == "500 product spot checks"
+
+
+def test_cli_prolong_honours_samples(monkeypatch, capsys):
+    from heegaard import suites
+
+    calls = []
+    real = suites.prolong_phi
+    monkeypatch.setattr(suites, "prolong_phi", lambda *a: calls.append(a) or real(*a))
+    assert main(["relcheck", "prolong", "--samples", "2"]) == 0
+    assert len(calls) == 2 * 2  # two samples for each of the types 2 and 3
+    calls.clear()
+    assert main(["prolong-check", "--N", "5", "--samples", "1"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["relcheck", "prolong"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 * 300
+
+
+def test_cli_reports_a_failed_closed_form_check(monkeypatch, capsys):
+    from heegaard import scalars
+
+    # cold contraction-polynomial state, and a closed form off by t at index 2
+    monkeypatch.setattr(scalars, "_QPOLY_MEMO", {})
+    monkeypatch.setattr(scalars, "_QPOLY_CHECKED", {False: 0, True: 0})
+    real = scalars._closed_slots
+
+    def shifted(row, n, inverse):
+        return [(s, p, lo + (n == 2)) for s, p, lo in real(row, n, inverse)]
+
+    monkeypatch.setattr(scalars, "_closed_slots", shifted)
+    assert main(["qpoly", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: internal check failed: closed form and recursion disagree at index 2\n"
+    )
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_reports_a_failed_lens_preimage_check(monkeypatch, capsys):
+    from heegaard import lens
+
+    # basis images doubled: the lead of a preimage is no longer a ring unit
+    monkeypatch.setattr(lens, "_PREIMAGE_MEMO", {})
+    real = lens._basis_image
+    monkeypatch.setattr(lens, "_basis_image", lambda N, m: real(N, m).scale(2))
+    assert main(["mul", "--dialect", "lens", "--N", "2", "z'", "z'"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: image coefficient 2")
+    assert "is not a ring unit" in err
+
+
+def test_cli_exponent_beyond_the_ring_is_a_usage_error(capsys):
+    assert main(["nf", "p^600000"]) == 2
+    assert "outside the supported range" in capsys.readouterr().err
+    # a product whose exponents add up past the range
+    assert main(["mul", "q^300000 a", "q^300000 b"]) == 2
+    assert "exponent 600000 is outside the supported range" in capsys.readouterr().err

@@ -58,3 +58,33 @@ def test_tracer_installs_and_uninstalls():
     proc = _run(["-c", TRACER_SCRIPT])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+# The benchmark tracer reads kernel internals (Coefficient._terms, the memo
+# tables and their values' terms()/items()); a kernel change that breaks one
+# of those reads fails here rather than in a benchmark run.
+TRACER_METRICS_SCRIPT = r"""
+import sys
+sys.path.insert(0, "perfbench")
+from tracer import Tracer
+from heegaard.qalgebras import SPHERE
+from heegaard.scalars import qpoly_Q
+
+tracer = Tracer()
+tracer.install()
+x = SPHERE.a() + SPHERE.b()
+x * x.star()
+qpoly_Q(5)
+m = tracer.layer_metrics()
+tracer.uninstall()
+assert m["scalars.coeff_mul.calls"] > 0, m
+assert m["scalars.memo_terms"] > 0, m
+assert m["trace.errors"] == 0, m
+print("ok")
+"""
+
+
+def test_tracer_reads_the_kernel():
+    proc = _run(["-c", TRACER_METRICS_SCRIPT])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

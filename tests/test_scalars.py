@@ -287,3 +287,191 @@ def test_element_classes_share_one_core():
     q = qpoly_Q(3)
     assert q * QPoly({0: ONE}) == q
     assert str(QPoly({0: ONE, 2: -p_pow(1)})) == "1 - p Y^2"
+
+
+# -- the packed kernel against the tuple-keyed oracle ----------------------------
+
+from sparse_oracle import SparseCoefficient  # noqa: E402
+
+from heegaard.scalars import _EMAX, ExponentBoundError  # noqa: E402
+
+exponent = st.one_of(
+    st.integers(-3, 3), st.integers(_EMAX - 2, _EMAX), st.integers(-_EMAX, -_EMAX + 2)
+)
+integer = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+term_dicts = st.dictionaries(st.tuples(exponent, exponent, exponent), integer, max_size=5)
+
+
+def _both(terms):
+    return Coefficient(terms), SparseCoefficient(terms)
+
+
+def _agree(packed, oracle):
+    assert list(packed.terms()) == oracle.terms()
+    assert str(packed) == str(oracle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_dicts, term_dicts)
+def test_packed_ring_operations_match_oracle(ta, tb):
+    (a, oa), (b, ob) = _both(ta), _both(tb)
+    _agree(a, oa)
+    _agree(a + b, oa + ob)
+    _agree(a - b, oa - ob)
+    _agree(-a, -oa)
+    product = oa * ob
+    if any(abs(e) > _EMAX for e in product.exponents()):
+        with pytest.raises(ExponentBoundError):
+            a * b
+    else:
+        _agree(a * b, product)
+        _agree(b * a, product)
+    _agree(a * 7, oa * SparseCoefficient({(0, 0, 0): 7}))
+    _agree(3 * a, oa * SparseCoefficient({(0, 0, 0): 3}))
+    assert (a == b) == (oa == ob)
+    rebuilt = (a + b) - b  # same value through another dict history
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_dicts)
+def test_packed_unary_operations_match_oracle(ta):
+    a, oa = _both(ta)
+    _agree(a.conjugate(), oa.conjugate())
+    for var in ("p", "q"):
+        try:
+            expected = oa.eval_at_zero(var)
+        except EvaluationError:
+            with pytest.raises(EvaluationError):
+                a.eval_at_zero(var)
+        else:
+            _agree(a.eval_at_zero(var), expected)
+    inv, oinv = a.unit_inverse(), oa.unit_inverse()
+    assert (inv is None) == (oinv is None)
+    if inv is not None:
+        _agree(inv, oinv)
+        assert a * inv == ONE
+
+
+def test_exponent_bound_is_enforced_exactly():
+    top = Coefficient.monomial(1, _EMAX)
+    with pytest.raises(ExponentBoundError, match="outside the supported range"):
+        Coefficient.monomial(1, 0, 0, -_EMAX - 1)
+    with pytest.raises(ExponentBoundError):
+        Coefficient({(0, _EMAX + 1, 0): 2})
+    with pytest.raises(ExponentBoundError):
+        top * p_pow(1)
+    # the bound holds per variable, not for the sum of all exponents
+    assert list((top * Coefficient.monomial(1, 0, _EMAX, -_EMAX)).terms()) == [
+        ((_EMAX, _EMAX, -_EMAX), 1)
+    ]
+    # a bound left large by cancellation is re-derived before a product
+    # would be refused
+    one = top + ONE - top
+    assert one == ONE
+    assert one * one * top == top
+    assert top * p_pow(-1) * p_pow(1) == top
+
+
+# -- packed binomials and contraction polynomials at large n ---------------------
+
+
+def dense_times_qint(a, i):
+    """a * [i] = a * (1 + x + ... + x^(i-1)), by a running window sum."""
+    out, window = [], 0
+    for d in range(len(a) + i - 1):
+        window += a[d] if d < len(a) else 0
+        window -= a[d - i] if 0 <= d - i < len(a) else 0
+        out.append(window)
+    return out
+
+
+def dense_divide_qint(a, i):
+    """Exact a / [i]: q = a (1 - x) / (1 - x^i), the last i - 1 digits of
+    a (1 - x) checked to cancel."""
+    b = [x - (a[d - 1] if d else 0) for d, x in enumerate(a)] + [-a[-1]]
+    q = []
+    for d in range(len(a) - i + 1):
+        q.append(b[d] + (q[d - i] if d >= i else 0))
+    for d in range(len(q), len(b)):
+        assert b[d] + (q[d - i] if d - i < len(q) else 0) == 0, "division is not exact"
+    return q
+
+
+def dense_qbinomial_linear(n, m):
+    """C(n, m) = prod_i [n-m+i] / [i], each factor in time linear in the degree."""
+    m = min(m, n - m)
+    c = [1]
+    for i in range(1, m + 1):
+        c = dense_divide_qint(dense_times_qint(c, n - m + i), i)
+    return c
+
+
+def _as_terms(dense, var="p", offset=0, step=1, sign=1):
+    idx = 0 if var == "p" else 1
+    out = {}
+    for d, c in enumerate(dense):
+        if c:
+            e = [0, 0, 0]
+            e[idx] = step * (offset + d)
+            out[tuple(e)] = sign * c
+    return sorted(out.items())
+
+
+def test_linear_dense_oracle_matches_division_oracle():
+    for n in range(13):
+        for m in range(n + 1):
+            assert dense_qbinomial_linear(n, m) == dense_qbinomial(n, m), (n, m)
+
+
+@pytest.mark.parametrize("n, ms", [(70, range(71)), (160, (1, 2, 3, 79, 80, 81, 157, 159))])
+def test_packed_binomials_at_large_n(n, ms):
+    for m in ms:
+        dense = dense_qbinomial_linear(n, m)
+        assert list(qbinomial(n, m, "q").terms()) == _as_terms(dense, "q"), (n, m)
+    if n == 160:
+        # the largest coefficient of C(160, 80) has 147 bits: a fixed
+        # 128-bit digit cannot hold it, a width from the bound n + 3 can
+        assert max(dense_qbinomial_linear(160, 80)).bit_length() > 128
+
+
+@pytest.mark.parametrize(
+    "mu, var, ms", [(70, "q", range(1, 71)), (-70, "p", range(1, 71)), (160, "p", (1, 2, 80, 159, 160))]
+)
+def test_packed_contraction_polynomials_at_large_n(mu, var, ms):
+    # Y^m coefficient of Q(n):  (-1)^m v^(-n m + m(m+1)/2) C(n, m)_v
+    # Y^m coefficient of Q(-n): (-1)^m v^(n m - m(m+1)/2 + m) C(n, m)_(1/v)
+    n = abs(mu)
+    poly = qpoly_Q(mu, var)
+    assert poly.degree() == n
+    for m in ms:
+        dense = dense_qbinomial_linear(n, m)
+        sign = -1 if m % 2 else 1
+        low = -n * m + m * (m + 1) // 2
+        expected = _as_terms(dense, var, low, 1, sign) if mu > 0 else _as_terms(dense, var, low - m, -1, sign)
+        assert list(poly.coefficient(m).terms()) == expected, m
+
+
+def test_contraction_polynomials_shared_across_threads(monkeypatch):
+    # cold memos filled from eight threads in interleaved index order agree
+    # with the sequential results; a race may only repeat a check
+    import concurrent.futures
+    import sys
+
+    from heegaard import scalars
+
+    requests = [(mu, var) for k in range(1, 25) for mu in (k, -k) for var in "pq"][::-1]
+    sequential = [qpoly_Q(mu, var) for mu, var in requests]
+    monkeypatch.setattr(scalars, "_QPOLY_MEMO", {})
+    monkeypatch.setattr(scalars, "_QPOLY_CHECKED", {False: 0, True: 0})
+    monkeypatch.setattr(scalars, "_ROW_MEMO", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(qpoly_Q, mu, var) for mu, var in requests]
+            concurrent_results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent_results == sequential
+    assert scalars._QPOLY_CHECKED == {False: 24, True: 24}
