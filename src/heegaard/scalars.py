@@ -16,7 +16,9 @@ Both layers run on packed integers (Kronecker substitution):
   ``i*2^(2S) + j*2^S + k`` with balanced digits, so a monomial product is
   an int add and key order is the lexicographic order of the triples;
 * a one-variable polynomial sum c_d t^d is the one int sum c_d 2^(W*d),
-  with a digit width W taken from a proven bound on the digits.
+  with a digit width W taken from a proven bound on the digits; so are
+  the two operands of a large one-variable ``Coefficient`` product, which
+  then takes one bigint multiply.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from __future__ import annotations
 import sys
 import threading
 from array import array
+from functools import reduce
 from itertools import repeat
-from operator import add, itemgetter, lshift, neg
+from operator import add, itemgetter, lshift, neg, or_, sub
 from typing import Dict, Iterator, List, Tuple
 
 Triple = Tuple[int, int, int]
@@ -108,6 +111,78 @@ def _product_bound(a: "Coefficient", b: "Coefficient") -> int:
     return _exponent_bound(*ends)
 
 
+_LOW2 = (1 << 2 * _S) - 1
+_WORD = (1 << 64) - 1
+# the fewest terms per operand for which the packed product beats the sparse
+# loop: its fixed cost is about that of 60 term pairs (CPython 3.11)
+_KRONECKER_MIN_TERMS = 8
+
+
+def _common_shift(a: Dict[int, int], b: Dict[int, int]) -> int:
+    """The largest of 2S, S, 0 such that 2^shift divides every key of a and
+    b: 2S when both lie in p alone, S when both lie in p and q."""
+    bits = reduce(or_, a, reduce(or_, b))
+    return 2 * _S if not bits & _LOW2 else _S if not bits & _DIGIT else 0
+
+
+def _from_digits(digits: List[int], width: int) -> int:
+    """sum d_i 2^(width*i) for digits 0 <= d_i < 2^width, through an array
+    of 64-bit words."""
+    if width > 64:
+        digits = [d >> s & _WORD for d in digits for s in range(0, width, 64)]
+    words = array("Q", digits)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _pack(terms: Dict[int, int], shift: int, low: int, count: int, width: int) -> int:
+    """sum c 2^(width*(e - low)) over the terms c of ``terms``, e being the
+    key divided by 2^shift, each |c| < 2^(width-1): the positive part minus
+    the negative part."""
+    pos, negs = [0] * count, [0] * count
+    for key, c in terms.items():
+        if c > 0:
+            pos[(key >> shift) - low] = c
+        else:
+            negs[(key >> shift) - low] = -c
+    return _from_digits(pos, width) - _from_digits(negs, width)
+
+
+def _kronecker_product(a: Dict[int, int], b: Dict[int, int], bound: int) -> "Coefficient | None":
+    """a*b by one bigint product (Kronecker substitution t -> 2^W), or
+    None when the sparse loop is the cheaper one.
+
+    Keys add when monomials multiply, so the keys of a and b, divided by
+    2^shift (``_common_shift``), are themselves exponents of one variable t
+    and the product can be taken in Z[t^±1].  That pays only while the
+    packed ints have no more digits than the sparse loop has term pairs,
+    which in practice means both operands lie in one and the same variable:
+    across a variable the divided keys jump by about 2^S.
+
+    Every coefficient of a*b is at most min(l1(a) max|b|, l1(b) max|a|) in
+    absolute value, so W is that bound's bit length plus a sign bit,
+    rounded up to whole 64-bit words; the balanced digits of the product
+    are then its coefficients, read through 64-bit word arrays as in
+    ``_decode`` after every digit is offset by 2^(W-1)."""
+    shift = _common_shift(a, b)
+    low_a, low_b = min(a) >> shift, min(b) >> shift
+    span_a, span_b = (max(a) >> shift) - low_a + 1, (max(b) >> shift) - low_b + 1
+    count = span_a + span_b - 1
+    if count > len(a) * len(b):
+        return None
+    va, vb = a.values(), b.values()
+    top = min(sum(map(abs, va)) * max(map(abs, vb)), sum(map(abs, vb)) * max(map(abs, va)))
+    width = -(-(top.bit_length() + 1) // 64) * 64
+    packed = _pack(a, shift, low_a, span_a, width) * _pack(b, shift, low_b, span_b, width)
+    # every digit offset by 2^(W-1), so that none is negative
+    halves = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * count, "little")
+    digits = map(sub, _digits(packed + halves, width, count), repeat(1 << (width - 1)))
+    low = low_a + low_b
+    keys = range(low << shift, (low + count) << shift, 1 << shift)
+    return _coeff(dict(filter(itemgetter(1), zip(keys, digits))), bound)
+
+
 class Coefficient:
     """A sparse Laurent polynomial: map (i, j, k) -> integer for p^i q^j w^k.
 
@@ -175,15 +250,24 @@ class Coefficient:
             return _coeff({e: c * other for e, c in self._terms.items()}, self._bound)
         if not isinstance(other, Coefficient):
             return NotImplemented
+        a, b = self._terms, other._terms
+        # a unit operand passes the other through: values are immutable
+        if len(b) == 1 and b.get(0) == 1:
+            return self
+        if len(a) == 1:
+            if a.get(0) == 1:
+                return other
+            a, b = b, a
         bound = self._bound + other._bound
         if bound > _EMAX:
             bound = _product_bound(self, other)
-        a, b = self._terms, other._terms
-        if len(a) == 1:
-            a, b = b, a
         if len(b) == 1:
             ((eb, cb),) = b.items()
             return _coeff({e + eb: c * cb for e, c in a.items()}, bound)
+        if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS:
+            got = _kronecker_product(a, b, bound)
+            if got is not None:
+                return got
         out: Dict[int, int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -578,18 +662,27 @@ def _row(n: int, width: int = 0) -> List[int]:
     return got
 
 
-def _decode(sign: int, packed: int, width: int, low: int, var: str, step: int) -> Coefficient:
-    """The polynomial sign * sum c_d t^(low + d), t = var^step, whose
-    coefficients c_d >= 0 are the W-bit digits of ``packed``."""
-    ndigits = -(-packed.bit_length() // width)
-    words = array("Q", packed.to_bytes(ndigits * width // 8, "little"))
+def _digits(packed: int, width: int, count: int):
+    """The ``count`` lowest ``width``-bit digits of the int ``packed`` >= 0,
+    lowest first, read through 64-bit word arrays."""
+    words = array("Q", packed.to_bytes(count * width // 8, "little"))
     if sys.byteorder == "big":
         words.byteswap()
     # digit d is the little-endian run of 64-bit words d*r .. d*r + r - 1
     r = width // 64
+    if r == 1:
+        return words
     digits = words[0::r]
     for t in range(1, r):
         digits = map(add, digits, map(lshift, words[t::r], repeat(64 * t)))
+    return digits
+
+
+def _decode(sign: int, packed: int, width: int, low: int, var: str, step: int) -> Coefficient:
+    """The polynomial sign * sum c_d t^(low + d), t = var^step, whose
+    coefficients c_d >= 0 are the W-bit digits of ``packed``."""
+    ndigits = -(-packed.bit_length() // width)
+    digits = _digits(packed, width, ndigits)
     if sign < 0:
         digits = map(neg, digits)
     bound = _exponent_bound(low, low + ndigits - 1)

@@ -76,7 +76,9 @@ from .rng import DEFAULT_SEED, SplitMix64, random_coefficient, random_sphere_ele
 class SuiteOptions:
     """Sizes of the suites.  ``window`` and ``samples`` left at ``None`` give
     each suite its own default (window: lens 6, iso 3; samples: sphere,
-    units and ktheory 1000, iso 500, prolong 300)."""
+    units and ktheory 1000, iso 500, prolong 300).  ``samples`` = k checks
+    k sphere triples, k ktheory matrices and ceil(k/2) pairs per sampled
+    units loop."""
 
     seed: int = DEFAULT_SEED
     window: int | None = None
@@ -290,7 +292,7 @@ def suite_sphere(opts: SuiteOptions) -> List[CheckEntry]:
 
     rng = SplitMix64(opts.seed)
     bad_assoc = bad_star = bad_grade = bad_closure = None
-    n_triples = max(_given(opts.samples, 1000), 1000)
+    n_triples = _given(opts.samples, 1000)
     for _ in range(n_triples):
         r = random_sphere_element(rng, SPHERE, terms=1, kmax=4, emax=5)
         s = random_sphere_element(rng, SPHERE, terms=1, kmax=4, emax=5)
@@ -387,6 +389,8 @@ def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
     s = SPHERE
     rng = SplitMix64(opts.seed)
+    # half the samples per sampled loop, rounded up so one sample checks one pair
+    n_pairs = (_given(opts.samples, 1000) + 1) // 2
 
     bad = None
     for _ in range(200):
@@ -426,7 +430,7 @@ def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
 
     qualifying = 0
     bad = None
-    while qualifying < max(500, _given(opts.samples, 1000) // 2):
+    while qualifying < n_pairs:
         r = random_sphere_element(rng, s, terms=2, kmax=3, emax=4)
         t = random_sphere_element(rng, s, terms=2, kmax=3, emax=4)
         try:
@@ -450,7 +454,7 @@ def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
 
     bad = None
     nonunits = 0
-    while nonunits < max(500, _given(opts.samples, 1000) // 2):
+    while nonunits < n_pairs:
         r = random_sphere_element(rng, s, terms=rng.randint(1, 3))
         items = list(r.terms())
         if len(items) == 1 and items[0][0] == SPHERE_ONE:
@@ -649,7 +653,7 @@ def suite_ktheory(opts: SuiteOptions, single_n: int | None = None) -> List[Check
         )
     rng = SplitMix64(opts.seed)
     bad = None
-    for _ in range(max(_given(opts.samples, 1000), 1000)):
+    for _ in range(_given(opts.samples, 1000)):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]

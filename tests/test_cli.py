@@ -248,11 +248,15 @@ def test_cli_extra_json_payloads(tmp_path, capsys):
 def test_cli_relcheck_all_report_is_pinned(tmp_path, capsys):
     # the deterministic report of the full run, byte for byte: a change that
     # moves any verdict, residual, id or ordering changes this digest
-    path = tmp_path / "all.json"
-    assert main(["relcheck", "all", "--seed", "24195", "--json", str(path)]) == 0
-    capsys.readouterr()
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "021b154fb7542e5ae7d90a83b87b6ab30119edb7299d492d7997aa8f89191b4f"
+    pins = {
+        "24195": "021b154fb7542e5ae7d90a83b87b6ab30119edb7299d492d7997aa8f89191b4f",
+        "1": "daee9d6badc1eb51701912abf913f63682615b71b2a25381f451e8b0a4721c4b",
+    }
+    for seed, expected in pins.items():
+        path = tmp_path / f"all-{seed}.json"
+        assert main(["relcheck", "all", "--seed", seed, "--json", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, seed
 
 
 def test_cli_idem_with_no_lens_type_fails(capsys):
@@ -295,6 +299,43 @@ def test_cli_prolong_honours_samples(monkeypatch, capsys):
     assert main(["relcheck", "prolong"]) == 0
     capsys.readouterr()
     assert len(calls) == 2 * 300
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_cli_sphere_units_ktheory_honour_samples(monkeypatch, capsys):
+    from heegaard import suites
+
+    draws = _count_calls(monkeypatch, suites, "random_sphere_element")
+    # three sphere elements per triple, k triples; the floor of 1000 is gone
+    assert main(["relcheck", "sphere", "--samples", "10"]) == 0
+    assert len(draws) == 3 * 10
+    draws.clear()
+    assert main(["relcheck", "sphere"]) == 0
+    assert len(draws) == 3 * 1000
+
+    # units checks ceil(k/2) pairs per sampled loop: --samples 1 and 2 agree,
+    # 3 checks one pair more, and every count stays below the default's
+    counts = {}
+    for argv in (["--samples", "1"], ["--samples", "2"], ["--samples", "3"], []):
+        draws.clear()
+        assert main(["relcheck", "units", *argv]) == 0
+        counts[tuple(argv)] = len(draws)
+    assert counts[("--samples", "1")] == counts[("--samples", "2")]
+    assert counts[("--samples", "2")] < counts[("--samples", "3")] < counts[()]
+
+    # one Smith normal form per random matrix (the K-groups call their own)
+    snf = _count_calls(monkeypatch, suites, "smith_normal_form")
+    for argv, expected in ((["--samples", "1"], 1), (["--samples", "10"], 10), ([], 1000)):
+        snf.clear()
+        assert main(["relcheck", "ktheory", "--max", "2", *argv]) == 0
+        assert len(snf) == expected
+    capsys.readouterr()
 
 
 def test_cli_reports_a_failed_closed_form_check(monkeypatch, capsys):

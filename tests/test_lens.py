@@ -296,8 +296,11 @@ def test_cached_transport_against_uncached_oracle():
         for (t1, t2), (x1, x2) in zip(pairs, images):
             assert lens_from_abstract(t1) == x1
             assert lens_from_abstract(t2) == x2
-        # every image these calls read is cached now; none may change below
-        cached = {key: dict(img.terms()) for key, img in lens_module._BASIS_IMAGE_MEMO.items()}
+        # every image these calls read is cached now, and the monomial products
+        # behind them; none may change below, down to the terms of a
+        # coefficient (products pass unit-multiplied coefficients through)
+        cached = {key: _deep_terms(img) for key, img in lens_module._BASIS_IMAGE_MEMO.items()}
+        products = {key: _deep_terms(got) for key, got in SPHERE._mul_memo.items()}
         for (t1, t2), (x1, x2) in zip(pairs, images):
             # a product image has many core-free terms to peel
             x = x1 * x2
@@ -308,7 +311,16 @@ def test_cached_transport_against_uncached_oracle():
             assert lens_mul(t1, t2) == got
             assert lens_to_abstract(x1, N) == t1
         for key, terms in cached.items():
-            assert dict(lens_module._BASIS_IMAGE_MEMO[key].terms()) == terms
+            assert _deep_terms(lens_module._BASIS_IMAGE_MEMO[key]) == terms
+        for key, terms in products.items():
+            assert _deep_terms(SPHERE._mul_memo[key]) == terms
+
+
+def _deep_terms(elem):
+    """(monomial, coefficient terms) pairs of an element or of a memoized
+    monomial product: a copy no later mutation can reach."""
+    pairs = elem.terms() if hasattr(elem, "terms") else elem
+    return [(m, list(c.terms())) for m, c in pairs]
 
 
 def test_failed_preimage_checks_raise_every_time():

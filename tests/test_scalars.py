@@ -475,3 +475,221 @@ def test_contraction_polynomials_shared_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert concurrent_results == sequential
     assert scalars._QPOLY_CHECKED == {False: 24, True: 24}
+
+
+# -- unit pass-through and the one-variable Kronecker product ---------------------
+
+from heegaard import scalars  # noqa: E402
+from heegaard.scalars import _KRONECKER_MIN_TERMS, qbinomial_base  # noqa: E402
+
+
+def test_unit_operand_passes_through():
+    c = ONE + p_pow(1) * q_pow(-2) - Coefficient.monomial(3, 0, 0, 4)
+    built = Coefficient({(0, 0, 0): 1})
+    widened = p_pow(9) + ONE - p_pow(9)  # the unit, its exponent bound left at 9
+    assert built is not ONE and widened == ONE
+    for unit in (ONE, built, widened, Coefficient.integer(1)):
+        assert c * unit is c and unit * c is c
+        assert ZERO * unit is ZERO and unit * ZERO is ZERO
+    assert ONE * ONE is ONE
+    # any other single-term factor gives a fresh, correct value
+    terms = [((0, 0, 0), 1), ((0, 0, 4), -3), ((1, -2, 0), 1)]
+    assert list(c.terms()) == terms
+    for factor, shift, scale in (
+        (-ONE, (0, 0, 0), -1),
+        (Coefficient.integer(-1), (0, 0, 0), -1),
+        (p_pow(1), (1, 0, 0), 1),
+        (Coefficient.monomial(2, 0, 0, -1), (0, 0, -1), 2),
+    ):
+        expected = sorted((tuple(map(sum, zip(e, shift))), n * scale) for e, n in terms)
+        for got in (c * factor, factor * c):
+            assert got is not c and list(got.terms()) == expected
+    assert list(c.terms()) == terms
+
+
+def test_memoized_coefficients_unchanged_by_products():
+    # products that pass a memoized coefficient through share it: no product,
+    # sum, scaling or element product taken from it may change it
+    polys = [qpoly_Q(mu, var) for mu in (-9, -2, 3, 11) for var in "pq"]
+    coeffs = [c for poly in polys for _, c in poly.items()]
+    coeffs += [qbinomial_base(n, m, (var, s)) for n in (9, 17) for m in (1, 4) for var in "pq" for s in (1, -1)]
+    snapshot = [list(c.terms()) for c in coeffs]
+    unit = Coefficient({(0, 0, 0): 1})
+    factors = [ONE, unit, -ONE, p_pow(2), q_pow(-1), w_pow(3), coeffs[0], coeffs[-1]]
+    for c in coeffs:
+        for f in factors:
+            x, y = c * f, f * c
+            assert x == y
+            (x + y) - x * 2
+            -x
+            x.conjugate()
+            c * 1, 5 * c
+    poly_one = QPoly({0: ONE})
+    for poly in polys:
+        (poly_one + poly) * qpoly_rescale(poly, -1) + poly
+        poly.scale(ONE), poly.scale(unit), poly * poly_one, poly_one * poly
+    assert [list(c.terms()) for c in coeffs] == snapshot
+
+
+def _one_variable_terms(var, sizes, lows):
+    """Term dicts in one variable: ``size`` nonzero coefficients up to 2^80
+    of either sign at distinct exponents in [low, low + 2*size]."""
+
+    @st.composite
+    def build(draw):
+        size = draw(sizes)
+        low = draw(lows(size))
+        offsets = draw(st.lists(st.integers(0, 2 * size), min_size=size, max_size=size, unique=True))
+        coeffs = draw(st.lists(integer.filter(bool), min_size=size, max_size=size))
+        terms = {}
+        for d, c in zip(offsets, coeffs):
+            e = [0, 0, 0]
+            e[var] = low + d
+            terms[tuple(e)] = c
+        return terms
+
+    return build()
+
+
+def _lows(size):
+    # near zero, and near either end of the exponent range
+    return st.one_of(
+        st.integers(-20, 20),
+        st.integers(_EMAX - 2 * size - 20, _EMAX - 2 * size),
+        st.integers(-_EMAX, -_EMAX + 20),
+    )
+
+
+def _same_variable_pairs(sizes):
+    return st.sampled_from((0, 1, 2)).flatmap(
+        lambda var: st.tuples(
+            _one_variable_terms(var, sizes, _lows), _one_variable_terms(var, sizes, _lows)
+        )
+    )
+
+
+def _check_product(ta, tb):
+    """a*b and b*a against the oracle, and the packed path on its own."""
+    (a, oa), (b, ob) = _both(ta), _both(tb)
+    product = oa * ob
+    if any(abs(e) > _EMAX for e in product.exponents()):
+        with pytest.raises(ExponentBoundError):
+            a * b
+        with pytest.raises(ExponentBoundError):
+            b * a
+        return
+    _agree(a * b, product)
+    _agree(b * a, product)
+    if not (ta and tb):
+        return  # the packed path takes nonempty operands only
+    packed = scalars._kronecker_product(a._terms, b._terms, 0)
+    # refused only when it would decode more digits than there are term pairs
+    spans = [max(e[i] for e in t) - min(e[i] for e in t) + 1 for t in (ta, tb) for i in range(3)]
+    digits = max(spans[:3]) + max(spans[3:]) - 1
+    assert (packed is None) == (digits > len(ta) * len(tb))
+    if packed is not None:
+        _agree(packed, product)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_same_variable_pairs(st.integers(_KRONECKER_MIN_TERMS, 30)))
+def test_kronecker_product_matches_oracle(pair):
+    _check_product(*pair)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_same_variable_pairs(st.integers(200, 240)))
+def test_kronecker_product_of_long_operands_matches_oracle(pair):
+    _check_product(*pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_same_variable_pairs(st.integers(0, _KRONECKER_MIN_TERMS - 1)))
+def test_kronecker_product_of_short_operands_matches_oracle(pair):
+    # below the size threshold, empty operands included, the product takes
+    # the sparse loop; the packed path is checked on these operands directly
+    _check_product(*pair)
+
+
+def _dense(var, coeffs, low=0):
+    e = [0, 0, 0]
+    terms = {}
+    for d, c in enumerate(coeffs):
+        e[var] = low + d
+        terms[tuple(e)] = c
+    return Coefficient(terms)
+
+
+def _oracle(c):
+    return SparseCoefficient(dict(c.terms()))
+
+
+def _spy_kronecker(monkeypatch):
+    results = []
+    real = scalars._kronecker_product
+    monkeypatch.setattr(
+        scalars, "_kronecker_product", lambda *args: results.append(real(*args)) or results[-1]
+    )
+    return results
+
+
+@pytest.mark.parametrize("var", (0, 1, 2))
+def test_kronecker_product_cancellation_and_bounds(var, monkeypatch):
+    packed = _spy_kronecker(monkeypatch)
+    n = _KRONECKER_MIN_TERMS
+    geometric = _dense(var, [1] * n)
+    alternating = _dense(var, [(-1) ** d for d in range(n)])
+    # (1 - t^8)/(1 - t) * (1 - t^8)/(1 + t): every odd digit cancels
+    e = [0, 0, 0]
+    expected = []
+    for d in range(0, 2 * n - 1, 2):
+        e[var] = d
+        expected.append((tuple(e), 1 if d < n else -1))
+    assert list((geometric * alternating).terms()) == sorted(expected)
+    assert (geometric * alternating + (-geometric) * alternating).is_zero()
+    assert (geometric * ZERO).is_zero() and (ZERO * geometric).is_zero()
+    assert len(packed) == 3 and all(r is not None for r in packed)
+    # a digit at the edge of the width: l1(a) max|b| = 2^63 needs a sign bit
+    # on top of 64 bits, and the middle coefficient reaches +-2^63
+    for sign in (1, -1):
+        a = _dense(var, [sign * 2**60] * n)
+        _agree(a * geometric, _oracle(a) * _oracle(geometric))
+    assert all(r is not None for r in packed)
+    # exponents at the ends of the range: refused exactly when a term leaves it
+    top = _dense(var, [3] * n, _EMAX - n + 1)
+    bottom = _dense(var, [-(2**70)] * n, -_EMAX)
+    assert max(e[var] for e, _ in (top * _dense(var, [1] * n, 1 - n)).terms()) == _EMAX
+    assert min(e[var] for e, _ in (bottom * _dense(var, [1] * n)).terms()) == -_EMAX
+    with pytest.raises(ExponentBoundError):
+        top * _dense(var, [1] * n, 2 - n)
+    with pytest.raises(ExponentBoundError):
+        bottom * _dense(var, [1] * n, -1)
+
+
+def test_mixed_variable_products_take_the_sparse_loop(monkeypatch):
+    packed = _spy_kronecker(monkeypatch)
+    n = _KRONECKER_MIN_TERMS
+    by_var = [_dense(var, range(1, n + 1), -3) for var in range(3)]
+    mixed = by_var[0] * q_pow(1) + by_var[1]
+    # one variable, but the exponents too spread out for a packed product
+    spread = Coefficient({(1000 * d, 0, 0): d + 1 for d in range(n)})
+    pairs = [(by_var[0], by_var[1]), (by_var[1], by_var[2]), (by_var[0], by_var[2])]
+    pairs += [(mixed, by_var[0]), (mixed, mixed), (spread, by_var[0]), (spread, spread)]
+    for a, b in pairs:
+        product = _oracle(a) * _oracle(b)
+        _agree(a * b, product)
+        _agree(b * a, product)
+    assert len(packed) == 2 * len(pairs) and all(r is None for r in packed)
+    for x in by_var:
+        _agree(x * x, _oracle(x) * _oracle(x))
+    assert len(packed) == 2 * len(pairs) + 3 and all(r is not None for r in packed[-3:])
+    # keys add, so a mix whose keys happen to be dense (q^e near the top of
+    # the q range beside p q^e near its bottom) is still exact if packed
+    edge = Coefficient(
+        {(0, _EMAX - d, 0): d - 20 for d in range(4, 12)}
+        | {(1, -_EMAX + d, 0): 2**70 * (-1) ** d for d in range(3, 11)}
+    )
+    near_one = Coefficient({(0, j, 0): j + 5 for j in range(-3, 5)})
+    _agree(edge * near_one, _oracle(edge) * _oracle(near_one))
+    _agree(near_one * edge, _oracle(edge) * _oracle(near_one))
+    assert packed[-1] is not None
