@@ -93,7 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--window", type=_at_least(1), default=None, help="default: each suite's own (lens 6, iso 3)"
     )
-    c.add_argument("--types", type=_at_least(1), nargs="*", default=None, help="lens types to check")
+    c.add_argument(
+        "--types",
+        type=_at_least(1),
+        nargs="*",
+        default=None,
+        help="lens types for the lens, iso, prolong and bass suites (default: each suite's own)",
+    )
     c.add_argument("--nmax", type=_at_least(1), default=7)
     c.add_argument(
         "--samples",
@@ -198,7 +204,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             opts = SuiteOptions(
                 seed=args.seed,
                 window=args.window,
-                lens_types=tuple(args.types) if args.types else (1, 2, 3, 5, 7),
+                lens_types=tuple(args.types) if args.types else None,
                 nmax=args.nmax,
                 samples=args.samples,
                 kmax=args.max,
@@ -206,8 +212,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             report = run_suite(args.suite, opts)
             return _finish(report, args)
         if args.command == "iso-check":
-            opts = SuiteOptions(seed=args.seed, window=args.window, samples=args.samples)
-            entries = suites.suite_iso(opts, N=args.N)
+            opts = SuiteOptions(
+                seed=args.seed, window=args.window, samples=args.samples, lens_types=(args.N,)
+            )
+            entries = suites.suite_iso(opts)
             return _finish(mkreport(f"iso-check --N {args.N} --window {args.window}", entries), args)
         if args.command == "sconn":
             variant = {"printed": "printed_p_inverse"}.get(args.variant, args.variant)
@@ -256,12 +264,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("  [" + ", ".join(str(e) for e in row) + "]")
             print(f"block identity verified: {rep.matrix_identity}")
             print(f"class order (from the torsion of K0): {rep.torsion_order}")
-            opts = SuiteOptions(seed=args.seed)
-            entries = suites.suite_bass(opts, types=(args.N,))
+            opts = SuiteOptions(seed=args.seed, lens_types=(args.N,))
+            entries = suites.suite_bass(opts)
             return _finish(mkreport(f"bass --N {args.N}", entries), args)
         if args.command == "prolong-check":
-            opts = SuiteOptions(seed=args.seed, samples=args.samples)
-            entries = suites.suite_prolong(opts, types=(args.N,))
+            opts = SuiteOptions(seed=args.seed, samples=args.samples, lens_types=(args.N,))
+            entries = suites.suite_prolong(opts)
             return _finish(mkreport(f"prolong-check --N {args.N}", entries), args)
     except (ParseError, ExponentBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -116,6 +116,8 @@ def parse(text: str, dialect: str) -> Expr:
             if kind != "int":
                 raise ParseError("expected an integer exponent after '^'", p2)
             power = sign * value
+        if isinstance(atom, int) and power < 0 and atom != 1:
+            raise ParseError(f"integer literal {atom} has no inverse", pos)
         return Factor(atom=atom, star=star, power=power, pos=pos)
 
     def at_factor_start() -> bool:
@@ -165,11 +167,8 @@ class _Dialect:
 
 def _scalar_atom(atom: Union[str, int], star: bool, power: int) -> Coefficient:
     if isinstance(atom, int):
-        if power < 0:
-            if atom in (1,):
-                return ONE
-            raise ValueError(f"integer literal {atom} has no inverse")
-        return Coefficient.integer(atom**power)
+        # the parser admits a negative power only on the literal 1
+        return ONE if power < 0 else Coefficient.integer(atom**power)
     base = {"p": p_pow, "q": q_pow, "w": w_pow}[atom]
     c = base(power)
     return c.conjugate() if star else c
@@ -201,9 +200,7 @@ def _make_dialects():
         "lens": _Dialect(
             "lens",
             lambda N: lens_one(N),
-            lambda name, e, N: lens_gen(N, name).pow_signed(e)
-            if name in ("z'", "at'", "bt'")
-            else lens_gen(N, name, 1).pow_signed(e),
+            lambda name, e, N: lens_gen(N, name).pow_signed(e),
         ),
         "prolong": _Dialect("prolong", lambda N: ProlongElement(SPHERE, {(SPHERE_ONE, 0): ONE}), lambda name, e, N: prolong_atom(name, e)),
     }
@@ -227,11 +224,8 @@ def eval_expr(ast: Expr, dialect: str, N: int | None = None):
             if isinstance(f.atom, int) or f.atom in _COEFF_ATOMS:
                 scalar = scalar * _scalar_atom(f.atom, f.star, f.power)
             else:
-                elem = d.atom_fn(f.atom, f.power, N)
-                if f.star:
-                    # star binds before the power: (g*)^e = g^(-e)
-                    elem = d.atom_fn(f.atom, -f.power, N)
-                acc = acc * elem
+                # star binds before the power: (g*)^e = g^(-e)
+                acc = acc * d.atom_fn(f.atom, -f.power if f.star else f.power, N)
         acc = acc.scale(scalar)
         total = acc if total is None else total + acc
     return total

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .scalars import Coefficient, ONE, format_monomial, matrix_product, w_pow
-from .qalgebras import DISC0, AlgebraElement, DiscAlgebra, DiscMonomial, disc_mono_str
+from .qalgebras import DISC0, Algebra, AlgebraElement, DiscAlgebra, DiscMonomial, disc_mono_str
 
 IntMatrix = List[List[int]]
 
@@ -299,10 +299,21 @@ def lens_k_groups(N: int) -> MayerVietorisResult:
 # ---------------------------------------------------------------------------
 
 
-class CrossedAlgebra:
+class CrossedElement(AlgebraElement):
+    __slots__ = ()
+    _one = (DiscMonomial(0, 0), 0)
+
+    @staticmethod
+    def mono_str(t) -> str:
+        return disc_mono_str(t[0], ("u", t[1]))
+
+
+class CrossedAlgebra(Algebra):
     """Disc-at-zero crossed by the integers: u x = w^(2 s t) x u, with
     s the twist sign and t the twist multiple (t = 1 at sphere level,
     t = N at lens level)."""
+
+    elem_cls = CrossedElement
 
     def __init__(self, sign: int, mult: int = 1, disc: DiscAlgebra = DISC0):
         if sign not in (1, -1):
@@ -331,68 +342,14 @@ class CrossedAlgebra:
         # (f u^n)* = u^-n f* ; cross u^-n to the right of the starred part
         return (mono, -n), fac * self.twist_phase(mono.mu, -n)
 
-    def zero(self) -> "CrossedElement":
-        return CrossedElement(self)
-
-    def one(self) -> "CrossedElement":
-        return CrossedElement(self, {(DiscMonomial(0, 0), 0): ONE})
-
-    def scalar(self, c: Coefficient | int) -> "CrossedElement":
-        if isinstance(c, int):
-            c = Coefficient.integer(c)
-        return CrossedElement(self, {(DiscMonomial(0, 0), 0): c})
-
-    def x(self, e: int = 1) -> "CrossedElement":
+    def x(self, e: int = 1) -> CrossedElement:
         return CrossedElement(self, {(DiscMonomial(0, e), 0): ONE})
 
-    def X(self, e: int = 1) -> "CrossedElement":
+    def X(self, e: int = 1) -> CrossedElement:
         return CrossedElement(self, {(DiscMonomial(e, 0), 0): ONE})
 
-    def u(self, n: int = 1) -> "CrossedElement":
+    def u(self, n: int = 1) -> CrossedElement:
         return CrossedElement(self, {(DiscMonomial(0, 0), n): ONE})
-
-
-class CrossedElement(AlgebraElement):
-    __slots__ = ()
-    _one = (DiscMonomial(0, 0), 0)
-
-    @staticmethod
-    def mono_str(t) -> str:
-        return disc_mono_str(t[0], ("u", t[1]))
-
-
-class TorusAlgebra:
-    """Two unitaries with U Z = w^(2 t) Z U, stored Z-first."""
-
-    def __init__(self, mult: int = 1):
-        if mult < 1:
-            raise ValueError("twist multiple must be >= 1")
-        self.mult = mult
-
-    def zero(self) -> "TorusElement":
-        return TorusElement(self)
-
-    def one(self) -> "TorusElement":
-        return TorusElement(self, {(0, 0): ONE})
-
-    def scalar(self, c: Coefficient | int) -> "TorusElement":
-        if isinstance(c, int):
-            c = Coefficient.integer(c)
-        return TorusElement(self, {(0, 0): c})
-
-    def Z(self, a: int = 1) -> "TorusElement":
-        return TorusElement(self, {(a, 0): ONE})
-
-    def U(self, b: int = 1) -> "TorusElement":
-        return TorusElement(self, {(0, b): ONE})
-
-    def mono_mul(self, ab1, ab2):
-        (a1, b1), (a2, b2) = ab1, ab2
-        return (((a1 + a2, b1 + b2), w_pow(2 * self.mult * b1 * a2)),)
-
-    def star_mono(self, ab):
-        a, b = ab
-        return (-a, -b), w_pow(2 * self.mult * a * b)
 
 
 class TorusElement(AlgebraElement):
@@ -402,6 +359,31 @@ class TorusElement(AlgebraElement):
     @staticmethod
     def mono_str(ab) -> str:
         return format_monomial((("Z", ab[0]), ("U", ab[1])))
+
+
+class TorusAlgebra(Algebra):
+    """Two unitaries with U Z = w^(2 t) Z U, stored Z-first."""
+
+    elem_cls = TorusElement
+
+    def __init__(self, mult: int = 1):
+        if mult < 1:
+            raise ValueError("twist multiple must be >= 1")
+        self.mult = mult
+
+    def Z(self, a: int = 1) -> TorusElement:
+        return TorusElement(self, {(a, 0): ONE})
+
+    def U(self, b: int = 1) -> TorusElement:
+        return TorusElement(self, {(0, b): ONE})
+
+    def mono_mul(self, ab1, ab2):
+        (a1, b1), (a2, b2) = ab1, ab2
+        return (((a1 + a2, b1 + b2), w_pow(2 * self.mult * b1 * a2)),)
+
+    def star_mono(self, ab):
+        a, b = ab
+        return (-a, -b), w_pow(2 * self.mult * a * b)
 
 
 def project_to_torus(c: CrossedElement, leg: int, torus: TorusAlgebra | None = None) -> TorusElement:

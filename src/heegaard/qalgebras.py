@@ -5,9 +5,12 @@ meaning adjoint powers); sphere elements in the span of A^k a^mu b^nu and
 B^k a^mu b^nu with k >= 1 for the B family.  Elements are kept in normal
 form at all times, so equality is dictionary comparison.
 
-Each algebra object owns its memo tables (monomial interning, monomial
-products, generator powers).  Values are immutable and the caches are
-append-only, so everything can be shared freely between threads.
+Every algebra object takes its element constructors from ``Algebra``.  The
+two engines share ``_EngineBase``, which owns the memo tables (monomial
+interning, monomial products) and the parameter-zero tail of every product
+and adjoint; each engine gives only its raw product and adjoint rules.
+Values are immutable and the caches are append-only, so everything can be
+shared freely between threads.
 
 Setting ``isometric=True`` instantiates the parameter-at-zero presentation:
 the same contraction rules run, every emitted coefficient is evaluated at
@@ -87,116 +90,81 @@ class AlgebraElement(LinComb):
         return self.alg.star_mono
 
 
-class _EngineBase:
-    """Shared memoization plumbing for the two normal-form engines."""
+class Algebra:
+    """Element constructors shared by every algebra object.  ``elem_cls`` is
+    the element class; scalars sit on its unit monomial ``_one``."""
 
-    def __init__(self):
+    elem_cls: type
+
+    def element(self, terms=None):
+        return self.elem_cls(self, terms)
+
+    def zero(self):
+        return self.elem_cls(self)
+
+    def one(self):
+        return self.elem_cls(self, {self.elem_cls._one: ONE})
+
+    def scalar(self, c: Coefficient | int):
+        if isinstance(c, int):
+            c = Coefficient.integer(c)
+        return self.elem_cls(self, {self.elem_cls._one: c})
+
+
+class _EngineBase(Algebra):
+    """Memoized normal-form engine.  A subclass supplies its raw monomial
+    product ``_mul_raw`` (a dict monomial -> coefficient), an adjoint rule
+    ``star_mono`` that ends in ``_normalize``, and ``_gen_exp``: the
+    generator exponent that a core power annihilates at parameter zero."""
+
+    def __init__(self, isometric: bool, zero_vars: Tuple[str, ...]):
+        self.isometric = isometric
+        # variables evaluated at zero in every emitted coefficient
+        self.zero_vars = zero_vars if isometric else ()
         self._mul_memo: Dict[Tuple, Tuple] = {}
         self._intern: Dict[Tuple, Tuple] = {}
 
-    def intern(self, mono):
-        return self._intern.setdefault(mono, mono)
+    def _reduce_mono(self, m):
+        """Parameter-zero relations: a core power is idempotent and kills
+        positive powers of its generator; None when the monomial vanishes."""
+        if m.k == 0:
+            return m
+        if self._gen_exp(m) > 0:
+            return None
+        return m._replace(k=1) if m.k > 1 else m
+
+    def _normalize(self, mono, c: Coefficient):
+        """(interned monomial, coefficient), or (None, ZERO) when the term
+        vanishes.  The coefficient is evaluated first: a negative parameter
+        power flags a product escaping the normal-form span and must raise,
+        not be masked by a vanishing word."""
+        for var in self.zero_vars:
+            c = c.eval_at_zero(var)
+        if not c:
+            return None, ZERO
+        if self.isometric:
+            mono = self._reduce_mono(mono)
+            if mono is None:
+                return None, ZERO
+        return self._intern.setdefault(mono, mono), c
+
+    def mono_mul(self, m1, m2):
+        key = (m1, m2)
+        got = self._mul_memo.get(key)
+        if got is not None:
+            return got
+        out = []
+        for mono, c in self._mul_raw(m1, m2).items():
+            mono, c = self._normalize(mono, c)
+            if mono is not None:
+                out.append((mono, c))
+        got = self._mul_memo[key] = tuple(out)
+        return got
 
 
 # ---------------------------------------------------------------------------
 # Quantum disc
 # ---------------------------------------------------------------------------
-
-
-class DiscAlgebra(_EngineBase):
-    """The one-generator disc algebra at parameter var^sign (or at zero).
-
-    var in {'p','q'}; sign -1 selects the inverse-parameter presentation
-    used as the target of the mirror isomorphism.
-    """
-
-    def __init__(self, var: str = "p", sign: int = 1, isometric: bool = False):
-        super().__init__()
-        if isometric and sign != 1:
-            raise ValueError("the parameter-at-zero presentation uses sign +1")
-        self.var = var
-        self.sign = sign
-        self.isometric = isometric
-        self.base: Base = (var, sign)
-
-    # parameter powers as coefficients
-    def param_pow(self, e: int) -> Coefficient:
-        return var_pow(self.var, self.sign * e)
-
-    def _post_coeff(self, c: Coefficient) -> Coefficient:
-        if self.isometric:
-            return c.eval_at_zero(self.var)
-        return c
-
-    def _reduce_mono(self, m: DiscMonomial) -> DiscMonomial | None:
-        if not self.isometric or m.k == 0:
-            return m
-        if m.mu > 0:
-            return None
-        if m.k > 1:
-            return DiscMonomial(1, m.mu)
-        return m
-
-    def mono_mul(self, m1: DiscMonomial, m2: DiscMonomial):
-        key = (m1, m2)
-        got = self._mul_memo.get(key)
-        if got is not None:
-            return got
-        k1, mu1 = m1
-        k2, mu2 = m2
-        factor = self.param_pow(-mu1 * k2) if k2 else ONE
-        cont = qpoly_Qpair_base(mu1, mu2, self.base)
-        out = []
-        mu = mu1 + mu2
-        emitted: Dict[DiscMonomial, Coefficient] = {DiscMonomial(k1 + k2, mu): factor}
-        for deg, c in cont.items():
-            add_term(emitted, DiscMonomial(k1 + k2 + deg, mu), factor * c)
-        for mono, c in emitted.items():
-            # evaluate first: a negative parameter power flags a product
-            # escaping the normal-form span and must not be masked by a
-            # vanishing word
-            c = self._post_coeff(c)
-            if not c:
-                continue
-            red = self._reduce_mono(mono)
-            if red is None:
-                continue
-            out.append((self.intern(red), c))
-        got = tuple(out)
-        self._mul_memo[key] = got
-        return got
-
-    def star_mono(self, m: DiscMonomial) -> Tuple[DiscMonomial | None, Coefficient]:
-        f = self._post_coeff(self.param_pow(m.k * m.mu))
-        if not f:
-            return None, ZERO
-        red = self._reduce_mono(DiscMonomial(m.k, -m.mu))
-        if red is None:
-            return None, ZERO
-        return self.intern(red), f
-
-    # -- element constructors ------------------------------------------
-
-    def element(self, terms=None) -> "DiscElement":
-        return DiscElement(self, terms)
-
-    def zero(self) -> "DiscElement":
-        return DiscElement(self)
-
-    def one(self) -> "DiscElement":
-        return DiscElement(self, {DISC_ONE: ONE})
-
-    def scalar(self, c: Coefficient) -> "DiscElement":
-        return DiscElement(self, {DISC_ONE: c})
-
-    def x(self, e: int = 1) -> "DiscElement":
-        return DiscElement(self, {DiscMonomial(0, e): ONE})
-
-    def X(self, e: int = 1) -> "DiscElement":
-        return DiscElement(self, {DiscMonomial(e, 0): ONE})
-
-    def monomial(self, k: int, mu: int, coeff: Coefficient = ONE) -> "DiscElement":
-        return DiscElement(self, {DiscMonomial(k, mu): coeff})
 
 
 class DiscElement(AlgebraElement):
@@ -207,6 +175,58 @@ class DiscElement(AlgebraElement):
     __mul__ = AlgebraElement.__mul__
     star = AlgebraElement.star
     pow_signed = AlgebraElement.pow_signed
+
+
+class DiscAlgebra(_EngineBase):
+    """The one-generator disc algebra at parameter var^sign (or at zero).
+
+    var in {'p','q'}; sign -1 selects the inverse-parameter presentation
+    used as the target of the mirror isomorphism.
+    """
+
+    elem_cls = DiscElement
+    mono_mul = _EngineBase.mono_mul  # own binding, wrapped per class
+
+    def __init__(self, var: str = "p", sign: int = 1, isometric: bool = False):
+        if isometric and sign != 1:
+            raise ValueError("the parameter-at-zero presentation uses sign +1")
+        super().__init__(isometric, (var,))
+        self.var = var
+        self.sign = sign
+        self.base: Base = (var, sign)
+
+    # parameter powers as coefficients
+    def param_pow(self, e: int) -> Coefficient:
+        return var_pow(self.var, self.sign * e)
+
+    @staticmethod
+    def _gen_exp(m: DiscMonomial) -> int:
+        return m.mu
+
+    def _mul_raw(self, m1: DiscMonomial, m2: DiscMonomial) -> Dict[DiscMonomial, Coefficient]:
+        k1, mu1 = m1
+        k2, mu2 = m2
+        factor = self.param_pow(-mu1 * k2) if k2 else ONE
+        cont = qpoly_Qpair_base(mu1, mu2, self.base)
+        mu = mu1 + mu2
+        emitted: Dict[DiscMonomial, Coefficient] = {DiscMonomial(k1 + k2, mu): factor}
+        for deg, c in cont.items():
+            add_term(emitted, DiscMonomial(k1 + k2 + deg, mu), factor * c)
+        return emitted
+
+    def star_mono(self, m: DiscMonomial) -> Tuple[DiscMonomial | None, Coefficient]:
+        return self._normalize(DiscMonomial(m.k, -m.mu), self.param_pow(m.k * m.mu))
+
+    # -- generators ------------------------------------------------------
+
+    def x(self, e: int = 1) -> DiscElement:
+        return DiscElement(self, {DiscMonomial(0, e): ONE})
+
+    def X(self, e: int = 1) -> DiscElement:
+        return DiscElement(self, {DiscMonomial(e, 0): ONE})
+
+    def monomial(self, k: int, mu: int, coeff: Coefficient = ONE) -> DiscElement:
+        return DiscElement(self, {DiscMonomial(k, mu): coeff})
 
 
 DISC = DiscAlgebra("p")
@@ -243,34 +263,38 @@ def kappa_iso(r: DiscElement) -> DiscElement:
 # ---------------------------------------------------------------------------
 
 
+class SphereElement(AlgebraElement):
+    __slots__ = ()
+    _one = SPHERE_ONE
+    mono_str = staticmethod(sphere_mono_str)
+    # own bindings of the shared methods, so each can be wrapped per class
+    __mul__ = AlgebraElement.__mul__
+    star = AlgebraElement.star
+    pow_signed = AlgebraElement.pow_signed
+
+    def degree_support(self) -> set:
+        return {m.mu + m.nu for m in self._t}
+
+    def is_invariant(self, n: int) -> bool:
+        if n < 1:
+            raise ValueError("the cyclic order must be >= 1")
+        return all(d % n == 0 for d in self.degree_support())
+
+
 class SphereAlgebra(_EngineBase):
+    elem_cls = SphereElement
+    mono_mul = _EngineBase.mono_mul  # own binding, wrapped per class
+
     def __init__(self, isometric: bool = False):
-        super().__init__()
-        self.isometric = isometric
+        super().__init__(isometric, ("p", "q"))
         self.base_a: Base = ("p", 1)
         self.base_b: Base = ("q", 1)
 
-    def _post_coeff(self, c: Coefficient) -> Coefficient:
-        if self.isometric:
-            return c.eval_at_zero("p").eval_at_zero("q")
-        return c
+    @staticmethod
+    def _gen_exp(m: SphereMonomial) -> int:
+        return m.mu if m.core == CORE_A else m.nu
 
-    def _reduce_mono(self, m: SphereMonomial) -> SphereMonomial | None:
-        if not self.isometric or m.k == 0:
-            return m
-        if m.core == CORE_A and m.mu > 0:
-            return None
-        if m.core == CORE_B and m.nu > 0:
-            return None
-        if m.k > 1:
-            return SphereMonomial(m.core, 1, m.mu, m.nu)
-        return m
-
-    def mono_mul(self, m1: SphereMonomial, m2: SphereMonomial):
-        key = (m1, m2)
-        got = self._mul_memo.get(key)
-        if got is not None:
-            return got
+    def _mul_raw(self, m1: SphereMonomial, m2: SphereMonomial) -> Dict[SphereMonomial, Coefficient]:
         core1, k1, mu1, nu1 = m1
         core2, k2, mu2, nu2 = m2
         # (1) commute the right factor's core to the left
@@ -284,8 +308,7 @@ class SphereAlgebra(_EngineBase):
                     factor = factor * var_pow("q", -nu1 * k2)
         # (2) merge cores; mixed cores annihilate
         if k1 and k2 and core1 != core2:
-            self._mul_memo[key] = ()
-            return ()
+            return {}
         if k1:
             core, k = core1, k1 + (k2 if core1 == core2 else 0)
         else:
@@ -310,19 +333,7 @@ class SphereAlgebra(_EngineBase):
             if k and core == CORE_A:
                 continue
             add_term(emitted, SphereMonomial(CORE_B, k + deg, mu, nu), factor * c)
-        out = []
-        for mono, c in emitted.items():
-            # evaluate first: escapes from the span must raise, not vanish
-            c = self._post_coeff(c)
-            if not c:
-                continue
-            red = self._reduce_mono(mono)
-            if red is None:
-                continue
-            out.append((self.intern(red), c))
-        got = tuple(out)
-        self._mul_memo[key] = got
-        return got
+        return emitted
 
     def star_mono(self, m: SphereMonomial) -> Tuple[SphereMonomial | None, Coefficient]:
         if m.core == CORE_A:
@@ -331,67 +342,29 @@ class SphereAlgebra(_EngineBase):
             f = var_pow("q", m.k * m.nu) if m.k and m.nu else ONE
         if m.mu and m.nu:
             f = f * w_pow(-2 * m.mu * m.nu)
-        f = self._post_coeff(f)
-        if not f:
-            return None, ZERO
-        red = self._reduce_mono(SphereMonomial(m.core, m.k, -m.mu, -m.nu))
-        if red is None:
-            return None, ZERO
-        return self.intern(red), f
+        return self._normalize(SphereMonomial(m.core, m.k, -m.mu, -m.nu), f)
 
-    # -- element constructors ------------------------------------------
+    # -- generators ------------------------------------------------------
 
-    def element(self, terms=None) -> "SphereElement":
-        return SphereElement(self, terms)
-
-    def zero(self) -> "SphereElement":
-        return SphereElement(self)
-
-    def one(self) -> "SphereElement":
-        return SphereElement(self, {SPHERE_ONE: ONE})
-
-    def scalar(self, c: Coefficient | int) -> "SphereElement":
-        if isinstance(c, int):
-            c = Coefficient.integer(c)
-        return SphereElement(self, {SPHERE_ONE: c})
-
-    def a(self, e: int = 1) -> "SphereElement":
+    def a(self, e: int = 1) -> SphereElement:
         return SphereElement(self, {SphereMonomial(CORE_A, 0, e, 0): ONE})
 
-    def b(self, e: int = 1) -> "SphereElement":
+    def b(self, e: int = 1) -> SphereElement:
         return SphereElement(self, {SphereMonomial(CORE_A, 0, 0, e): ONE})
 
-    def A(self, e: int = 1) -> "SphereElement":
+    def A(self, e: int = 1) -> SphereElement:
         return SphereElement(self, {SphereMonomial(CORE_A, e, 0, 0): ONE})
 
-    def B(self, e: int = 1) -> "SphereElement":
+    def B(self, e: int = 1) -> SphereElement:
         return SphereElement(self, {SphereMonomial(CORE_B, e, 0, 0): ONE})
 
-    def z(self) -> "SphereElement":
+    def z(self) -> SphereElement:
         return SphereElement(self, {SphereMonomial(CORE_A, 0, 1, -1): ONE})
 
     def monomial(self, core: int, k: int, mu: int, nu: int, coeff: Coefficient = ONE):
         if core == CORE_B and k < 1:
             raise ValueError("B-core monomials need k >= 1")
         return SphereElement(self, {SphereMonomial(core, k, mu, nu): coeff})
-
-
-class SphereElement(AlgebraElement):
-    __slots__ = ()
-    _one = SPHERE_ONE
-    mono_str = staticmethod(sphere_mono_str)
-    # own bindings of the shared methods, so each can be wrapped per class
-    __mul__ = AlgebraElement.__mul__
-    star = AlgebraElement.star
-    pow_signed = AlgebraElement.pow_signed
-
-    def degree_support(self) -> set:
-        return {m.mu + m.nu for m in self._t}
-
-    def is_invariant(self, n: int) -> bool:
-        if n < 1:
-            raise ValueError("the cyclic order must be >= 1")
-        return all(d % n == 0 for d in self.degree_support())
 
 
 SPHERE = SphereAlgebra()

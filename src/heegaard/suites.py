@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .scalars import (
     Coefficient,
@@ -74,21 +74,22 @@ from .rng import DEFAULT_SEED, SplitMix64, random_coefficient, random_sphere_ele
 
 @dataclass
 class SuiteOptions:
-    """Sizes of the suites.  ``window`` and ``samples`` left at ``None`` give
-    each suite its own default (window: lens 6, iso 3; samples: sphere,
-    units and ktheory 1000, iso 500, prolong 300).  ``samples`` = k checks
-    k sphere triples, k ktheory matrices and ceil(k/2) pairs per sampled
-    units loop."""
+    """Sizes of the suites.  ``window``, ``lens_types`` and ``samples`` left
+    at ``None`` give each suite its own default (window: lens 6, iso 3; lens
+    types: lens 1, 2, 3, 5, 7, iso 3, prolong 2, 3, bass 1, 2, 3, 5;
+    samples: sphere, units and ktheory 1000, iso 500, prolong 300).
+    ``samples`` = k checks k sphere triples, k ktheory matrices and
+    ceil(k/2) pairs per sampled units loop."""
 
     seed: int = DEFAULT_SEED
     window: int | None = None
-    lens_types: Tuple[int, ...] = (1, 2, 3, 5, 7)
+    lens_types: Tuple[int, ...] | None = None
     nmax: int = 7
     samples: int | None = None
     kmax: int = 50
 
 
-def _given(value: int | None, default: int) -> int:
+def _given(value, default):
     """An option's value when it was given, else the suite's own default."""
     return default if value is None else value
 
@@ -338,7 +339,7 @@ def suite_sphere(opts: SuiteOptions) -> List[CheckEntry]:
 
 def suite_lens(opts: SuiteOptions) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
-    for N in opts.lens_types:
+    for N in _given(opts.lens_types, (1, 2, 3, 5, 7)):
         for cid, status, residual in lens_relation_suite(N, _given(opts.window, 6)):
             tag = cid.split(":", 1)[0].split("[", 1)[0]
             entries.append(CheckEntry(f"{cid}[N={N}]", status, residual, tag))
@@ -372,11 +373,12 @@ def _random_lens_element(rng: SplitMix64, N: int, core: int, kmin: int | None = 
     return LensElement(N, {mono: random_coefficient(rng)})
 
 
-def suite_iso(opts: SuiteOptions, N: int = 3) -> List[CheckEntry]:
+def suite_iso(opts: SuiteOptions) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
     window, samples = _given(opts.window, 3), _given(opts.samples, 500)
-    for cid, status, info in basis_window_check(N, window, samples=samples, seed=opts.seed):
-        entries.append(CheckEntry(f"{cid}[N={N},window={window}]", status, info, "thm:basis"))
+    for N in _given(opts.lens_types, (3,)):
+        for cid, status, info in basis_window_check(N, window, samples=samples, seed=opts.seed):
+            entries.append(CheckEntry(f"{cid}[N={N},window={window}]", status, info, "thm:basis"))
     return entries
 
 
@@ -674,9 +676,9 @@ def suite_ktheory(opts: SuiteOptions, single_n: int | None = None) -> List[Check
     return entries
 
 
-def suite_bass(opts: SuiteOptions, types: Sequence[int] = (1, 2, 3, 5)) -> List[CheckEntry]:
+def suite_bass(opts: SuiteOptions) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
-    for N in types:
+    for N in _given(opts.lens_types, (1, 2, 3, 5)):
         rep = bass_class_report(N)
         for cid, ok, info in rep.entries:
             _entry(entries, f"{cid}[N={N}]", "thm:not-free", ok, info)
@@ -688,9 +690,9 @@ def suite_bass(opts: SuiteOptions, types: Sequence[int] = (1, 2, 3, 5)) -> List[
 # ---------------------------------------------------------------------------
 
 
-def suite_prolong(opts: SuiteOptions, types: Sequence[int] = (2, 3)) -> List[CheckEntry]:
+def suite_prolong(opts: SuiteOptions) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
-    for N in types:
+    for N in _given(opts.lens_types, (2, 3)):
         rng = SplitMix64(opts.seed + N)
         bad_rt = bad_mult = bad_inv = None
         for _ in range(_given(opts.samples, 300)):

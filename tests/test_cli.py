@@ -259,6 +259,39 @@ def test_cli_relcheck_all_report_is_pinned(tmp_path, capsys):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, seed
 
 
+def test_cli_iso_check_report_is_pinned(tmp_path, capsys):
+    path = tmp_path / "iso.json"
+    assert main(["iso-check", "--N", "3", "--window", "3", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "934f6c28f01a1fbe51d6a4c348f5a5f481fcb44db386dcdcd25aa4f48071fdd3"
+    )
+
+
+def _checked_types(argv, tmp_path, capsys):
+    """The lens types named in the entry ids of a relcheck report."""
+    path = tmp_path / "types.json"
+    assert main([*argv, "--json", str(path)]) == 0
+    capsys.readouterr()
+    ids = [e["id"] for e in json.loads(path.read_bytes())["entries"]]
+    return sorted({int(i.split("[N=", 1)[1].split(",")[0].split("]")[0]) for i in ids})
+
+
+@pytest.mark.parametrize(
+    "suite, default, options",
+    [
+        ("iso", [3], ["--window", "1", "--samples", "2"]),
+        ("prolong", [2, 3], ["--samples", "2"]),
+        ("bass", [1, 2, 3, 5], []),
+    ],
+)
+def test_cli_types_reach_iso_prolong_and_bass(suite, default, options, tmp_path, capsys):
+    argv = ["relcheck", suite, *options]
+    assert _checked_types(argv, tmp_path, capsys) == default
+    assert _checked_types([*argv, "--types", "2", "7"], tmp_path, capsys) == [2, 7]
+
+
 def test_cli_idem_with_no_lens_type_fails(capsys):
     # idem starts at N = 2: a range below it checks nothing and must say so
     assert main(["relcheck", "idem", "--nmax", "1"]) == 1
@@ -377,3 +410,19 @@ def test_cli_exponent_beyond_the_ring_is_a_usage_error(capsys):
     # a product whose exponents add up past the range
     assert main(["mul", "q^300000 a", "q^300000 b"]) == 2
     assert "exponent 600000 is outside the supported range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [("2^-1", 0), ("0^-1", 0), ("a 3^-2", 2), ("7*^-1 b", 0)],
+)
+def test_cli_literal_without_inverse_is_a_usage_error(text, pos, capsys):
+    # a literal other than 1 has no inverse: a usage error at the literal
+    assert main(["nf", text]) == 2
+    err = capsys.readouterr().err
+    assert "has no inverse" in err and err.rstrip().endswith(f"(at position {pos})")
+
+
+def test_literal_one_keeps_its_inverse():
+    assert eval_normal_form("1^-1 a", "sphere") == "a"
+    assert eval_normal_form("2^3 a*^2", "sphere") == "8 a^-2"

@@ -1,6 +1,7 @@
 """Smoke tests: every demo script and the benchmark tracer run against the
 package in a fresh interpreter."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,14 +21,25 @@ def _run(args):
 
 
 def test_demo_inventory():
-    assert len(DEMOS) == 5
+    assert [d.stem for d in DEMOS] == sorted(DEMO_STDOUT_SHA256)
+
+
+# sha256 of each demo's stdout: a change that moves any printed value or
+# line changes its digest
+DEMO_STDOUT_SHA256 = {
+    "01_deformed_combinatorics": "7376013983a539029d143d8578806653ef55dfb6b2d2b4213a2281c588896d63",
+    "02_normal_forms": "94428676a9484006000d3a9c4d475a06d9693d09f60b0107b1baa23c3c8ff40a",
+    "03_lens_isomorphism": "14569a594feb4c03ab0ac11c8b8f5509389e852a17c772fd01d0a5b6c0fc93da",
+    "04_connections_and_idempotents": "d33f5a40df32b331164dbe9d1f08a7b4a3e7b5da47c99906eb1930120da9b1fe",
+    "05_k_theory": "50c59d93c889be7a96be399456f9eb39ad0dfe3e6002678e8d875854f2cb5e22",
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
     proc = _run([str(demo)])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo.stem]
 
 
 # Installs every traced boundary of perfbench/tracer.py (install raises when
