@@ -39,13 +39,13 @@ print("  A a b^2  <-  ", lens_to_abstract(img, N))
 # the relation suite recomputes every residual through the engine
 print("\nrelation suite (window 4)")
 entries = lens_relation_suite(N, window=4)
-worst = [e for e in entries if e[1] != "pass"]
-print(f"  {len(entries)} checks, non-passing: {[(c, s) for c, s, _ in worst]}")
+worst = [e for e in entries if not e.ok]
+print(f"  {len(entries)} checks, non-passing: {[(e.id, e.status) for e in worst]}")
 print("  (the bare-b variant of lense.e only holds at N=1; it is reported,")
 print("   never asserted — the N-th power variant is the asserted one)")
 
 # window certificate: exact roundtrips, disjoint leading supports,
 # randomized product spot checks
 print("\nwindow certificate")
-for cid, status, info in basis_window_check(N, 2, samples=200):
-    print(f"  {cid}: {status} ({info})")
+for e in basis_window_check(N, 2, samples=200):
+    print(f"  {e.id}: {e.status} ({e.residual})")

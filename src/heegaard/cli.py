@@ -19,13 +19,9 @@ from typing import List, Optional
 from .scalars import ExponentBoundError, qpoly_Q
 from .expr import ParseError, eval_expr, parse
 from .ktheory import bass_class_report, lens_k_groups
-from .principal import (
-    strong_connection_algebraic,
-    strong_connection_isometric,
-    verify_strong_connection,
-)
+from .principal import verify_strong_connection
 from .units import is_unit
-from .reports import CheckEntry, Report
+from .reports import PASS, CheckEntry, Report
 from .rng import DEFAULT_SEED
 from .suites import SUITE_NAMES, SuiteOptions, run_suite
 from . import suites
@@ -98,9 +94,15 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_at_least(1),
         nargs="*",
         default=None,
-        help="lens types for the lens, iso, prolong and bass suites (default: each suite's own)",
+        help="lens types for the lens, iso, prolong, bass, sconn and idem suites"
+        " (default: each suite's own)",
     )
-    c.add_argument("--nmax", type=_at_least(1), default=7)
+    c.add_argument(
+        "--nmax",
+        type=_at_least(1),
+        default=7,
+        help="sconn and idem check types up to this when --types is not given",
+    )
     c.add_argument(
         "--samples",
         type=_at_least(1),
@@ -180,7 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 out = vals[0]
             print(out)
             if args.json:
-                rep = mkreport(args.command, [CheckEntry(args.command, "pass", str(out), "")])
+                rep = mkreport(args.command, [CheckEntry(args.command, PASS, str(out), "")])
                 with open(args.json, "wb") as fh:
                     fh.write(rep.to_json_bytes())
             return 0
@@ -223,14 +225,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             entries = suites.suite_sconn(opts, variant)
             report = mkreport(f"sconn --N {args.N} --variant {args.variant}", entries)
             if args.json:
-                conn = (
-                    strong_connection_isometric(args.N)
-                    if variant == "isometric"
-                    else strong_connection_algebraic(args.N, variant)
-                )
-                report.extra["axioms"] = {
-                    f"{c.axiom}[n={c.n}]": c.residual for c in verify_strong_connection(conn)
-                }
+                conn = suites.connection_for(args.N, variant)
+                report.extra["axioms"] = {e.id: e.residual for e in verify_strong_connection(conn)}
             return _finish(report, args)
         if args.command == "idem":
             variant = {"printed": "printed_p_inverse"}.get(args.variant, args.variant)

@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple
 
 from .scalars import Coefficient, ONE, format_monomial, matrix_product, w_pow
 from .qalgebras import DISC0, Algebra, AlgebraElement, DiscAlgebra, DiscMonomial, disc_mono_str
+from .reports import CheckEntry, check, check_zero
 
 IntMatrix = List[List[int]]
 
@@ -435,6 +436,9 @@ class PullbackElement:
     def __str__(self):
         return f"({self.plus}, {self.minus})"
 
+    def is_zero(self) -> bool:
+        return self.plus.is_zero() and self.minus.is_zero()
+
 
 def pullback_make(a_plus: CrossedElement, a_minus: CrossedElement,
                   torus: TorusAlgebra | None = None) -> PullbackElement:
@@ -534,10 +538,10 @@ class BassReport:
     idempotent_matrix: PullbackMatrix
     valid_pullback_pair: bool
     torsion_order: int
-    entries: List[Tuple[str, bool, str]] = field(default_factory=list)
+    entries: List[CheckEntry] = field(default_factory=list)
 
 
-def sphere_pullback_consistency() -> List[Tuple[str, bool, str]]:
+def sphere_pullback_consistency() -> List[CheckEntry]:
     """Verify that the pair identification of the two degree-one pullback
     generators satisfies the sphere relations at parameter zero; this
     pins the crossed-product commutation phase convention."""
@@ -546,39 +550,31 @@ def sphere_pullback_consistency() -> List[Tuple[str, bool, str]]:
     torus = TorusAlgebra(1)
     a = pullback_make(plus.u(), minus.x() * minus.u(), torus)
     b = pullback_make(plus.x() * plus.u(), minus.u(), torus)
-    out = []
 
-    def residual(name, lhsp, lhsm):
-        ok = lhsp.is_zero() and lhsm.is_zero()
-        out.append((name, ok, "0" if ok else f"({lhsp}, {lhsm})"))
+    def twisted(x, y, e):
+        """x y - w^e y x, leg by leg."""
+        xy, yx = pullback_mul(x, y), pullback_mul(y, x)
+        phase = w_pow(e)
+        return PullbackElement(xy.plus - yx.plus.scale(phase), xy.minus - yx.minus.scale(phase))
 
-    ab = pullback_mul(a, b)
-    ba = pullback_mul(b, a)
-    residual(
-        "pullback:ab-phase",
-        ab.plus - ba.plus.scale(w_pow(2)),
-        ab.minus - ba.minus.scale(w_pow(2)),
-    )
     astar = PullbackElement(a.plus.star(), a.minus.star())
     bstar = PullbackElement(b.plus.star(), b.minus.star())
-    abs_ = pullback_mul(a, bstar)
-    bsa = pullback_mul(bstar, a)
-    residual(
-        "pullback:abstar-phase",
-        abs_.plus - bsa.plus.scale(w_pow(-2)),
-        abs_.minus - bsa.minus.scale(w_pow(-2)),
-    )
     sa = pullback_mul(astar, a)
-    residual("pullback:a-isometry", sa.plus - plus.one(), sa.minus - minus.one())
     sb = pullback_mul(bstar, b)
-    residual("pullback:b-isometry", sb.plus - plus.one(), sb.minus - minus.one())
     pa = pullback_mul(a, astar)
     pb = pullback_mul(b, bstar)
     gapA = PullbackElement(plus.one() - pa.plus, minus.one() - pa.minus)
     gapB = PullbackElement(plus.one() - pb.plus, minus.one() - pb.minus)
-    prod = pullback_mul(gapA, gapB)
-    residual("pullback:core-product", prod.plus, prod.minus)
-    return out
+    return [
+        check_zero(cid, "thm:not-free", res)
+        for cid, res in (
+            ("pullback:ab-phase", twisted(a, b, 2)),
+            ("pullback:abstar-phase", twisted(a, bstar, -2)),
+            ("pullback:a-isometry", PullbackElement(sa.plus - plus.one(), sa.minus - minus.one())),
+            ("pullback:b-isometry", PullbackElement(sb.plus - plus.one(), sb.minus - minus.one())),
+            ("pullback:core-product", pullback_mul(gapA, gapB)),
+        )
+    ]
 
 
 def bass_class_report(N: int) -> BassReport:
@@ -619,13 +615,14 @@ def bass_class_report(N: int) -> BassReport:
     )
     mv = lens_k_groups(N)
     order = mv.k0.torsion[0] if mv.k0 and mv.k0.torsion else 1
+    tag = "thm:not-free"
     entries = [
-        ("bass:block-matrix", matrix_identity, "" if matrix_identity else "block mismatch"),
-        ("bass:pullback-pair", valid_pair, ""),
-        ("bass:complement-identity", identity_holds, ""),
-        ("bass:torsion-order", order == (N if N > 1 else 1), f"order {order}"),
+        check("bass:block-matrix", tag, matrix_identity, "block mismatch"),
+        check("bass:pullback-pair", tag, valid_pair),
+        check("bass:complement-identity", tag, identity_holds),
+        check("bass:torsion-order", tag, order == (N if N > 1 else 1), f"order {order}"),
+        *sphere_pullback_consistency(),
     ]
-    entries.extend(sphere_pullback_consistency())
     return BassReport(
         N=N,
         matrix_identity=matrix_identity and identity_holds,

@@ -31,7 +31,9 @@ from .qalgebras import (
     SphereAlgebra,
     SphereElement,
     SphereMonomial,
+    add_on_core,
 )
+from .reports import FAIL, PASS, CheckEntry, check, check_zero, known
 
 CORE_APRIME = 0
 CORE_BPRIME = 1
@@ -278,13 +280,12 @@ def subspace_classify(t: LensElement) -> Tuple[LensElement, LensElement, LensEle
 # -- printed-phase cross-checks ------------------------------------------
 
 
-def printed_phase_checks(N: int, window: int = 3) -> List[Tuple[str, bool]]:
+def printed_phase_checks(N: int, window: int = 3) -> List[CheckEntry]:
     """Compare engine-computed coefficients of f on basis monomials against
-    the recorded closed-form phases.  Returns (check id, agreement) pairs;
-    the recorded alternative from the injectivity computation is reported
-    too, without asserting which was intended.
+    the recorded closed-form phases.  The recorded alternative from the
+    injectivity computation is flagged while the engine disagrees with
+    it, without asserting which was intended.
     """
-    results: List[Tuple[str, bool]] = []
     ok_a = ok_b = ok_b_alt = ok_z = True
     for mu in range(-window, window + 1):
         img = lens_from_abstract(
@@ -316,104 +317,108 @@ def printed_phase_checks(N: int, window: int = 3) -> List[Tuple[str, bool]]:
                     w_pow(mu * (mu - 1) - 2 * N * mu * nu),
                 )
                 ok_b_alt = ok_b_alt and got == want_alt
-    results.append(("fongens.z-family", ok_z))
-    results.append(("fongens.a-family", ok_a))
-    results.append(("fongens.b-family", ok_b))
-    results.append(("fongens.b-family-injectivity-sign", ok_b_alt))
-    return results
+    entries = [
+        check(cid, cid, ok, "phase mismatch")
+        for cid, ok in (
+            ("fongens.z-family", ok_z),
+            ("fongens.a-family", ok_a),
+            ("fongens.b-family", ok_b),
+        )
+    ]
+    alt = "recorded alternative phase disagrees with the engine"
+    cid = "fongens.b-family-injectivity-sign"
+    got_alt = "engine unexpectedly matches both recorded phases" if ok_b_alt else alt
+    entries.append(known(cid, cid, got_alt, alt))
+    return entries
 
 
 # -- relation suite --------------------------------------------------------
 
 
-def _one_plus_q(n: int, var: str) -> SphereElement:
-    """1 + (index-n contraction polynomial) evaluated on the matching core."""
-    out = SPHERE.one()
-    for deg, c in qpoly_Q(n, var).items():
-        core = SPHERE.A(deg) if var == "p" else SPHERE.B(deg)
-        out = out + core.scale(c)
-    return out
-
-
-def lens_relation_suite(N: int, window: int = 6) -> List[Tuple[str, str, str]]:
+def lens_relation_suite(N: int, window: int = 6) -> List[CheckEntry]:
     """Residuals of the invariant-subalgebra relations, computed in the
     sphere engine through generator images.
 
-    Returns (check id, status, residual) triples; failures are entries,
-    never exceptions.  The bare-b variant of lense.e is reported as a
-    known discrepancy for N >= 2 (it only holds at N = 1, where the
-    N-th power generator coincides with b); the corrected variant with
-    the N-th power generator is asserted.
+    Failures are entries, never exceptions.  The bare-b variant of lense.e
+    only holds at N = 1, where the N-th power generator coincides with b;
+    for N >= 2 its residual is flagged when it is exactly the recorded
+    closed form a(1 - w^(2N-2)) + B a (w^(2N-2) - q) + B a b^(N-1) (q - q^(1-N)),
+    which vanishes at N = 1.  The corrected variant with the N-th power
+    generator is asserted.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     s = SPHERE
     one, a, b, A, B, z = s.one(), s.a(), s.b(), s.A(), s.B(), s.z()
     at, bt = s.a(N), s.b(N)
-    entries: List[Tuple[str, str, str]] = []
-
-    def zero(cid: str, elem: SphereElement):
-        ok = elem.is_zero()
-        entries.append((cid, "pass" if ok else "fail", "0" if ok else str(elem)))
-
-    zero("lense.a:Astar", A.star() - A)
-    zero("lense.a:Bstar", B.star() - B)
-    zero("lense.a:AB", A * B)
-    zero("lense.a:Az", A * z - (z * A).scale(p_pow(1)))
-    zero("lense.a:zB", z * B - (B * z).scale(q_pow(1)))
-    zero("lense.b:zstarz", z.star() * z - (one - A.scale(p_pow(1)) - B))
-    zero("lense.b:zzstar", z * z.star() - (one - A - B.scale(q_pow(1))))
-    zero("lense.c:Aat", A * at - (at * A).scale(p_pow(N)))
-    zero("lense.c:Abt", A * bt - bt * A)
-    zero("lense.c:Bat", B * at - at * B)
-    zero("lense.c:Bbt", B * bt - (bt * B).scale(q_pow(N)))
-    zero("lense.c:zat", z * at - (at * z).scale(w_pow(2 * N)))
-    zero("lense.c:zbtstar", z * bt.star() - (bt.star() * z).scale(w_pow(-2 * N)))
     rhs_d = (A * z.pow_signed(1 - N) * bt.star()).scale(
         w_pow(-N * (N + 1)) * (p_pow(N) - ONE)
     )
-    zero("lense.d", z * at.star() - (at.star() * z).scale(w_pow(-2 * N)) - rhs_d)
     rhs_e = (B * z.pow_signed(1 - N) * at).scale(
         w_pow(N * (N - 1)) * q_pow(1) * (q_pow(-N) - ONE)
     )
-    zero("lense.e", z * bt - (bt * z).scale(w_pow(2 * N)) - rhs_e)
-    res_printed = z * b - (b * z).scale(w_pow(2 * N)) - rhs_e
-    if res_printed.is_zero():
-        entries.append(("lense.e:printed-b", "pass", "0"))
-    else:
-        entries.append(("lense.e:printed-b", "known-discrepancy", str(res_printed)))
-    zero("lense.f:atbt", at * bt - (bt * at).scale(w_pow(2 * N * N)))
-    zero("lense.f:atbtstar", at * bt.star() - (bt.star() * at).scale(w_pow(-2 * N * N)))
-    zero("lense.f:zN", at * bt.star() - z.pow_signed(N).scale(w_pow(-N * (N - 1))))
-    zero("lense.g:atstar-at", at.star() * at - _one_plus_q(-N, "p"))
-    zero("lense.g:at-atstar", at * at.star() - _one_plus_q(N, "p"))
-    zero("lense.g:btstar-bt", bt.star() * bt - _one_plus_q(-N, "q"))
-    zero("lense.g:bt-btstar", bt * bt.star() - _one_plus_q(N, "q"))
+    recorded_e = (
+        s.monomial(CORE_A, 0, 1, 0, ONE - w_pow(2 * N - 2))
+        + s.monomial(CORE_B, 1, 1, 0, w_pow(2 * N - 2) - q_pow(1))
+        + s.monomial(CORE_B, 1, 1, N - 1, q_pow(1) - q_pow(1 - N))
+    )
+    entries = [
+        check_zero("lense.a:Astar", "lense.a", A.star() - A),
+        check_zero("lense.a:Bstar", "lense.a", B.star() - B),
+        check_zero("lense.a:AB", "lense.a", A * B),
+        check_zero("lense.a:Az", "lense.a", A * z - (z * A).scale(p_pow(1))),
+        check_zero("lense.a:zB", "lense.a", z * B - (B * z).scale(q_pow(1))),
+        check_zero("lense.b:zstarz", "lense.b", z.star() * z - (one - A.scale(p_pow(1)) - B)),
+        check_zero("lense.b:zzstar", "lense.b", z * z.star() - (one - A - B.scale(q_pow(1)))),
+        check_zero("lense.c:Aat", "lense.c", A * at - (at * A).scale(p_pow(N))),
+        check_zero("lense.c:Abt", "lense.c", A * bt - bt * A),
+        check_zero("lense.c:Bat", "lense.c", B * at - at * B),
+        check_zero("lense.c:Bbt", "lense.c", B * bt - (bt * B).scale(q_pow(N))),
+        check_zero("lense.c:zat", "lense.c", z * at - (at * z).scale(w_pow(2 * N))),
+        check_zero(
+            "lense.c:zbtstar", "lense.c", z * bt.star() - (bt.star() * z).scale(w_pow(-2 * N))
+        ),
+        check_zero(
+            "lense.d", "lense.d", z * at.star() - (at.star() * z).scale(w_pow(-2 * N)) - rhs_d
+        ),
+        check_zero("lense.e", "lense.e", z * bt - (bt * z).scale(w_pow(2 * N)) - rhs_e),
+        known(
+            "lense.e:printed-b", "lense.e", z * b - (b * z).scale(w_pow(2 * N)) - rhs_e, recorded_e
+        ),
+        check_zero("lense.f:atbt", "lense.f", at * bt - (bt * at).scale(w_pow(2 * N * N))),
+        check_zero(
+            "lense.f:atbtstar",
+            "lense.f",
+            at * bt.star() - (bt.star() * at).scale(w_pow(-2 * N * N)),
+        ),
+        check_zero(
+            "lense.f:zN", "lense.f", at * bt.star() - z.pow_signed(N).scale(w_pow(-N * (N - 1)))
+        ),
+    ]
+    entries += [
+        check_zero(f"lense.g:{name}", "lense.g", lhs - add_on_core(one, core, qpoly_Q(n, var)))
+        for name, lhs, core, n, var in (
+            ("atstar-at", at.star() * at, s.A, -N, "p"),
+            ("at-atstar", at * at.star(), s.A, N, "p"),
+            ("btstar-bt", bt.star() * bt, s.B, -N, "q"),
+            ("bt-btstar", bt * bt.star(), s.B, N, "q"),
+        )
+    ]
 
     rng_range = range(-window, window + 1)
     z_pow = {e: z.pow_signed(e) for e in range(-2 * window, 2 * window + 1)}
     at_pow = {e: at.pow_signed(e) for e in rng_range}
     bt_pow = {e: bt.pow_signed(e) for e in rng_range}
 
-    def aggregate(cid: str, first_failure):
-        if first_failure is None:
-            entries.append((cid, "pass", "0"))
-        else:
-            entries.append((cid, "fail", first_failure))
-
     bad = None
     for mu in rng_range:
         for nu in rng_range:
             lhs = z_pow[mu] * z_pow[nu]
-            rhs = s.one()
-            for deg, c in qpoly_Qpair(mu, nu, "p").items():
-                rhs = rhs + s.A(deg).scale(c)
-            for deg, c in qpoly_Qpair(-mu, -nu, "q").items():
-                rhs = rhs + s.B(deg).scale(c)
-            rhs = rhs * z_pow[mu + nu]
+            rhs = add_on_core(one, s.A, qpoly_Qpair(mu, nu, "p"))
+            rhs = add_on_core(rhs, s.B, qpoly_Qpair(-mu, -nu, "q")) * z_pow[mu + nu]
             if lhs != rhs and bad is None:
                 bad = f"mu={mu}, nu={nu}: {lhs - rhs}"
-    aggregate("multpls.a", bad)
+    entries.append(check("multpls.a", "multpls.a", bad is None, bad or ""))
 
     for cid, gen_pow, var, core in (
         ("multpls.b", at_pow, "p", s.A),
@@ -425,13 +430,10 @@ def lens_relation_suite(N: int, window: int = 6) -> List[Tuple[str, str, str]]:
                 if abs(mu + nu) > window:
                     continue
                 lhs = gen_pow[mu] * gen_pow[nu]
-                rhs = s.one()
-                for deg, c in qpoly_Qpair(N * mu, N * nu, var).items():
-                    rhs = rhs + core(deg).scale(c)
-                rhs = rhs * gen_pow[mu + nu]
+                rhs = add_on_core(one, core, qpoly_Qpair(N * mu, N * nu, var)) * gen_pow[mu + nu]
                 if lhs != rhs and bad is None:
                     bad = f"mu={mu}, nu={nu}: {lhs - rhs}"
-        aggregate(cid, bad)
+        entries.append(check(cid, cid, bad is None, bad or ""))
 
     bad = None
     for nu in rng_range:
@@ -439,7 +441,7 @@ def lens_relation_suite(N: int, window: int = 6) -> List[Tuple[str, str, str]]:
         rhs = (A * z.pow_signed(N * nu) * bt_pow[nu]).scale(w_pow(-N * nu * (N * nu - 1)))
         if lhs != rhs and bad is None:
             bad = f"nu={nu}: {lhs - rhs}"
-    aggregate("multpls.e", bad)
+    entries.append(check("multpls.e", "multpls.e", bad is None, bad or ""))
 
     bad = None
     for mu in rng_range:
@@ -448,7 +450,7 @@ def lens_relation_suite(N: int, window: int = 6) -> List[Tuple[str, str, str]]:
             rhs = (A * bt_pow[mu] * z_pow[nu]).scale(w_pow(2 * N * mu * nu))
             if lhs != rhs and bad is None:
                 bad = f"mu={mu}, nu={nu}: {lhs - rhs}"
-    aggregate("multpls.i", bad)
+    entries.append(check("multpls.i", "multpls.i", bad is None, bad or ""))
 
     bad = None
     for mu in rng_range:
@@ -460,20 +462,8 @@ def lens_relation_suite(N: int, window: int = 6) -> List[Tuple[str, str, str]]:
                 va, v0, vb = subspace_classify(lens_to_abstract(res, N))
                 if (v0 or vb) and bad is None:
                     bad = f"mu={mu}, nu={nu}: parts outside the A'-span: {v0 + vb}"
-    aggregate("azch", bad)
-
-    for cid, ok in printed_phase_checks(N):
-        if cid == "fongens.b-family-injectivity-sign":
-            # the recorded alternative sign is expected to disagree with the
-            # engine; flag it rather than asserting either way
-            entries.append(
-                (cid, "known-discrepancy" if not ok else "fail",
-                 "recorded alternative phase disagrees with the engine" if not ok else
-                 "engine unexpectedly matches both recorded phases")
-            )
-        else:
-            entries.append((cid, "pass" if ok else "fail", "0" if ok else "phase mismatch"))
-    return entries
+    entries.append(check("azch", "azch", bad is None, bad or ""))
+    return entries + printed_phase_checks(N)
 
 
 # -- window certificate for the basis isomorphism ---------------------------
@@ -481,7 +471,7 @@ def lens_relation_suite(N: int, window: int = 6) -> List[Tuple[str, str, str]]:
 
 def basis_window_check(
     N: int, bound: int, samples: int = 500, seed: int | None = None
-) -> List[Tuple[str, str, str]]:
+) -> List[CheckEntry]:
     """Window-scale certificate for the generator map being a linear
     isomorphism onto the invariant subalgebra: exact roundtrips, disjoint
     leading supports (independence certificate), and randomized
@@ -491,7 +481,6 @@ def basis_window_check(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rng = SplitMix64(DEFAULT_SEED if seed is None else seed)
-    entries: List[Tuple[str, str, str]] = []
 
     window: List[LensMonomial] = []
     for mu in range(-bound, bound + 1):
@@ -506,7 +495,7 @@ def basis_window_check(
         t = LensElement(N, {m: ONE})
         if lens_to_abstract(lens_from_abstract(t), N) != t and bad is None:
             bad = f"roundtrip failed on {lens_mono_str(m)}"
-    entries.append(("iso:roundtrip", "pass" if bad is None else "fail", bad or "0"))
+    entries = [check("iso:roundtrip", "thm:basis", bad is None, bad or "")]
 
     leading = {}
     bad = None
@@ -519,7 +508,7 @@ def basis_window_check(
         if lead in leading and bad is None:
             bad = f"{lens_mono_str(m)} and {lens_mono_str(leading[lead])} share leading support"
         leading[lead] = m
-    entries.append(("iso:independence", "pass" if bad is None else "fail", bad or "0"))
+    entries.append(check("iso:independence", "thm:basis", bad is None, bad or ""))
 
     bad = None
     count = 0
@@ -538,12 +527,9 @@ def basis_window_check(
             bad = bad or "inverse failed on a product"
             continue
         count += 1
-    # a check that inspected no product is not a pass
+    # a check that inspected no product is not a pass; a pass keeps its count
+    status = PASS if bad is None and count else FAIL
     entries.append(
-        (
-            "iso:homomorphism",
-            "pass" if bad is None and count else "fail",
-            bad or f"{count} product spot checks",
-        )
+        CheckEntry("iso:homomorphism", status, bad or f"{count} product spot checks", "thm:basis")
     )
     return entries

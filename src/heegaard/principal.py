@@ -33,6 +33,7 @@ from .qalgebras import (
     SPHERE_ONE,
     sphere_mono_str,
 )
+from .reports import CheckEntry, check
 
 
 class _GroupLike(LinComb):
@@ -214,22 +215,13 @@ def strong_connection_isometric(N: int) -> StrongConnection:
     return StrongConnection(N=N, values=values, variant="isometric")
 
 
-@dataclass
-class AxiomCheck:
-    n: int
-    axiom: str
-    ok: bool
-    residual: str
-
-
-def verify_strong_connection(conn: StrongConnection) -> List[AxiomCheck]:
+def verify_strong_connection(conn: StrongConnection) -> List[CheckEntry]:
     """Check unitality, the unit-return axiom and both colinearity axioms
-    for every cyclic basis element."""
+    for every cyclic basis element; ids read ``unit-return[n=1]``."""
     alg = conn.algebra
     N = conn.N
-    out: List[AxiomCheck] = []
-    ok0 = conn.values[0] == _tensor_one(alg)
-    out.append(AxiomCheck(0, "unitality", ok0, "0" if ok0 else str(conn.values[0])))
+    tag = "c*strong" if conn.variant == "isometric" else "algstrong"
+    out = [check("unitality[n=0]", tag, conn.values[0] == _tensor_one(alg), str(conn.values[0]))]
     one = alg.one()
     for n, val in enumerate(conn.values):
         classes = val.legs_multiplied_by_class(N)
@@ -241,33 +233,13 @@ def verify_strong_connection(conn: StrongConnection) -> List[AxiomCheck]:
                 bad.append(f"class {d}: {res}")
         if n % N not in classes:
             bad.append(f"class {n % N}: -1")
-        out.append(
-            AxiomCheck(n, "unit-return", not bad, "0" if not bad else "; ".join(bad))
-        )
-        left_bad = [
-            m1
-            for (m1, m2) in dict(val.terms())
-            if (m1.mu + m1.nu - (-n)) % N != 0
-        ]
-        out.append(
-            AxiomCheck(
-                n,
-                "left-colinearity",
-                not left_bad,
-                "0" if not left_bad else f"offending left degrees {sorted({m.mu + m.nu for m in left_bad})}",
+        out.append(check(f"unit-return[n={n}]", tag, not bad, "; ".join(bad)))
+        for side, leg, sign in (("left", 0, -1), ("right", 1, 1)):
+            degrees = {mm[leg].mu + mm[leg].nu for mm, _ in val.terms()}
+            off = sorted(d for d in degrees if (d - sign * n) % N)
+            out.append(
+                check(f"{side}-colinearity[n={n}]", tag, not off, f"offending {side} degrees {off}")
             )
-        )
-        right_bad = [
-            m2 for (m1, m2) in dict(val.terms()) if (m2.mu + m2.nu - n) % N != 0
-        ]
-        out.append(
-            AxiomCheck(
-                n,
-                "right-colinearity",
-                not right_bad,
-                "0" if not right_bad else f"offending right degrees {sorted({m.mu + m.nu for m in right_bad})}",
-            )
-        )
     return out
 
 

@@ -371,6 +371,15 @@ SPHERE = SphereAlgebra()
 SPHERE0 = SphereAlgebra(isometric=True)
 
 
+def add_on_core(acc, core, poly):
+    """``acc`` plus a contraction polynomial evaluated on a core generator:
+    the Y^deg term of ``poly`` becomes ``core(deg)`` scaled by its
+    coefficient."""
+    for deg, c in poly.items():
+        acc = acc + core(deg).scale(c)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # Relation residuals: left side minus right side of the named identity,
 # computed inside the engine.  The suite passes iff every residual is zero.

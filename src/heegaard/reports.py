@@ -1,4 +1,9 @@
-"""Check-entry and report containers with deterministic JSON emission.
+"""Check entries, the rules that decide their status, and report
+containers with deterministic JSON emission.
+
+Every verifier builds its entries here: ``check`` for a pass/fail
+verdict, ``check_zero`` for a residual that must vanish, and ``known``
+for a printed-formula cross-check whose discrepancy is on record.
 
 The JSON payload is a pure function of the command, seed and check
 results (entries sorted by id, keys sorted, fixed separators), so two
@@ -24,6 +29,29 @@ class CheckEntry:
     status: str
     residual: str
     paper_tag: str
+
+    @property
+    def ok(self) -> bool:
+        return self.status == PASS
+
+
+def check(cid: str, tag: str, ok: bool, residual: str = "") -> CheckEntry:
+    """A pass/fail verdict; a pass carries residual ``0``."""
+    return CheckEntry(cid, PASS if ok else FAIL, "0" if ok else residual, tag)
+
+
+def check_zero(cid: str, tag: str, elem) -> CheckEntry:
+    """Pass exactly when ``elem`` vanishes; a failure carries it printed."""
+    ok = elem.is_zero()
+    return check(cid, tag, ok, "" if ok else str(elem))
+
+
+def known(cid: str, tag: str, residual, recorded) -> CheckEntry:
+    """A printed formula against the engine: KNOWN when the residual is
+    exactly the recorded discrepancy, FAIL otherwise.  A recorded
+    discrepancy that vanishes (the formula holds there) is a pass."""
+    status = FAIL if residual != recorded else KNOWN if recorded else PASS
+    return CheckEntry(cid, status, str(residual), tag)
 
 
 @dataclass

@@ -8,7 +8,7 @@ residual byte-for-byte.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 from .scalars import (
@@ -31,6 +31,7 @@ from .qalgebras import (
     DiscElement,
     SphereElement,
     SphereMonomial,
+    add_on_core,
     kappa_iso,
     relation_residual,
 )
@@ -68,7 +69,7 @@ from .ktheory import (
     matrix_rank,
     smith_normal_form,
 )
-from .reports import FAIL, KNOWN, PASS, CheckEntry, Report
+from .reports import CheckEntry, Report, check, check_zero, known
 from .rng import DEFAULT_SEED, SplitMix64, random_coefficient, random_sphere_element, random_sphere_monomial
 
 
@@ -76,7 +77,8 @@ from .rng import DEFAULT_SEED, SplitMix64, random_coefficient, random_sphere_ele
 class SuiteOptions:
     """Sizes of the suites.  ``window``, ``lens_types`` and ``samples`` left
     at ``None`` give each suite its own default (window: lens 6, iso 3; lens
-    types: lens 1, 2, 3, 5, 7, iso 3, prolong 2, 3, bass 1, 2, 3, 5;
+    types: lens 1, 2, 3, 5, 7, iso 3, prolong 2, 3, bass 1, 2, 3, 5, sconn
+    1 to ``nmax``, idem 2 to ``nmax``, and idem skips given types below 2;
     samples: sphere, units and ktheory 1000, iso 500, prolong 300).
     ``samples`` = k checks k sphere triples, k ktheory matrices and
     ceil(k/2) pairs per sampled units loop."""
@@ -94,13 +96,18 @@ def _given(value, default):
     return default if value is None else value
 
 
-def _entry(entries: List[CheckEntry], cid: str, tag: str, ok: bool, residual: str = "0"):
-    entries.append(CheckEntry(cid, PASS if ok else FAIL, residual if not ok else "0", tag))
+def _suffixed(entries: List[CheckEntry], suffix: str) -> List[CheckEntry]:
+    """A verifier's entries with the suite's ``[suffix]`` appended to each id."""
+    return [replace(e, id=f"{e.id}[{suffix}]") for e in entries]
 
 
-def _zero(entries: List[CheckEntry], cid: str, tag: str, elem):
-    ok = elem.is_zero()
-    entries.append(CheckEntry(cid, PASS if ok else FAIL, "0" if ok else str(elem), tag))
+def _raises(thunk) -> bool:
+    """Whether ``thunk()`` raises the parameter-zero escape error."""
+    try:
+        thunk()
+    except EvaluationError:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +125,7 @@ def suite_qidentities(opts: SuiteOptions) -> List[CheckEntry]:
                 rhs = qbinomial(n, m, var) + var_pow(var, n + 1 - m) * qbinomial(n, m - 1, var)
                 if lhs != rhs:
                     ok = False
-        _entry(entries, f"pascal[{var}]", "pchrec", ok, "recursion mismatch")
+        entries.append(check(f"pascal[{var}]", "pchrec", ok, "recursion mismatch"))
 
     from .scalars import QPoly
 
@@ -134,8 +141,8 @@ def suite_qidentities(opts: SuiteOptions) -> List[CheckEntry]:
         rhs = (poly_one - poly_y * p_pow(1)) * qpoly_rescale(qpoly_Q(-n, "p"), 1) - poly_y * p_pow(1)
         if lhs != rhs:
             ok_neg = False
-    _entry(entries, "recursion-positive", "qdefrec", ok_pos, "mismatch")
-    _entry(entries, "recursion-negative", "qminrec", ok_neg, "mismatch")
+    entries.append(check("recursion-positive", "qdefrec", ok_pos, "mismatch"))
+    entries.append(check("recursion-negative", "qminrec", ok_neg, "mismatch"))
 
     ok = True
     for m in range(1, 13):
@@ -145,14 +152,14 @@ def suite_qidentities(opts: SuiteOptions) -> List[CheckEntry]:
             rhs = (poly_one + qm) * qpoly_rescale(qpoly_Q(n, "p"), -m) + qm
             if lhs != rhs:
                 ok = False
-    _entry(entries, "composition", "qmneq", ok, "mismatch")
+    entries.append(check("composition", "qmneq", ok, "mismatch"))
 
     ok = True
     for mu in range(-12, 13):
         vanishes = qpoly_Qpair(mu, -mu, "p").is_zero()
         if vanishes != (mu == 0):
             ok = False
-    _entry(entries, "pair-zero-iff", "qmndef", ok, "mismatch")
+    entries.append(check("pair-zero-iff", "qmndef", ok, "mismatch"))
 
     ok = True
     for mu in range(-12, 13):
@@ -161,7 +168,7 @@ def suite_qidentities(opts: SuiteOptions) -> List[CheckEntry]:
             ok = ok and poly.is_zero()
         else:
             ok = ok and poly.degree() == abs(mu) and poly.constant_term().is_zero()
-    _entry(entries, "degree-and-constant-term", "qdef", ok, "mismatch")
+    entries.append(check("degree-and-constant-term", "qdef", ok, "mismatch"))
     return entries
 
 
@@ -171,43 +178,36 @@ def suite_qidentities(opts: SuiteOptions) -> List[CheckEntry]:
 
 
 def suite_disc(opts: SuiteOptions) -> List[CheckEntry]:
-    entries: List[CheckEntry] = []
     d = DISC
-    x, X = d.x(), d.X()
-
-    _zero(
-        entries,
-        "disc-relation",
-        "disc",
-        x.star() * x - (x * x.star()).scale(p_pow(1)) - d.scalar(ONE - p_pow(1)),
-    )
-    _zero(entries, "X-commutation", "1mxx", _first_nonzero(
-        d.X(k) * d.x(n) - (d.x(n) * d.X(k)).scale(p_pow(k * n))
-        for k in range(0, 5)
-        for n in range(-6, 7)
-    ) or d.zero())
+    x = d.x()
+    entries = [
+        check_zero(
+            "disc-relation",
+            "disc",
+            x.star() * x - (x * x.star()).scale(p_pow(1)) - d.scalar(ONE - p_pow(1)),
+        ),
+        check_zero("X-commutation", "1mxx", _first_nonzero(
+            d.X(k) * d.x(n) - (d.x(n) * d.X(k)).scale(p_pow(k * n))
+            for k in range(0, 5)
+            for n in range(-6, 7)
+        ) or d.zero()),
+    ]
 
     bad = None
     for mu in range(-10, 11):
         lhs = _stepwise_power(d, mu) * _stepwise_power(d, -mu)
-        rhs = d.one()
-        for deg, c in qpoly_Q(mu, "p").items():
-            rhs = rhs + d.X(deg).scale(c)
-        if lhs != rhs and bad is None:
+        if lhs != add_on_core(d.one(), d.X, qpoly_Q(mu, "p")) and bad is None:
             bad = f"mu={mu}"
-    _entry(entries, "power-contraction-balanced", "xxsxsx", bad is None, bad or "")
+    entries.append(check("power-contraction-balanced", "xxsxsx", bad is None, bad or ""))
 
     bad = None
     for mu in range(-8, 9):
         for nu in range(-8, 9):
             lhs = _stepwise_power(d, mu) * _stepwise_power(d, nu)
-            rhs = d.one()
-            for deg, c in qpoly_Qpair(mu, nu, "p").items():
-                rhs = rhs + d.X(deg).scale(c)
-            rhs = rhs * d.x(1).pow_signed(mu + nu)
+            rhs = add_on_core(d.one(), d.X, qpoly_Qpair(mu, nu, "p")) * d.x(1).pow_signed(mu + nu)
             if lhs != rhs and bad is None:
                 bad = f"mu={mu}, nu={nu}"
-    _entry(entries, "power-contraction-general", "xxsqgen", bad is None, bad or "")
+    entries.append(check("power-contraction-general", "xxsqgen", bad is None, bad or ""))
 
     rng = SplitMix64(opts.seed)
     bad = None
@@ -218,16 +218,13 @@ def suite_disc(opts: SuiteOptions) -> List[CheckEntry]:
             bad = "antihomomorphism failed"
         if r.star().star() != r and bad is None:
             bad = "involution failed"
-    _entry(entries, "star-properties", "1mxx", bad is None, bad or "")
+    entries.append(check("star-properties", "1mxx", bad is None, bad or ""))
 
     kx = kappa_iso(d.x())
-    _entry(entries, "mirror-generator", "kappa", kx == kappa_iso(d.x()), "")
-    _zero(
-        entries,
-        "mirror-relation",
-        "kappa",
-        kappa_iso(x.star() * x - (x * x.star()).scale(p_pow(1)) - d.scalar(ONE - p_pow(1))),
-    )
+    entries.append(check("mirror-generator", "kappa", kx == kappa_iso(d.x())))
+    entries.append(check_zero("mirror-relation", "kappa", kappa_iso(
+        x.star() * x - (x * x.star()).scale(p_pow(1)) - d.scalar(ONE - p_pow(1))
+    )))
     rng = SplitMix64(opts.seed + 1)
     bad = None
     for _ in range(100):
@@ -237,7 +234,7 @@ def suite_disc(opts: SuiteOptions) -> List[CheckEntry]:
             bad = "multiplicativity failed"
         if kappa_iso(r.star()) != kappa_iso(r).star() and bad is None:
             bad = "star-compatibility failed"
-    _entry(entries, "mirror-homomorphism", "kappa", bad is None, bad or "")
+    entries.append(check("mirror-homomorphism", "kappa", bad is None, bad or ""))
     return entries
 
 
@@ -272,24 +269,26 @@ def _random_disc_element(rng: SplitMix64, d) -> DiscElement:
 
 
 def suite_sphere(opts: SuiteOptions) -> List[CheckEntry]:
-    entries: List[CheckEntry] = []
-    for rid in ("heegard:ab", "heegard:abstar", "heegard:aa", "heegard:bb", "heegard:AB"):
-        _zero(entries, rid, "heegard", relation_residual(rid))
-    for which in ("Aa", "Ab", "Ba", "Bb", "Astar", "Bstar"):
-        _zero(entries, f"core:{which}", "heegard", relation_residual(f"core:{which}"))
+    entries = [
+        check_zero(rid, "heegard", relation_residual(rid))
+        for rid in (
+            "heegard:ab", "heegard:abstar", "heegard:aa", "heegard:bb", "heegard:AB",
+            "core:Aa", "core:Ab", "core:Ba", "core:Bb", "core:Astar", "core:Bstar",
+        )
+    ]
     bad = None
     for n in range(1, 13):
         res = relation_residual("aaminus", n=n)
         if not res.is_zero() and bad is None:
             bad = f"n={n}: {res}"
-    _entry(entries, "adjoint-power-commutator", "aaminus", bad is None, bad or "")
+    entries.append(check("adjoint-power-commutator", "aaminus", bad is None, bad or ""))
     for pair in ("ab", "abstar"):
         bad = None
         for mu in range(-6, 7):
             res = relation_residual(f"chlemma:{pair}", mu=mu)
             if not res.is_zero() and bad is None:
                 bad = f"mu={mu}: {res}"
-        _entry(entries, f"phase-power[{pair}]", "chlemma", bad is None, bad or "")
+        entries.append(check(f"phase-power[{pair}]", "chlemma", bad is None, bad or ""))
 
     rng = SplitMix64(opts.seed)
     bad_assoc = bad_star = bad_grade = bad_closure = None
@@ -315,21 +314,19 @@ def suite_sphere(opts: SuiteOptions) -> List[CheckEntry]:
         for mono, _c in prod.terms():
             if mono.core == CORE_B and mono.k < 1 and bad_closure is None:
                 bad_closure = str(mono)
-    _entry(entries, "associativity", "heegard", bad_assoc is None, bad_assoc or "")
-    _entry(entries, "star-antihomomorphism", "heegard", bad_star is None, bad_star or "")
-    _entry(entries, "grading-additivity", "hbasis", bad_grade is None, bad_grade or "")
-    _entry(entries, "normal-form-closure", "hbasis", bad_closure is None, bad_closure or "")
-
-    # parameter-zero instance sanity
     s0 = SPHERE0
-    _zero(entries, "isometric:aa", "c*strong", s0.a().star() * s0.a() - s0.one())
-    _zero(entries, "isometric:core-idempotent", "c*strong", s0.A() * s0.A() - s0.A())
-    try:
-        s0.a() * s0.A()
-        _entry(entries, "isometric:escape-error", "c*strong", False, "no error raised")
-    except EvaluationError:
-        _entry(entries, "isometric:escape-error", "c*strong", True)
-    return entries
+    return entries + [
+        check("associativity", "heegard", bad_assoc is None, bad_assoc or ""),
+        check("star-antihomomorphism", "heegard", bad_star is None, bad_star or ""),
+        check("grading-additivity", "hbasis", bad_grade is None, bad_grade or ""),
+        check("normal-form-closure", "hbasis", bad_closure is None, bad_closure or ""),
+        # parameter-zero instance sanity
+        check_zero("isometric:aa", "c*strong", s0.a().star() * s0.a() - s0.one()),
+        check_zero("isometric:core-idempotent", "c*strong", s0.A() * s0.A() - s0.A()),
+        check(
+            "isometric:escape-error", "c*strong", _raises(lambda: s0.a() * s0.A()), "no error raised"
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +337,7 @@ def suite_sphere(opts: SuiteOptions) -> List[CheckEntry]:
 def suite_lens(opts: SuiteOptions) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
     for N in _given(opts.lens_types, (1, 2, 3, 5, 7)):
-        for cid, status, residual in lens_relation_suite(N, _given(opts.window, 6)):
-            tag = cid.split(":", 1)[0].split("[", 1)[0]
-            entries.append(CheckEntry(f"{cid}[N={N}]", status, residual, tag))
+        entries += _suffixed(lens_relation_suite(N, _given(opts.window, 6)), f"N={N}")
         # subspace stability under transported products
         rng = SplitMix64(opts.seed + N)
         bad_vavb = bad_muld = None
@@ -359,8 +354,10 @@ def suite_lens(opts: SuiteOptions) -> List[CheckEntry]:
                 a_part, v0, vbp = subspace_classify(p_)
                 if (v0 or vbp) and bad_muld is None:
                     bad_muld = f"{va} | {w} -> {p_}"
-        _entry(entries, f"va-vb-annihilate[N={N}]", "thm:basis", bad_vavb is None, bad_vavb or "")
-        _entry(entries, f"va-stability[N={N}]", "muldlem", bad_muld is None, bad_muld or "")
+        entries += [
+            check(f"va-vb-annihilate[N={N}]", "thm:basis", bad_vavb is None, bad_vavb or ""),
+            check(f"va-stability[N={N}]", "muldlem", bad_muld is None, bad_muld or ""),
+        ]
     return entries
 
 
@@ -374,12 +371,14 @@ def _random_lens_element(rng: SplitMix64, N: int, core: int, kmin: int | None = 
 
 
 def suite_iso(opts: SuiteOptions) -> List[CheckEntry]:
-    entries: List[CheckEntry] = []
     window, samples = _given(opts.window, 3), _given(opts.samples, 500)
-    for N in _given(opts.lens_types, (3,)):
-        for cid, status, info in basis_window_check(N, window, samples=samples, seed=opts.seed):
-            entries.append(CheckEntry(f"{cid}[N={N},window={window}]", status, info, "thm:basis"))
-    return entries
+    return [
+        e
+        for N in _given(opts.lens_types, (3,))
+        for e in _suffixed(
+            basis_window_check(N, window, samples=samples, seed=opts.seed), f"N={N},window={window}"
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +402,7 @@ def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
                 bad = f"{variant} does not re-sum"
             if set(dict(left.terms())) & set(dict(right.terms())) and bad is None:
                 bad = f"{variant} overlaps"
-    _entry(entries, "splitting-exactness", "splitprop", bad is None, bad or "")
+    entries.append(check("splitting-exactness", "splitprop", bad is None, bad or ""))
 
     bad = None
     for _ in range(200):
@@ -417,7 +416,7 @@ def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
         for prod in (x1 * y_elt, y_elt * x1):
             if subspace_split(prod, "X1+Y")[1] and bad is None:
                 bad = f"{x1} | {y_elt}"
-    _entry(entries, "multiplicative-stability", "multsplit", bad is None, bad or "")
+    entries.append(check("multiplicative-stability", "multsplit", bad is None, bad or ""))
 
     bad = None
     for _ in range(200):
@@ -428,7 +427,7 @@ def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
         flipped = {(-m, -n) for (m, n) in support}
         if {(t.mu, t.nu) for t in split_expansion(r.star())} != flipped and bad is None:
             bad = str(r)
-    _entry(entries, "star-flips-support", "ordmin", bad is None, bad or "")
+    entries.append(check("star-flips-support", "ordmin", bad is None, bad or ""))
 
     qualifying = 0
     bad = None
@@ -446,13 +445,7 @@ def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
         except ValueError:
             continue
         qualifying += 1
-    _entry(
-        entries,
-        "extreme-additivity",
-        "maxminsum",
-        bad is None,
-        bad or f"{qualifying} qualifying pairs",
-    )
+    entries.append(check("extreme-additivity", "maxminsum", bad is None, bad or ""))
 
     bad = None
     nonunits = 0
@@ -464,7 +457,7 @@ def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
         if is_unit(r) is not None and bad is None:
             bad = f"false unit {r}"
         nonunits += 1
-    _entry(entries, "non-units-rejected", "noninv", bad is None, bad or "")
+    entries.append(check("non-units-rejected", "noninv", bad is None, bad or ""))
 
     bad = None
     for _ in range(100):
@@ -485,7 +478,7 @@ def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
         bad = bad or "1-p wrongly inverted"
     if is_unit(s.one() + s.A()) is not None:
         bad = bad or "1+A wrongly inverted"
-    _entry(entries, "unit-scalars-certified", "noninv", bad is None, bad or "")
+    entries.append(check("unit-scalars-certified", "noninv", bad is None, bad or ""))
     return entries
 
 
@@ -508,114 +501,75 @@ def _random_part(rng: SplitMix64, s, family: str) -> SphereElement:
 # ---------------------------------------------------------------------------
 
 
+def connection_for(N: int, variant: str):
+    """The strong connection of a suite variant: ``isometric`` at parameter
+    zero, else the generic one with that coefficient variant."""
+    if variant == "isometric":
+        return strong_connection_isometric(N)
+    return strong_connection_algebraic(N, variant)
+
+
 def suite_sconn(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEntry]:
     entries: List[CheckEntry] = []
-    for N in range(1, opts.nmax + 1):
-        if variant == "isometric":
-            conn = strong_connection_isometric(N)
-            tag = "c*strong"
-        else:
-            conn = strong_connection_algebraic(N, variant)
-            tag = "algstrong"
+    for N in _given(opts.lens_types, range(1, opts.nmax + 1)):
+        conn = connection_for(N, variant)
         checks = verify_strong_connection(conn)
+        tag = checks[0].paper_tag  # the verifier tags by variant
         if variant == "printed_p_inverse" and N >= 2:
-            expected = (SPHERE.A()).scale(p_pow(-1) - p_pow(1))
             classes = conn.values[1].legs_multiplied_by_class(N)
             residual = classes.get(1 % N, SPHERE.zero()) - SPHERE.one()
-            exact = residual == expected
-            entries.append(
-                CheckEntry(
-                    f"sconn.printed:axiom1[N={N}]",
-                    KNOWN if exact else FAIL,
-                    str(residual),
-                    tag,
-                )
-            )
-            for c in checks:
-                if not c.ok and (c.axiom != "unit-return"):
-                    entries.append(
-                        CheckEntry(
-                            f"sconn.printed:{c.axiom}[N={N},n={c.n}]", FAIL, c.residual, tag
-                        )
-                    )
+            expected = SPHERE.A().scale(p_pow(-1) - p_pow(1))
+            entries.append(known(f"sconn.printed:axiom1[N={N}]", tag, residual, expected))
+            entries += [
+                replace(c, id="sconn.printed:" + c.id.replace("[", f"[N={N},"))
+                for c in checks
+                if not c.ok and not c.id.startswith("unit-return")
+            ]
         else:
-            bad = [c for c in checks if not c.ok]
-            _entry(
-                entries,
-                f"sconn.{variant}[N={N}]",
-                tag,
-                not bad,
-                "; ".join(f"{c.axiom}[n={c.n}]: {c.residual}" for c in bad),
-            )
+            bad = "; ".join(f"{c.id}: {c.residual}" for c in checks if not c.ok)
+            entries.append(check(f"sconn.{variant}[N={N}]", tag, not bad, bad))
     return entries
 
 
 def suite_idem(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEntry]:
+    types = [N for N in _given(opts.lens_types, range(1, opts.nmax + 1)) if N >= 2]
     entries: List[CheckEntry] = []
-    if opts.nmax < 2:
+    if not types:
         # a range that checks no type is a failure, never a vacuous pass
-        _entry(
-            entries,
-            f"idem[{variant},nmax={opts.nmax}]",
-            "algstrong",
-            False,
-            "no lens type checked: N starts at 2",
+        asked = (
+            f"nmax={opts.nmax}" if opts.lens_types is None
+            else "types=" + ",".join(map(str, opts.lens_types))
         )
-    for N in range(2, opts.nmax + 1):
-        if variant == "isometric":
-            conn = strong_connection_isometric(N)
-            E = associated_idempotent(conn, 1)
-            chk = idempotent_check(E, N)
-            _entry(
-                entries,
-                f"idem.isometric[N={N}]",
-                "c*strong",
-                chk.idempotent and chk.invariant,
-                str(chk.residuals),
+        entries.append(
+            check(
+                f"idem[{variant},{asked}]", "algstrong", False, "no lens type checked: N starts at 2"
             )
-            if N >= 3:
-                try:
-                    associated_idempotent(conn, 2)
-                    _entry(
-                        entries,
-                        f"idem.isometric-escape[N={N}]",
-                        "c*strong",
-                        False,
-                        "expected an escape error for the squared class at parameter zero",
-                    )
-                except EvaluationError:
-                    _entry(entries, f"idem.isometric-escape[N={N}]", "c*strong", True)
-            continue
-        conn = strong_connection_algebraic(N, variant)
+        )
+    for N in types:
+        conn = connection_for(N, variant)
         E = associated_idempotent(conn, 1)
         chk = idempotent_check(E, N)
         if variant == "printed_p_inverse":
             expected = (SPHERE.A() - SPHERE.A() * SPHERE.A()).scale(p_pow(-2) - ONE)
             top_left = (E * E).entries[0][0] - E.entries[0][0]
-            exact = top_left == expected
-            entries.append(
-                CheckEntry(
-                    f"idem.printed:residual[N={N}]",
-                    KNOWN if (not chk.idempotent and exact) else FAIL,
-                    str(top_left),
-                    "algstrong",
-                )
-            )
-        else:
-            _entry(
-                entries,
-                f"idem.corrected[N={N}]",
-                "algstrong",
-                chk.idempotent and chk.invariant,
-                str(chk.residuals),
-            )
+            entries.append(known(f"idem.printed:residual[N={N}]", "algstrong", top_left, expected))
+            continue
+        tag = "c*strong" if variant == "isometric" else "algstrong"
+        ok = chk.idempotent and chk.invariant
+        entries.append(check(f"idem.{variant}[N={N}]", tag, ok, str(chk.residuals)))
+        if variant != "isometric":
             expected = _expected_corrected_idempotent()
-            _entry(
-                entries,
-                f"idem.corrected:matrix[N={N}]",
-                "algstrong",
-                E == expected,
-                f"{E} != {expected}",
+            entries.append(
+                check(f"idem.corrected:matrix[N={N}]", tag, E == expected, f"{E} != {expected}")
+            )
+        elif N >= 3:
+            entries.append(
+                check(
+                    f"idem.isometric-escape[N={N}]",
+                    tag,
+                    _raises(lambda: associated_idempotent(conn, 2)),
+                    "expected an escape error for the squared class at parameter zero",
+                )
             )
     return entries
 
@@ -646,13 +600,7 @@ def suite_ktheory(opts: SuiteOptions, single_n: int | None = None) -> List[Check
         expect_k0 = AbelianGroup.cyclic(N).direct_sum(AbelianGroup.free(1))
         expect_k1 = AbelianGroup.free(1)
         ok = (not result.ambiguous) and result.k0 == expect_k0 and result.k1 == expect_k1
-        _entry(
-            entries,
-            f"kgroups[N={N}]",
-            "mv",
-            ok,
-            f"K0={result.k0}, K1={result.k1}",
-        )
+        entries.append(check(f"kgroups[N={N}]", "mv", ok, f"K0={result.k0}, K1={result.k1}"))
     rng = SplitMix64(opts.seed)
     bad = None
     for _ in range(_given(opts.samples, 1000)):
@@ -672,17 +620,16 @@ def suite_ktheory(opts: SuiteOptions, single_n: int | None = None) -> List[Check
                 bad = bad or f"chain violated on {m}"
         if matrix_rank(m) + kernel_rank(m) != cols:
             bad = bad or f"rank-nullity violated on {m}"
-    _entry(entries, "snf-random", "mv", bad is None, bad or "")
+    entries.append(check("snf-random", "mv", bad is None, bad or ""))
     return entries
 
 
 def suite_bass(opts: SuiteOptions) -> List[CheckEntry]:
-    entries: List[CheckEntry] = []
-    for N in _given(opts.lens_types, (1, 2, 3, 5)):
-        rep = bass_class_report(N)
-        for cid, ok, info in rep.entries:
-            _entry(entries, f"{cid}[N={N}]", "thm:not-free", ok, info)
-    return entries
+    return [
+        e
+        for N in _given(opts.lens_types, (1, 2, 3, 5))
+        for e in _suffixed(bass_class_report(N).entries, f"N={N}")
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -720,9 +667,11 @@ def suite_prolong(opts: SuiteOptions) -> List[CheckEntry]:
             if prolong_phi_map(t1 * t2, N) != prolong_phi_map(t1, N) * prolong_phi_map(t2, N):
                 if bad_mult is None:
                     bad_mult = f"{t1} | {t2}"
-        _entry(entries, f"prolong:roundtrip[N={N}]", "cotnislem", bad_rt is None, bad_rt or "")
-        _entry(entries, f"prolong:multiplicative[N={N}]", "cotnislem", bad_mult is None, bad_mult or "")
-        _entry(entries, f"prolong:image-invariant[N={N}]", "alphatilde", bad_inv is None, bad_inv or "")
+        entries += [
+            check(f"prolong:roundtrip[N={N}]", "cotnislem", bad_rt is None, bad_rt or ""),
+            check(f"prolong:multiplicative[N={N}]", "cotnislem", bad_mult is None, bad_mult or ""),
+            check(f"prolong:image-invariant[N={N}]", "alphatilde", bad_inv is None, bad_inv or ""),
+        ]
     return entries
 
 

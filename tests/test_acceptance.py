@@ -34,7 +34,7 @@ from heegaard.principal import (
 from heegaard.ktheory import AbelianGroup, bass_class_report, lens_k_groups
 from heegaard.cli import main
 from heegaard.expr import eval_normal_form
-from heegaard.reports import FAIL, KNOWN
+from heegaard.reports import FAIL, KNOWN, PASS
 from heegaard.rng import SplitMix64, random_coefficient, random_sphere_element, random_sphere_monomial
 from heegaard.suites import SuiteOptions, run_suite
 
@@ -85,13 +85,13 @@ def test_criterion_02_relation_suites():
             if emit("sphere", relation_residual(f"chlemma:{pair}", mu=mu)) != "0":
                 failures.append(f"chlemma:{pair}[{mu}]")
     for N in (1, 2, 3, 5, 7):
-        for cid, status, residual in lens_relation_suite(N, window=6):
-            if status == "fail":
-                failures.append(f"{cid}[N={N}]: {residual}")
-            if cid == "lense.e:printed-b":
-                expected = "pass" if N == 1 else "known-discrepancy"
-                if status != expected:
-                    failures.append(f"{cid}[N={N}] flagged {status}, expected {expected}")
+        for e in lens_relation_suite(N, window=6):
+            if e.status == FAIL:
+                failures.append(f"{e.id}[N={N}]: {e.residual}")
+            if e.id == "lense.e:printed-b":
+                expected = PASS if N == 1 else KNOWN
+                if e.status != expected:
+                    failures.append(f"{e.id}[N={N}] flagged {e.status}, expected {expected}")
     elapsed = time.monotonic() - t0
     report(2, not failures and elapsed < 30.0, f"{elapsed:.1f}s" + ("; " + "; ".join(failures[:3]) if failures else ""))
 
@@ -160,7 +160,7 @@ def test_criterion_04_engine_soundness():
 def test_criterion_05_basis_isomorphism_window():
     t0 = time.monotonic()
     entries = basis_window_check(3, 3, samples=500, seed=SEED)
-    ok = all(status == "pass" for _, status, _ in entries)
+    ok = all(e.ok for e in entries)
     elapsed = time.monotonic() - t0
     report(5, ok and elapsed < 30.0, f"iso-check --N 3 --window 3 in {elapsed:.1f}s")
 
@@ -215,7 +215,7 @@ def test_criterion_07_bass():
             ok = False
         if rep.torsion_order != (N if N > 1 else 1):
             ok = False
-        if not all(okk for _, okk, _ in rep.entries):
+        if not all(e.ok for e in rep.entries):
             ok = False
     elapsed = time.monotonic() - t0
     report(7, ok and elapsed < 5.0, f"N in {{1,2,3,5}} in {elapsed:.2f}s")

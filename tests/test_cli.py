@@ -292,6 +292,18 @@ def test_cli_types_reach_iso_prolong_and_bass(suite, default, options, tmp_path,
     assert _checked_types([*argv, "--types", "2", "7"], tmp_path, capsys) == [2, 7]
 
 
+def test_cli_types_reach_sconn_and_idem(tmp_path, capsys):
+    # --nmax sets the default range; --types names exactly the types checked
+    assert _checked_types(["relcheck", "sconn"], tmp_path, capsys) == [1, 2, 3, 4, 5, 6, 7]
+    assert _checked_types(["relcheck", "sconn", "--types", "5"], tmp_path, capsys) == [5]
+    assert _checked_types(["relcheck", "idem", "--nmax", "3"], tmp_path, capsys) == [2, 3]
+    argv = ["relcheck", "idem", "--types", "1", "3", "--nmax", "2"]
+    assert _checked_types(argv, tmp_path, capsys) == [3]
+    # idem starts at N = 2, so a type list below it checks nothing and fails
+    assert main(["relcheck", "idem", "--types", "1"]) == 1
+    assert capsys.readouterr().out.count("no lens type checked: N starts at 2") == 3
+
+
 def test_cli_idem_with_no_lens_type_fails(capsys):
     # idem starts at N = 2: a range below it checks nothing and must say so
     assert main(["relcheck", "idem", "--nmax", "1"]) == 1

@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heegaard.scalars import EvaluationError, ONE, w_pow
+from heegaard import ktheory
 from heegaard.ktheory import (
     AbelianGroup,
     CrossedAlgebra,
+    PullbackElement,
     PullbackMismatchError,
     TorusAlgebra,
     bass_class_report,
@@ -32,6 +34,7 @@ from heegaard.ktheory import (
     pullback_make,
     smith_normal_form,
 )
+from heegaard.reports import FAIL, PASS
 from heegaard.rng import SplitMix64
 
 
@@ -284,7 +287,7 @@ def test_bass_idempotent_and_report():
         assert rep.matrix_identity
         assert rep.valid_pullback_pair
         assert rep.torsion_order == (N if N > 1 else 1)
-        assert all(ok for _, ok, _ in rep.entries), rep.entries
+        assert all(e.ok for e in rep.entries), rep.entries
         p_u = rep.idempotent_matrix
         plus = p_u[0][0].plus.alg
         minus = p_u[0][0].minus.alg
@@ -293,6 +296,26 @@ def test_bass_idempotent_and_report():
         xxs = plus.x() * plus.x().star()
         assert p_u[1][1].plus == plus.one() - xxs
         assert p_u[0][1].plus.is_zero() and p_u[1][0].plus.is_zero()
+
+
+def test_pullback_consistency_with_a_shifted_phase_fails(monkeypatch):
+    # every pullback product gains w on its plus leg: the twisted
+    # commutators still vanish, the isometries and the core product do not
+    product = ktheory.pullback_mul
+
+    def shifted(x, y):
+        r = product(x, y)
+        return PullbackElement(r.plus.scale(w_pow(1)), r.minus)
+
+    monkeypatch.setattr(ktheory, "pullback_mul", shifted)
+    entries = {e.id: (e.status, e.residual, e.paper_tag) for e in ktheory.sphere_pullback_consistency()}
+    assert entries == {
+        "pullback:ab-phase": (PASS, "0", "thm:not-free"),
+        "pullback:abstar-phase": (PASS, "0", "thm:not-free"),
+        "pullback:a-isometry": (FAIL, "(-1 + w, 0)", "thm:not-free"),
+        "pullback:b-isometry": (FAIL, "(-1 + w, 0)", "thm:not-free"),
+        "pullback:core-product": (FAIL, "(w - 2*w^2 + w^3 + w^2 X - w^3 X, 0)", "thm:not-free"),
+    }
 
 
 def test_bass_trivial_lift():

@@ -23,6 +23,7 @@ from heegaard.lens import (
     printed_phase_checks,
     subspace_classify,
 )
+from heegaard.reports import FAIL, KNOWN, PASS
 from heegaard.rng import SplitMix64, random_coefficient
 
 
@@ -143,32 +144,65 @@ def test_star_is_involution_and_antimultiplicative():
 def test_relation_suite_small_types():
     for N in (1, 2, 3):
         entries = lens_relation_suite(N, window=4)
-        failures = [(c, r) for c, st, r in entries if st == "fail"]
+        failures = [e for e in entries if e.status == FAIL]
         assert not failures, failures
-        printed = [st for c, st, r in entries if c == "lense.e:printed-b"]
-        assert printed == (["pass"] if N == 1 else ["known-discrepancy"])
+        printed = [e.status for e in entries if e.id == "lense.e:printed-b"]
+        assert printed == ([PASS] if N == 1 else [KNOWN])
+
+
+def test_printed_b_residual_is_the_recorded_closed_form():
+    # the bare-b variant of lense.e misses by a(1 - w^(2N-2)) + B a (w^(2N-2) - q)
+    # + B a b^(N-1) (q - q^(1-N)), which vanishes at N = 1 only
+    s = SPHERE
+    a, b, B, z = s.a(), s.b(), s.B(), s.z()
+    closed_forms = {}
+    for N in range(1, 9):
+        rhs_e = (B * z.pow_signed(1 - N) * s.a(N)).scale(
+            w_pow(N * (N - 1)) * q_pow(1) * (q_pow(-N) - ONE)
+        )
+        residual = z * b - (b * z).scale(w_pow(2 * N)) - rhs_e
+        closed = (
+            a.scale(ONE - w_pow(2 * N - 2))
+            + (B * a).scale(w_pow(2 * N - 2) - q_pow(1))
+            + (B * a * b.pow_signed(N - 1)).scale(q_pow(1) - q_pow(1 - N))
+        )
+        assert residual == closed, N
+        assert residual.is_zero() == (N == 1), N
+        closed_forms[N] = closed
+    # the suite flags exactly that residual
+    for N in (4, 8):
+        (entry,) = [e for e in lens_relation_suite(N, window=1) if e.id == "lense.e:printed-b"]
+        assert (entry.status, entry.residual) == (KNOWN, str(closed_forms[N]))
+
+
+def test_printed_b_off_the_recorded_residual_fails(monkeypatch):
+    # a phase shifted by one power of w moves the residual off the recorded
+    # closed form; at N = 1, where the printed formula must hold, that is a fail
+    monkeypatch.setattr(lens_module, "w_pow", lambda e: w_pow(e + 1))
+    (entry,) = [e for e in lens_relation_suite(1, window=1) if e.id == "lense.e:printed-b"]
+    assert (entry.status, entry.residual) == (FAIL, "a - w a - q B a + q*w B a")
 
 
 def test_printed_phase_crosschecks():
     for N in (2, 3):
-        results = dict(printed_phase_checks(N))
-        assert results["fongens.z-family"]
-        assert results["fongens.a-family"]
-        assert results["fongens.b-family"]
-        assert not results["fongens.b-family-injectivity-sign"]
+        results = {e.id: e.status for e in printed_phase_checks(N)}
+        assert results["fongens.z-family"] == PASS
+        assert results["fongens.a-family"] == PASS
+        assert results["fongens.b-family"] == PASS
+        assert results["fongens.b-family-injectivity-sign"] == KNOWN
 
 
 def test_window_certificate():
     for N, bound in ((1, 2), (2, 3)):
         entries = basis_window_check(N, bound, samples=150)
-        assert all(st == "pass" for _, st, _ in entries), entries
+        assert all(e.ok for e in entries), entries
 
 
 def test_window_check_without_products_fails():
     # zero spot checks inspected nothing, so the homomorphism verdict is a fail
-    entries = {cid: (st, info) for cid, st, info in basis_window_check(2, 1, samples=0)}
-    assert entries["iso:homomorphism"] == ("fail", "0 product spot checks")
-    assert entries["iso:roundtrip"][0] == entries["iso:independence"][0] == "pass"
+    entries = {e.id: (e.status, e.residual) for e in basis_window_check(2, 1, samples=0)}
+    assert entries["iso:homomorphism"] == (FAIL, "0 product spot checks")
+    assert entries["iso:roundtrip"][0] == entries["iso:independence"][0] == PASS
 
 
 def test_va_vb_annihilate_and_va_stability():

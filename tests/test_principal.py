@@ -97,7 +97,7 @@ def test_printed_connection_fails_with_exact_residual():
         assert residual == SPHERE.A().scale(p_pow(-1) - p_pow(1)), N
         checks = verify_strong_connection(conn)
         bad = [c for c in checks if not c.ok]
-        assert bad and all(c.axiom == "unit-return" for c in bad)
+        assert bad and all(c.id.startswith("unit-return[") for c in bad)
 
 
 def test_associated_idempotent_matrix():

@@ -5,13 +5,18 @@ import sys
 
 from heegaard.lens import CORE_APRIME, CORE_BPRIME, LensElement, LensMonomial, lens_mul
 from heegaard.qalgebras import SPHERE, SphereAlgebra
+from heegaard import suites
+from heegaard.principal import TensorSquare
+from heegaard.qalgebras import CORE_A, SphereMonomial
 from heegaard.reports import FAIL, KNOWN
+from heegaard.scalars import ONE
 from heegaard.rng import SplitMix64, random_coefficient, random_sphere_element
 from heegaard.suites import SUITE_NAMES, SUITES, SuiteOptions, run_suite
 
 
 def test_run_all_suites_no_failures():
-    opts = SuiteOptions(seed=24195, window=3, lens_types=(1, 2), nmax=3, samples=200, kmax=8)
+    # lens types 1 to 3: the sconn and idem suites cover N = 3 through --types too
+    opts = SuiteOptions(seed=24195, window=3, lens_types=(1, 2, 3), nmax=3, samples=200, kmax=8)
     report = run_suite("all", opts)
     failures = [e for e in report.entries if e.status == FAIL]
     assert not failures, failures
@@ -19,13 +24,37 @@ def test_run_all_suites_no_failures():
     # exactly the recorded discrepancy families are flagged
     assert known == {
         "lense.e:printed-b[N=2]",
+        "lense.e:printed-b[N=3]",
         "fongens.b-family-injectivity-sign[N=1]",
         "fongens.b-family-injectivity-sign[N=2]",
+        "fongens.b-family-injectivity-sign[N=3]",
         "sconn.printed:axiom1[N=2]",
         "sconn.printed:axiom1[N=3]",
         "idem.printed:residual[N=2]",
         "idem.printed:residual[N=3]",
     }
+
+
+def test_broken_connection_fails_with_exact_entries(monkeypatch):
+    # the degree-one value gains the leg a^2 (x) b: unit-return and left
+    # colinearity break, and the printed residual moves off the recorded one
+    original = suites.strong_connection_algebraic
+
+    def broken(N, variant="corrected"):
+        conn = original(N, variant)
+        if N > 1:
+            leg = (SphereMonomial(CORE_A, 0, 2, 0), SphereMonomial(CORE_A, 0, 0, 1))
+            conn.values[1] = conn.values[1] + TensorSquare(conn.algebra, {leg: ONE})
+        return conn
+
+    monkeypatch.setattr(suites, "strong_connection_algebraic", broken)
+    entries = {e.id: (e.status, e.residual) for e in run_suite("sconn", SuiteOptions(nmax=3)).entries}
+    assert entries["sconn.corrected[N=2]"] == (
+        FAIL,
+        "unit-return[n=1]: class 1: a^2 b; left-colinearity[n=1]: offending left degrees [2]",
+    )
+    assert entries["sconn.printed:left-colinearity[N=2,n=1]"] == (FAIL, "offending left degrees [2]")
+    assert entries["sconn.printed:axiom1[N=2]"] == (FAIL, "a^2 b + p^-1 A - p A")
 
 
 def test_suite_registry_complete():
