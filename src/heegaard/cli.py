@@ -21,9 +21,9 @@ from .expr import ParseError, eval_expr, parse
 from .ktheory import bass_class_report, lens_k_groups
 from .principal import verify_strong_connection
 from .units import is_unit
-from .reports import PASS, CheckEntry, Report
+from .reports import Report, computed
 from .rng import DEFAULT_SEED
-from .suites import SUITE_NAMES, SuiteOptions, run_suite
+from .suites import SUITE_DEFAULTS, SUITE_NAMES, SuiteOptions, run_suite
 from . import suites
 
 
@@ -38,6 +38,12 @@ def _at_least(lo: int):
         return value
 
     return integer
+
+
+def _own_sizes(name: str) -> str:
+    """Help text for a size option: each suite's own size, from the suites' table."""
+    own = ", ".join(f"{suite} {sizes[name]}" for suite, sizes in SUITE_DEFAULTS.items() if name in sizes)
+    return f"default: each suite's own ({own})"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,9 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = add_cmd("relcheck", "run a verification suite")
     c.add_argument("suite", choices=SUITE_NAMES)
-    c.add_argument(
-        "--window", type=_at_least(1), default=None, help="default: each suite's own (lens 6, iso 3)"
-    )
+    c.add_argument("--window", type=_at_least(1), default=None, help=_own_sizes("window"))
     c.add_argument(
         "--types",
         type=_at_least(1),
@@ -107,14 +111,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=_at_least(1),
         default=None,
-        help="default: each suite's own (sphere, units, ktheory 1000; iso 500; prolong 300)",
+        help=_own_sizes("samples"),
     )
     c.add_argument("--max", type=_at_least(1), default=50, help="largest K-theory type")
 
     c = add_cmd("iso-check", "basis-isomorphism window certificate")
     c.add_argument("--N", type=_at_least(1), required=True)
-    c.add_argument("--window", type=_at_least(1), default=3)
-    c.add_argument("--samples", type=_at_least(1), default=500)
+    c.add_argument("--window", type=_at_least(1), default=SUITE_DEFAULTS["iso"]["window"])
+    c.add_argument("--samples", type=_at_least(1), default=SUITE_DEFAULTS["iso"]["samples"])
 
     c = add_cmd("unit-check", "decide invertibility of a sphere expression")
     c.add_argument("expr")
@@ -145,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = add_cmd("prolong-check", "prolongation isomorphism checks")
     c.add_argument("--N", type=_at_least(1), required=True)
-    c.add_argument("--samples", type=_at_least(1), default=300)
+    c.add_argument("--samples", type=_at_least(1), default=SUITE_DEFAULTS["prolong"]["samples"])
     return p
 
 
@@ -182,7 +186,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 out = vals[0]
             print(out)
             if args.json:
-                rep = mkreport(args.command, [CheckEntry(args.command, PASS, str(out), "")])
+                rep = mkreport(args.command, [computed(args.command, out)])
                 with open(args.json, "wb") as fh:
                     fh.write(rep.to_json_bytes())
             return 0

@@ -33,7 +33,7 @@ from .qalgebras import (
     SphereMonomial,
     add_on_core,
 )
-from .reports import FAIL, PASS, CheckEntry, check, check_zero, known
+from .reports import CheckEntry, FirstFailures, check_zero, known
 
 CORE_APRIME = 0
 CORE_BPRIME = 1
@@ -286,49 +286,33 @@ def printed_phase_checks(N: int, window: int = 3) -> List[CheckEntry]:
     injectivity computation is flagged while the engine disagrees with
     it, without asserting which was intended.
     """
-    ok_a = ok_b = ok_b_alt = ok_z = True
+    failures = FirstFailures()
+    alt_cid = "fongens.b-family-injectivity-sign"
+    alt = "recorded alternative phase disagrees with the engine"
     for mu in range(-window, window + 1):
-        img = lens_from_abstract(
-            LensElement(N, {LensMonomial(CORE_BPRIME, 0, mu, 0): ONE})
-        )
+        img = lens_from_abstract(LensElement(N, {LensMonomial(CORE_BPRIME, 0, mu, 0): ONE}))
         lead = {m: c for m, c in img.terms() if m.k == 0}
-        expect = {
-            SphereMonomial(CORE_A, 0, mu, -mu): w_pow(mu * (mu - 1))
-        }
-        ok_z = ok_z and lead == expect
+        if lead != {SphereMonomial(CORE_A, 0, mu, -mu): w_pow(mu * (mu - 1))}:
+            failures.fail("fongens.z-family", "phase mismatch")
         for nu in range(-window, window + 1):
             for k in (1, 2):
                 m_a = LensMonomial(CORE_APRIME, k, mu, nu)
                 got = _single_term(lens_from_abstract(LensElement(N, {m_a: ONE})))
-                want = (
-                    SphereMonomial(CORE_A, k, mu, N * nu - mu),
-                    w_pow(mu * (mu - 1)),
-                )
-                ok_a = ok_a and got == want
+                if got != (SphereMonomial(CORE_A, k, mu, N * nu - mu), w_pow(mu * (mu - 1))):
+                    failures.fail("fongens.a-family", "phase mismatch")
                 m_b = LensMonomial(CORE_BPRIME, k, mu, nu)
                 got = _single_term(lens_from_abstract(LensElement(N, {m_b: ONE})))
-                want = (
-                    SphereMonomial(CORE_B, k, mu + N * nu, -mu),
-                    w_pow(mu * (mu - 1) + 2 * N * mu * nu),
-                )
-                ok_b = ok_b and got == want
-                want_alt = (
-                    SphereMonomial(CORE_B, k, mu + N * nu, -mu),
-                    w_pow(mu * (mu - 1) - 2 * N * mu * nu),
-                )
-                ok_b_alt = ok_b_alt and got == want_alt
+                mono_b = SphereMonomial(CORE_B, k, mu + N * nu, -mu)
+                if got != (mono_b, w_pow(mu * (mu - 1) + 2 * N * mu * nu)):
+                    failures.fail("fongens.b-family", "phase mismatch")
+                if got != (mono_b, w_pow(mu * (mu - 1) - 2 * N * mu * nu)):
+                    failures.fail(alt_cid, alt)
     entries = [
-        check(cid, cid, ok, "phase mismatch")
-        for cid, ok in (
-            ("fongens.z-family", ok_z),
-            ("fongens.a-family", ok_a),
-            ("fongens.b-family", ok_b),
-        )
+        failures.entry(cid, cid)
+        for cid in ("fongens.z-family", "fongens.a-family", "fongens.b-family")
     ]
-    alt = "recorded alternative phase disagrees with the engine"
-    cid = "fongens.b-family-injectivity-sign"
-    got_alt = "engine unexpectedly matches both recorded phases" if ok_b_alt else alt
-    entries.append(known(cid, cid, got_alt, alt))
+    got_alt = failures.get(alt_cid) or "engine unexpectedly matches both recorded phases"
+    entries.append(known(alt_cid, alt_cid, got_alt, alt))
     return entries
 
 
@@ -410,49 +394,41 @@ def lens_relation_suite(N: int, window: int = 6) -> List[CheckEntry]:
     at_pow = {e: at.pow_signed(e) for e in rng_range}
     bt_pow = {e: bt.pow_signed(e) for e in rng_range}
 
-    bad = None
+    failures = FirstFailures()
     for mu in rng_range:
         for nu in rng_range:
             lhs = z_pow[mu] * z_pow[nu]
             rhs = add_on_core(one, s.A, qpoly_Qpair(mu, nu, "p"))
             rhs = add_on_core(rhs, s.B, qpoly_Qpair(-mu, -nu, "q")) * z_pow[mu + nu]
-            if lhs != rhs and bad is None:
-                bad = f"mu={mu}, nu={nu}: {lhs - rhs}"
-    entries.append(check("multpls.a", "multpls.a", bad is None, bad or ""))
+            if lhs != rhs:
+                failures.fail("multpls.a", f"mu={mu}, nu={nu}: {lhs - rhs}")
 
     for cid, gen_pow, var, core in (
         ("multpls.b", at_pow, "p", s.A),
         ("multpls.c", bt_pow, "q", s.B),
     ):
-        bad = None
         for mu in rng_range:
             for nu in rng_range:
                 if abs(mu + nu) > window:
                     continue
                 lhs = gen_pow[mu] * gen_pow[nu]
                 rhs = add_on_core(one, core, qpoly_Qpair(N * mu, N * nu, var)) * gen_pow[mu + nu]
-                if lhs != rhs and bad is None:
-                    bad = f"mu={mu}, nu={nu}: {lhs - rhs}"
-        entries.append(check(cid, cid, bad is None, bad or ""))
+                if lhs != rhs:
+                    failures.fail(cid, f"mu={mu}, nu={nu}: {lhs - rhs}")
 
-    bad = None
     for nu in rng_range:
         lhs = A * at_pow[nu]
         rhs = (A * z.pow_signed(N * nu) * bt_pow[nu]).scale(w_pow(-N * nu * (N * nu - 1)))
-        if lhs != rhs and bad is None:
-            bad = f"nu={nu}: {lhs - rhs}"
-    entries.append(check("multpls.e", "multpls.e", bad is None, bad or ""))
+        if lhs != rhs:
+            failures.fail("multpls.e", f"nu={nu}: {lhs - rhs}")
 
-    bad = None
     for mu in rng_range:
         for nu in rng_range:
             lhs = A * z_pow[nu] * bt_pow[mu]
             rhs = (A * bt_pow[mu] * z_pow[nu]).scale(w_pow(2 * N * mu * nu))
-            if lhs != rhs and bad is None:
-                bad = f"mu={mu}, nu={nu}: {lhs - rhs}"
-    entries.append(check("multpls.i", "multpls.i", bad is None, bad or ""))
+            if lhs != rhs:
+                failures.fail("multpls.i", f"mu={mu}, nu={nu}: {lhs - rhs}")
 
-    bad = None
     for mu in rng_range:
         for nu in rng_range:
             res = at_pow[nu] * z_pow[mu] - (z_pow[mu] * at_pow[nu]).scale(
@@ -460,9 +436,12 @@ def lens_relation_suite(N: int, window: int = 6) -> List[CheckEntry]:
             )
             if not res.is_zero():
                 va, v0, vb = subspace_classify(lens_to_abstract(res, N))
-                if (v0 or vb) and bad is None:
-                    bad = f"mu={mu}, nu={nu}: parts outside the A'-span: {v0 + vb}"
-    entries.append(check("azch", "azch", bad is None, bad or ""))
+                if v0 or vb:
+                    failures.fail("azch", f"mu={mu}, nu={nu}: parts outside the A'-span: {v0 + vb}")
+    entries += [
+        failures.entry(cid, cid)
+        for cid in ("multpls.a", "multpls.b", "multpls.c", "multpls.e", "multpls.i", "azch")
+    ]
     return entries + printed_phase_checks(N)
 
 
@@ -490,27 +469,26 @@ def basis_window_check(
                 window.append(LensMonomial(CORE_APRIME, k, mu, nu))
                 window.append(LensMonomial(CORE_BPRIME, k, mu, nu))
 
-    bad = None
+    failures = FirstFailures()
     for m in window:
         t = LensElement(N, {m: ONE})
-        if lens_to_abstract(lens_from_abstract(t), N) != t and bad is None:
-            bad = f"roundtrip failed on {lens_mono_str(m)}"
-    entries = [check("iso:roundtrip", "thm:basis", bad is None, bad or "")]
+        if lens_to_abstract(lens_from_abstract(t), N) != t:
+            failures.fail("iso:roundtrip", f"roundtrip failed on {lens_mono_str(m)}")
 
     leading = {}
-    bad = None
     for m in window:
         img = lens_from_abstract(LensElement(N, {m: ONE}))
         if m.core == CORE_BPRIME and m.k == 0:
             lead = min(im for im, _ in img.terms() if im.k == 0)
         else:
             lead = _single_term(img)[0]
-        if lead in leading and bad is None:
-            bad = f"{lens_mono_str(m)} and {lens_mono_str(leading[lead])} share leading support"
+        if lead in leading:
+            failures.fail(
+                "iso:independence",
+                f"{lens_mono_str(m)} and {lens_mono_str(leading[lead])} share leading support",
+            )
         leading[lead] = m
-    entries.append(check("iso:independence", "thm:basis", bad is None, bad or ""))
 
-    bad = None
     count = 0
     for _ in range(samples):
         picks = []
@@ -520,16 +498,15 @@ def basis_window_check(
         t1, t2 = picks
         x = lens_from_abstract(t1) * lens_from_abstract(t2)
         if not x.is_invariant(N):
-            bad = bad or f"product of images left the invariant subalgebra"
+            failures.fail("iso:homomorphism", "product of images left the invariant subalgebra")
             continue
         t12 = lens_to_abstract(x, N)
         if lens_from_abstract(t12) != x:
-            bad = bad or "inverse failed on a product"
+            failures.fail("iso:homomorphism", "inverse failed on a product")
             continue
         count += 1
-    # a check that inspected no product is not a pass; a pass keeps its count
-    status = PASS if bad is None and count else FAIL
-    entries.append(
-        CheckEntry("iso:homomorphism", status, bad or f"{count} product spot checks", "thm:basis")
-    )
-    return entries
+    return [
+        failures.entry("iso:roundtrip", "thm:basis"),
+        failures.entry("iso:independence", "thm:basis"),
+        failures.entry("iso:homomorphism", "thm:basis", count, "product spot checks"),
+    ]

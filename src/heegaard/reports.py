@@ -2,8 +2,10 @@
 containers with deterministic JSON emission.
 
 Every verifier builds its entries here: ``check`` for a pass/fail
-verdict, ``check_zero`` for a residual that must vanish, and ``known``
-for a printed-formula cross-check whose discrepancy is on record.
+verdict, ``check_zero`` for a residual that must vanish, ``known`` for a
+printed-formula cross-check whose discrepancy is on record, ``FirstFailures``
+for a check run over a window or a sample, and ``computed`` for a value
+a command reports.
 
 The JSON payload is a pure function of the command, seed and check
 results (entries sorted by id, keys sorted, fixed separators), so two
@@ -52,6 +54,28 @@ def known(cid: str, tag: str, residual, recorded) -> CheckEntry:
     discrepancy that vanishes (the formula holds there) is a pass."""
     status = FAIL if residual != recorded else KNOWN if recorded else PASS
     return CheckEntry(cid, status, str(residual), tag)
+
+
+def computed(cid: str, value) -> CheckEntry:
+    """A value a command computed, on record as a pass that carries it printed."""
+    return CheckEntry(cid, PASS, str(value), "")
+
+
+class FirstFailures(Dict[str, str]):
+    """The verdicts of checks run over windows and samples, by check id: an
+    id keeps the first failure noted for it, and an id with none passes."""
+
+    def fail(self, cid: str, message: str) -> None:
+        self.setdefault(cid, message)
+
+    def entry(self, cid: str, tag: str, count: int | None = None, unit: str = "") -> CheckEntry:
+        """The check's entry.  With a ``count`` of inspected cases, a check
+        that inspected none fails, and a pass carries ``"<count> <unit>"``."""
+        first = self.get(cid)
+        if count is None:
+            return check(cid, tag, first is None, first or "")
+        ok = first is None and count > 0
+        return CheckEntry(cid, PASS if ok else FAIL, first or f"{count} {unit}", tag)
 
 
 @dataclass

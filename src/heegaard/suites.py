@@ -26,6 +26,7 @@ from .qalgebras import (
     CORE_A,
     CORE_B,
     DISC,
+    DISC_INV,
     SPHERE,
     SPHERE0,
     DiscElement,
@@ -69,19 +70,29 @@ from .ktheory import (
     matrix_rank,
     smith_normal_form,
 )
-from .reports import CheckEntry, Report, check, check_zero, known
+from .reports import CheckEntry, FirstFailures, Report, check, check_zero, known
 from .rng import DEFAULT_SEED, SplitMix64, random_coefficient, random_sphere_element, random_sphere_monomial
+
+
+# each suite's own sizes, used for the options left at ``None``; sconn and
+# idem check the lens types 1 to ``nmax`` (idem from 2) when none are given
+SUITE_DEFAULTS = {
+    "lens": {"window": 6, "lens_types": (1, 2, 3, 5, 7)},
+    "iso": {"window": 3, "lens_types": (3,), "samples": 500},
+    "sphere": {"samples": 1000},
+    "units": {"samples": 1000},
+    "ktheory": {"samples": 1000},
+    "prolong": {"lens_types": (2, 3), "samples": 300},
+    "bass": {"lens_types": (1, 2, 3, 5)},
+}
 
 
 @dataclass
 class SuiteOptions:
-    """Sizes of the suites.  ``window``, ``lens_types`` and ``samples`` left
-    at ``None`` give each suite its own default (window: lens 6, iso 3; lens
-    types: lens 1, 2, 3, 5, 7, iso 3, prolong 2, 3, bass 1, 2, 3, 5, sconn
-    1 to ``nmax``, idem 2 to ``nmax``, and idem skips given types below 2;
-    samples: sphere, units and ktheory 1000, iso 500, prolong 300).
-    ``samples`` = k checks k sphere triples, k ktheory matrices and
-    ceil(k/2) pairs per sampled units loop."""
+    """Sizes of the suites; ``window``, ``lens_types`` and ``samples`` left
+    at ``None`` take each suite's own size from ``SUITE_DEFAULTS``, and idem
+    skips given types below 2.  ``samples`` = k checks k sphere triples, k
+    ktheory matrices and ceil(k/2) pairs per sampled units loop."""
 
     seed: int = DEFAULT_SEED
     window: int | None = None
@@ -90,10 +101,10 @@ class SuiteOptions:
     samples: int | None = None
     kmax: int = 50
 
-
-def _given(value, default):
-    """An option's value when it was given, else the suite's own default."""
-    return default if value is None else value
+    def size(self, suite: str, name: str):
+        """The option ``name`` when it was given, else ``suite``'s own size."""
+        value = getattr(self, name)
+        return SUITE_DEFAULTS[suite][name] if value is None else value
 
 
 def _suffixed(entries: List[CheckEntry], suffix: str) -> List[CheckEntry]:
@@ -116,60 +127,57 @@ def _raises(thunk) -> bool:
 
 
 def suite_qidentities(opts: SuiteOptions) -> List[CheckEntry]:
-    entries: List[CheckEntry] = []
+    failures = FirstFailures()
     for var in ("p", "q"):
-        ok = True
         for n in range(1, 21):
             for m in range(1, n + 1):
                 lhs = qbinomial(n + 1, m, var)
                 rhs = qbinomial(n, m, var) + var_pow(var, n + 1 - m) * qbinomial(n, m - 1, var)
                 if lhs != rhs:
-                    ok = False
-        entries.append(check(f"pascal[{var}]", "pchrec", ok, "recursion mismatch"))
+                    failures.fail(f"pascal[{var}]", "recursion mismatch")
+    entries = [failures.entry(f"pascal[{var}]", "pchrec") for var in ("p", "q")]
 
     from .scalars import QPoly
 
     poly_one = QPoly({0: ONE})
     poly_y = QPoly({1: ONE})
-    ok_pos = ok_neg = True
     for n in range(1, 16):
         lhs = qpoly_Q(n + 1, "p")
         rhs = (poly_one - poly_y) * qpoly_rescale(qpoly_Q(n, "p"), -1) - poly_y
         if lhs != rhs:
-            ok_pos = False
+            failures.fail("recursion-positive", "mismatch")
         lhs = qpoly_Q(-(n + 1), "p")
         rhs = (poly_one - poly_y * p_pow(1)) * qpoly_rescale(qpoly_Q(-n, "p"), 1) - poly_y * p_pow(1)
         if lhs != rhs:
-            ok_neg = False
-    entries.append(check("recursion-positive", "qdefrec", ok_pos, "mismatch"))
-    entries.append(check("recursion-negative", "qminrec", ok_neg, "mismatch"))
+            failures.fail("recursion-negative", "mismatch")
 
-    ok = True
     for m in range(1, 13):
         for n in range(1, 13):
             lhs = qpoly_Q(m + n, "p")
             qm = qpoly_Q(m, "p")
             rhs = (poly_one + qm) * qpoly_rescale(qpoly_Q(n, "p"), -m) + qm
             if lhs != rhs:
-                ok = False
-    entries.append(check("composition", "qmneq", ok, "mismatch"))
+                failures.fail("composition", "mismatch")
 
-    ok = True
     for mu in range(-12, 13):
-        vanishes = qpoly_Qpair(mu, -mu, "p").is_zero()
-        if vanishes != (mu == 0):
-            ok = False
-    entries.append(check("pair-zero-iff", "qmndef", ok, "mismatch"))
+        if qpoly_Qpair(mu, -mu, "p").is_zero() != (mu == 0):
+            failures.fail("pair-zero-iff", "mismatch")
 
-    ok = True
     for mu in range(-12, 13):
         poly = qpoly_Q(mu, "p")
         if mu == 0:
-            ok = ok and poly.is_zero()
+            holds = poly.is_zero()
         else:
-            ok = ok and poly.degree() == abs(mu) and poly.constant_term().is_zero()
-    entries.append(check("degree-and-constant-term", "qdef", ok, "mismatch"))
-    return entries
+            holds = poly.degree() == abs(mu) and poly.constant_term().is_zero()
+        if not holds:
+            failures.fail("degree-and-constant-term", "mismatch")
+    return entries + [
+        failures.entry("recursion-positive", "qdefrec"),
+        failures.entry("recursion-negative", "qminrec"),
+        failures.entry("composition", "qmneq"),
+        failures.entry("pair-zero-iff", "qmndef"),
+        failures.entry("degree-and-constant-term", "qdef"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +188,9 @@ def suite_qidentities(opts: SuiteOptions) -> List[CheckEntry]:
 def suite_disc(opts: SuiteOptions) -> List[CheckEntry]:
     d = DISC
     x = d.x()
+    relation = x.star() * x - (x * x.star()).scale(p_pow(1)) - d.scalar(ONE - p_pow(1))
     entries = [
-        check_zero(
-            "disc-relation",
-            "disc",
-            x.star() * x - (x * x.star()).scale(p_pow(1)) - d.scalar(ONE - p_pow(1)),
-        ),
+        check_zero("disc-relation", "disc", relation),
         check_zero("X-commutation", "1mxx", _first_nonzero(
             d.X(k) * d.x(n) - (d.x(n) * d.X(k)).scale(p_pow(k * n))
             for k in range(0, 5)
@@ -193,49 +198,45 @@ def suite_disc(opts: SuiteOptions) -> List[CheckEntry]:
         ) or d.zero()),
     ]
 
-    bad = None
+    failures = FirstFailures()
     for mu in range(-10, 11):
         lhs = _stepwise_power(d, mu) * _stepwise_power(d, -mu)
-        if lhs != add_on_core(d.one(), d.X, qpoly_Q(mu, "p")) and bad is None:
-            bad = f"mu={mu}"
-    entries.append(check("power-contraction-balanced", "xxsxsx", bad is None, bad or ""))
+        if lhs != add_on_core(d.one(), d.X, qpoly_Q(mu, "p")):
+            failures.fail("power-contraction-balanced", f"mu={mu}")
 
-    bad = None
     for mu in range(-8, 9):
         for nu in range(-8, 9):
             lhs = _stepwise_power(d, mu) * _stepwise_power(d, nu)
             rhs = add_on_core(d.one(), d.X, qpoly_Qpair(mu, nu, "p")) * d.x(1).pow_signed(mu + nu)
-            if lhs != rhs and bad is None:
-                bad = f"mu={mu}, nu={nu}"
-    entries.append(check("power-contraction-general", "xxsqgen", bad is None, bad or ""))
+            if lhs != rhs:
+                failures.fail("power-contraction-general", f"mu={mu}, nu={nu}")
 
     rng = SplitMix64(opts.seed)
-    bad = None
     for _ in range(200):
         r = _random_disc_element(rng, d)
         s = _random_disc_element(rng, d)
-        if (r * s).star() != s.star() * r.star() and bad is None:
-            bad = "antihomomorphism failed"
-        if r.star().star() != r and bad is None:
-            bad = "involution failed"
-    entries.append(check("star-properties", "1mxx", bad is None, bad or ""))
+        if (r * s).star() != s.star() * r.star():
+            failures.fail("star-properties", "antihomomorphism failed")
+        if r.star().star() != r:
+            failures.fail("star-properties", "involution failed")
 
-    kx = kappa_iso(d.x())
-    entries.append(check("mirror-generator", "kappa", kx == kappa_iso(d.x())))
-    entries.append(check_zero("mirror-relation", "kappa", kappa_iso(
-        x.star() * x - (x * x.star()).scale(p_pow(1)) - d.scalar(ONE - p_pow(1))
-    )))
     rng = SplitMix64(opts.seed + 1)
-    bad = None
     for _ in range(100):
         r = _random_disc_element(rng, d)
         s = _random_disc_element(rng, d)
-        if kappa_iso(r * s) != kappa_iso(r) * kappa_iso(s) and bad is None:
-            bad = "multiplicativity failed"
-        if kappa_iso(r.star()) != kappa_iso(r).star() and bad is None:
-            bad = "star-compatibility failed"
-    entries.append(check("mirror-homomorphism", "kappa", bad is None, bad or ""))
-    return entries
+        if kappa_iso(r * s) != kappa_iso(r) * kappa_iso(s):
+            failures.fail("mirror-homomorphism", "multiplicativity failed")
+        if kappa_iso(r.star()) != kappa_iso(r).star():
+            failures.fail("mirror-homomorphism", "star-compatibility failed")
+    return entries + [
+        failures.entry("power-contraction-balanced", "xxsxsx"),
+        failures.entry("power-contraction-general", "xxsqgen"),
+        failures.entry("star-properties", "1mxx"),
+        # the mirror map sends x to the adjoint generator of the inverse-parameter disc
+        check("mirror-generator", "kappa", kappa_iso(x) == DISC_INV.x().star()),
+        check_zero("mirror-relation", "kappa", kappa_iso(relation)),
+        failures.entry("mirror-homomorphism", "kappa"),
+    ]
 
 
 def _first_nonzero(iterable):
@@ -276,50 +277,47 @@ def suite_sphere(opts: SuiteOptions) -> List[CheckEntry]:
             "core:Aa", "core:Ab", "core:Ba", "core:Bb", "core:Astar", "core:Bstar",
         )
     ]
-    bad = None
+    failures = FirstFailures()
     for n in range(1, 13):
         res = relation_residual("aaminus", n=n)
-        if not res.is_zero() and bad is None:
-            bad = f"n={n}: {res}"
-    entries.append(check("adjoint-power-commutator", "aaminus", bad is None, bad or ""))
+        if not res.is_zero():
+            failures.fail("adjoint-power-commutator", f"n={n}: {res}")
+    entries.append(failures.entry("adjoint-power-commutator", "aaminus"))
     for pair in ("ab", "abstar"):
-        bad = None
         for mu in range(-6, 7):
             res = relation_residual(f"chlemma:{pair}", mu=mu)
-            if not res.is_zero() and bad is None:
-                bad = f"mu={mu}: {res}"
-        entries.append(check(f"phase-power[{pair}]", "chlemma", bad is None, bad or ""))
+            if not res.is_zero():
+                failures.fail(f"phase-power[{pair}]", f"mu={mu}: {res}")
+        entries.append(failures.entry(f"phase-power[{pair}]", "chlemma"))
 
     rng = SplitMix64(opts.seed)
-    bad_assoc = bad_star = bad_grade = bad_closure = None
-    n_triples = _given(opts.samples, 1000)
-    for _ in range(n_triples):
+    for _ in range(opts.size("sphere", "samples")):
         r = random_sphere_element(rng, SPHERE, terms=1, kmax=4, emax=5)
         s = random_sphere_element(rng, SPHERE, terms=1, kmax=4, emax=5)
         t = random_sphere_element(rng, SPHERE, terms=1, kmax=4, emax=5)
-        if (r * s) * t != r * (s * t) and bad_assoc is None:
-            bad_assoc = f"{r} | {s} | {t}"
-        if (r * s).star() != s.star() * r.star() and bad_star is None:
-            bad_star = f"{r} | {s}"
-        if r.star().star() != r and bad_star is None:
-            bad_star = str(r)
+        if (r * s) * t != r * (s * t):
+            failures.fail("associativity", f"{r} | {s} | {t}")
+        if (r * s).star() != s.star() * r.star():
+            failures.fail("star-antihomomorphism", f"{r} | {s}")
+        if r.star().star() != r:
+            failures.fail("star-antihomomorphism", str(r))
         prod = r * s
         minkowski = {
             dr + ds for dr in r.degree_support() for ds in s.degree_support()
         }
-        if not prod.degree_support() <= minkowski and bad_grade is None:
-            bad_grade = f"{r} | {s}"
-        if len(prod.degree_support()) > 1 and bad_grade is None:
-            bad_grade = f"inhomogeneous product {prod}"
+        if not prod.degree_support() <= minkowski:
+            failures.fail("grading-additivity", f"{r} | {s}")
+        if len(prod.degree_support()) > 1:
+            failures.fail("grading-additivity", f"inhomogeneous product {prod}")
         for mono, _c in prod.terms():
-            if mono.core == CORE_B and mono.k < 1 and bad_closure is None:
-                bad_closure = str(mono)
+            if mono.core == CORE_B and mono.k < 1:
+                failures.fail("normal-form-closure", str(mono))
     s0 = SPHERE0
     return entries + [
-        check("associativity", "heegard", bad_assoc is None, bad_assoc or ""),
-        check("star-antihomomorphism", "heegard", bad_star is None, bad_star or ""),
-        check("grading-additivity", "hbasis", bad_grade is None, bad_grade or ""),
-        check("normal-form-closure", "hbasis", bad_closure is None, bad_closure or ""),
+        failures.entry("associativity", "heegard"),
+        failures.entry("star-antihomomorphism", "heegard"),
+        failures.entry("grading-additivity", "hbasis"),
+        failures.entry("normal-form-closure", "hbasis"),
         # parameter-zero instance sanity
         check_zero("isometric:aa", "c*strong", s0.a().star() * s0.a() - s0.one()),
         check_zero("isometric:core-idempotent", "c*strong", s0.A() * s0.A() - s0.A()),
@@ -336,28 +334,25 @@ def suite_sphere(opts: SuiteOptions) -> List[CheckEntry]:
 
 def suite_lens(opts: SuiteOptions) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
-    for N in _given(opts.lens_types, (1, 2, 3, 5, 7)):
-        entries += _suffixed(lens_relation_suite(N, _given(opts.window, 6)), f"N={N}")
+    failures = FirstFailures()
+    for N in opts.size("lens", "lens_types"):
+        entries += _suffixed(lens_relation_suite(N, opts.size("lens", "window")), f"N={N}")
         # subspace stability under transported products
         rng = SplitMix64(opts.seed + N)
-        bad_vavb = bad_muld = None
+        annihilate, stability = f"va-vb-annihilate[N={N}]", f"va-stability[N={N}]"
         for _ in range(60):
             va = _random_lens_element(rng, N, CORE_APRIME)
             vb = _random_lens_element(rng, N, CORE_BPRIME, kmin=1)
             if (va * vb) or (vb * va):
-                if bad_vavb is None:
-                    bad_vavb = f"{va} | {vb}"
+                failures.fail(annihilate, f"{va} | {vb}")
             w = _random_lens_element(rng, N, CORE_BPRIME, kmin=0)
             prod = va * w
             prod2 = w * va
             for p_ in (prod, prod2):
                 a_part, v0, vbp = subspace_classify(p_)
-                if (v0 or vbp) and bad_muld is None:
-                    bad_muld = f"{va} | {w} -> {p_}"
-        entries += [
-            check(f"va-vb-annihilate[N={N}]", "thm:basis", bad_vavb is None, bad_vavb or ""),
-            check(f"va-stability[N={N}]", "muldlem", bad_muld is None, bad_muld or ""),
-        ]
+                if v0 or vbp:
+                    failures.fail(stability, f"{va} | {w} -> {p_}")
+        entries += [failures.entry(annihilate, "thm:basis"), failures.entry(stability, "muldlem")]
     return entries
 
 
@@ -371,10 +366,10 @@ def _random_lens_element(rng: SplitMix64, N: int, core: int, kmin: int | None = 
 
 
 def suite_iso(opts: SuiteOptions) -> List[CheckEntry]:
-    window, samples = _given(opts.window, 3), _given(opts.samples, 500)
+    window, samples = opts.size("iso", "window"), opts.size("iso", "samples")
     return [
         e
-        for N in _given(opts.lens_types, (3,))
+        for N in opts.size("iso", "lens_types")
         for e in _suffixed(
             basis_window_check(N, window, samples=samples, seed=opts.seed), f"N={N},window={window}"
         )
@@ -387,50 +382,43 @@ def suite_iso(opts: SuiteOptions) -> List[CheckEntry]:
 
 
 def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
-    entries: List[CheckEntry] = []
     s = SPHERE
     rng = SplitMix64(opts.seed)
     # half the samples per sampled loop, rounded up so one sample checks one pair
-    n_pairs = (_given(opts.samples, 1000) + 1) // 2
+    n_pairs = (opts.size("units", "samples") + 1) // 2
+    failures = FirstFailures()
 
-    bad = None
     for _ in range(200):
         r = random_sphere_element(rng, s, terms=3)
         for variant in ("X+Y1", "X1+Y"):
             left, right = subspace_split(r, variant)
-            if left + right != r and bad is None:
-                bad = f"{variant} does not re-sum"
-            if set(dict(left.terms())) & set(dict(right.terms())) and bad is None:
-                bad = f"{variant} overlaps"
-    entries.append(check("splitting-exactness", "splitprop", bad is None, bad or ""))
+            if left + right != r:
+                failures.fail("splitting-exactness", f"{variant} does not re-sum")
+            if set(dict(left.terms())) & set(dict(right.terms())):
+                failures.fail("splitting-exactness", f"{variant} overlaps")
 
-    bad = None
     for _ in range(200):
         x_elt = _random_part(rng, s, "X")
         y1 = _random_part(rng, s, "Y1")
         for prod in (x_elt * y1, y1 * x_elt):
-            if subspace_split(prod, "X+Y1")[0] and bad is None:
-                bad = f"{x_elt} | {y1}"
+            if subspace_split(prod, "X+Y1")[0]:
+                failures.fail("multiplicative-stability", f"{x_elt} | {y1}")
         x1 = _random_part(rng, s, "X1")
         y_elt = _random_part(rng, s, "Y")
         for prod in (x1 * y_elt, y_elt * x1):
-            if subspace_split(prod, "X1+Y")[1] and bad is None:
-                bad = f"{x1} | {y_elt}"
-    entries.append(check("multiplicative-stability", "multsplit", bad is None, bad or ""))
+            if subspace_split(prod, "X1+Y")[1]:
+                failures.fail("multiplicative-stability", f"{x1} | {y_elt}")
 
-    bad = None
     for _ in range(200):
         r = random_sphere_element(rng, s, terms=3)
         if not r:
             continue
         support = {(t.mu, t.nu) for t in split_expansion(r)}
         flipped = {(-m, -n) for (m, n) in support}
-        if {(t.mu, t.nu) for t in split_expansion(r.star())} != flipped and bad is None:
-            bad = str(r)
-    entries.append(check("star-flips-support", "ordmin", bad is None, bad or ""))
+        if {(t.mu, t.nu) for t in split_expansion(r.star())} != flipped:
+            failures.fail("star-flips-support", str(r))
 
     qualifying = 0
-    bad = None
     while qualifying < n_pairs:
         r = random_sphere_element(rng, s, terms=2, kmax=3, emax=4)
         t = random_sphere_element(rng, s, terms=2, kmax=3, emax=4)
@@ -440,46 +428,46 @@ def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
                     er = deg_extreme(r, side, which)
                     et = deg_extreme(t, side, which)
                     ep = deg_extreme(r * t, side, which)
-                    if ep != (er[0] + et[0], er[1] + et[1]) and bad is None:
-                        bad = f"{side}/{which}: {r} | {t}"
+                    if ep != (er[0] + et[0], er[1] + et[1]):
+                        failures.fail("extreme-additivity", f"{side}/{which}: {r} | {t}")
         except ValueError:
             continue
         qualifying += 1
-    entries.append(check("extreme-additivity", "maxminsum", bad is None, bad or ""))
 
-    bad = None
     nonunits = 0
     while nonunits < n_pairs:
         r = random_sphere_element(rng, s, terms=rng.randint(1, 3))
         items = list(r.terms())
         if len(items) == 1 and items[0][0] == SPHERE_ONE:
             continue
-        if is_unit(r) is not None and bad is None:
-            bad = f"false unit {r}"
+        if is_unit(r) is not None:
+            failures.fail("non-units-rejected", f"false unit {r}")
         nonunits += 1
-    entries.append(check("non-units-rejected", "noninv", bad is None, bad or ""))
 
-    bad = None
     for _ in range(100):
         c = Coefficient.monomial(
             rng.choice((1, -1)), rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)
         )
         r = s.scalar(c)
         got = is_unit(r)
-        if got != c and bad is None:
-            bad = f"{c} not recognized"
-        elif got is not None:
-            inv = got.unit_inverse()
-            if not verify_inverse(r, s.scalar(inv)) and bad is None:
-                bad = f"certificate failed for {c}"
+        if got != c:
+            failures.fail("unit-scalars-certified", f"{c} not recognized")
+        elif not verify_inverse(r, s.scalar(got.unit_inverse())):
+            failures.fail("unit-scalars-certified", f"certificate failed for {c}")
     if is_unit(s.scalar(Coefficient.integer(5))) is not None:
-        bad = bad or "5 wrongly inverted"
+        failures.fail("unit-scalars-certified", "5 wrongly inverted")
     if is_unit(s.scalar(ONE - p_pow(1))) is not None:
-        bad = bad or "1-p wrongly inverted"
+        failures.fail("unit-scalars-certified", "1-p wrongly inverted")
     if is_unit(s.one() + s.A()) is not None:
-        bad = bad or "1+A wrongly inverted"
-    entries.append(check("unit-scalars-certified", "noninv", bad is None, bad or ""))
-    return entries
+        failures.fail("unit-scalars-certified", "1+A wrongly inverted")
+    return [
+        failures.entry("splitting-exactness", "splitprop"),
+        failures.entry("multiplicative-stability", "multsplit"),
+        failures.entry("star-flips-support", "ordmin"),
+        failures.entry("extreme-additivity", "maxminsum"),
+        failures.entry("non-units-rejected", "noninv"),
+        failures.entry("unit-scalars-certified", "noninv"),
+    ]
 
 
 def _random_part(rng: SplitMix64, s, family: str) -> SphereElement:
@@ -511,7 +499,7 @@ def connection_for(N: int, variant: str):
 
 def suite_sconn(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEntry]:
     entries: List[CheckEntry] = []
-    for N in _given(opts.lens_types, range(1, opts.nmax + 1)):
+    for N in range(1, opts.nmax + 1) if opts.lens_types is None else opts.lens_types:
         conn = connection_for(N, variant)
         checks = verify_strong_connection(conn)
         tag = checks[0].paper_tag  # the verifier tags by variant
@@ -532,7 +520,8 @@ def suite_sconn(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEnt
 
 
 def suite_idem(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEntry]:
-    types = [N for N in _given(opts.lens_types, range(1, opts.nmax + 1)) if N >= 2]
+    given = range(1, opts.nmax + 1) if opts.lens_types is None else opts.lens_types
+    types = [N for N in given if N >= 2]
     entries: List[CheckEntry] = []
     if not types:
         # a range that checks no type is a failure, never a vacuous pass
@@ -548,13 +537,13 @@ def suite_idem(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEntr
     for N in types:
         conn = connection_for(N, variant)
         E = associated_idempotent(conn, 1)
-        chk = idempotent_check(E, N)
         if variant == "printed_p_inverse":
             expected = (SPHERE.A() - SPHERE.A() * SPHERE.A()).scale(p_pow(-2) - ONE)
             top_left = (E * E).entries[0][0] - E.entries[0][0]
             entries.append(known(f"idem.printed:residual[N={N}]", "algstrong", top_left, expected))
             continue
         tag = "c*strong" if variant == "isometric" else "algstrong"
+        chk = idempotent_check(E, N)
         ok = chk.idempotent and chk.invariant
         entries.append(check(f"idem.{variant}[N={N}]", tag, ok, str(chk.residuals)))
         if variant != "isometric":
@@ -602,32 +591,32 @@ def suite_ktheory(opts: SuiteOptions, single_n: int | None = None) -> List[Check
         ok = (not result.ambiguous) and result.k0 == expect_k0 and result.k1 == expect_k1
         entries.append(check(f"kgroups[N={N}]", "mv", ok, f"K0={result.k0}, K1={result.k1}"))
     rng = SplitMix64(opts.seed)
-    bad = None
-    for _ in range(_given(opts.samples, 1000)):
+    failures = FirstFailures()
+    for _ in range(opts.size("ktheory", "samples")):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
         u, d, v = smith_normal_form(m)
-        if mat_mul(mat_mul(u, m), v) != d and bad is None:
-            bad = f"product mismatch on {m}"
+        if mat_mul(mat_mul(u, m), v) != d:
+            failures.fail("snf-random", f"product mismatch on {m}")
         if abs(mat_det(u)) != 1 or abs(mat_det(v)) != 1:
-            bad = bad or f"non-unimodular transform on {m}"
+            failures.fail("snf-random", f"non-unimodular transform on {m}")
         diag = [d[i][i] for i in range(min(rows, cols))]
         for i in range(len(diag) - 1):
             if diag[i] == 0 and diag[i + 1] != 0:
-                bad = bad or f"zero ordering violated on {m}"
+                failures.fail("snf-random", f"zero ordering violated on {m}")
             if diag[i] and diag[i + 1] and diag[i + 1] % diag[i] != 0:
-                bad = bad or f"chain violated on {m}"
+                failures.fail("snf-random", f"chain violated on {m}")
         if matrix_rank(m) + kernel_rank(m) != cols:
-            bad = bad or f"rank-nullity violated on {m}"
-    entries.append(check("snf-random", "mv", bad is None, bad or ""))
+            failures.fail("snf-random", f"rank-nullity violated on {m}")
+    entries.append(failures.entry("snf-random", "mv"))
     return entries
 
 
 def suite_bass(opts: SuiteOptions) -> List[CheckEntry]:
     return [
         e
-        for N in _given(opts.lens_types, (1, 2, 3, 5))
+        for N in opts.size("bass", "lens_types")
         for e in _suffixed(bass_class_report(N).entries, f"N={N}")
     ]
 
@@ -639,38 +628,40 @@ def suite_bass(opts: SuiteOptions) -> List[CheckEntry]:
 
 def suite_prolong(opts: SuiteOptions) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
-    for N in _given(opts.lens_types, (2, 3)):
+    failures = FirstFailures()
+    for N in opts.size("prolong", "lens_types"):
         rng = SplitMix64(opts.seed + N)
-        bad_rt = bad_mult = bad_inv = None
-        for _ in range(_given(opts.samples, 300)):
+        rt, mult, inv = (
+            f"prolong:{name}[N={N}]" for name in ("roundtrip", "multiplicative", "image-invariant")
+        )
+        for _ in range(opts.size("prolong", "samples")):
             mono = random_sphere_monomial(rng, kmax=3, emax=4)
             x = SphereElement(SPHERE, {mono: random_coefficient(rng)})
             m = rng.randint(-4, 4)
             h = LaurentHopfElement.generator_power(m)
             t = prolong_phi(x, h, N)
             back = prolong_phi_inv(t, N)
-            if back != ProlongElement.of(x, h) and bad_rt is None:
-                bad_rt = f"{x} (x) u^{m}"
-            if not prolong_is_invariant(t, N) and bad_inv is None:
-                bad_inv = f"{t}"
+            if back != ProlongElement.of(x, h):
+                failures.fail(rt, f"{x} (x) u^{m}")
+            if not prolong_is_invariant(t, N):
+                failures.fail(inv, f"{t}")
             # invariant-side roundtrip
             d = mono.mu + mono.nu
             minv = d + N * rng.randint(-3, 3)
             tinv = ProlongElement(SPHERE, {(mono, minv): random_coefficient(rng)})
-            if prolong_phi_map(prolong_phi_inv(tinv, N), N) != tinv and bad_rt is None:
-                bad_rt = f"invariant side {tinv}"
+            if prolong_phi_map(prolong_phi_inv(tinv, N), N) != tinv:
+                failures.fail(rt, f"invariant side {tinv}")
             mono2 = random_sphere_monomial(rng, kmax=3, emax=4)
             x2 = SphereElement(SPHERE, {mono2: random_coefficient(rng)})
             m2 = rng.randint(-4, 4)
             t1 = ProlongElement.of(x, LaurentHopfElement.generator_power(m))
             t2 = ProlongElement.of(x2, LaurentHopfElement.generator_power(m2))
             if prolong_phi_map(t1 * t2, N) != prolong_phi_map(t1, N) * prolong_phi_map(t2, N):
-                if bad_mult is None:
-                    bad_mult = f"{t1} | {t2}"
+                failures.fail(mult, f"{t1} | {t2}")
         entries += [
-            check(f"prolong:roundtrip[N={N}]", "cotnislem", bad_rt is None, bad_rt or ""),
-            check(f"prolong:multiplicative[N={N}]", "cotnislem", bad_mult is None, bad_mult or ""),
-            check(f"prolong:image-invariant[N={N}]", "alphatilde", bad_inv is None, bad_inv or ""),
+            failures.entry(rt, "cotnislem"),
+            failures.entry(mult, "cotnislem"),
+            failures.entry(inv, "alphatilde"),
         ]
     return entries
 

@@ -7,7 +7,8 @@ import pytest
 
 from heegaard.cli import main
 from heegaard.expr import ParseError, eval_normal_form, parse
-from heegaard.reports import Report, CheckEntry
+from heegaard.reports import FAIL, PASS, CheckEntry, FirstFailures, Report
+from heegaard.suites import SUITE_DEFAULTS
 
 
 def test_parse_examples():
@@ -180,6 +181,21 @@ def test_report_exit_codes():
     assert rep.exit_code() == 1
 
 
+def test_first_failures_keep_the_first_message_per_check():
+    failures = FirstFailures()
+    failures.fail("a", "first")
+    failures.fail("b", "other")
+    failures.fail("a", "second")
+    assert failures.get("a") == "first"
+    assert failures.get("c") is None
+    assert failures.entry("a", "t") == CheckEntry("a", FAIL, "first", "t")
+    assert failures.entry("c", "t") == CheckEntry("c", PASS, "0", "t")
+    # a counted check passes with its count, and fails when it inspected nothing
+    assert failures.entry("c", "t", 3, "products") == CheckEntry("c", PASS, "3 products", "t")
+    assert failures.entry("c", "t", 0, "products") == CheckEntry("c", FAIL, "0 products", "t")
+    assert failures.entry("b", "t", 3, "products") == CheckEntry("b", FAIL, "other", "t")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -327,6 +343,21 @@ def test_cli_relcheck_iso_honours_window_and_samples(tmp_path, capsys):
     capsys.readouterr()
     entries = {e["id"]: e for e in json.loads(path.read_bytes())["entries"]}
     assert entries["iso:homomorphism[N=3,window=3]"]["residual"] == "500 product spot checks"
+
+
+def test_cli_reads_suite_sizes_from_the_suites_table(monkeypatch, tmp_path, capsys):
+    # one table sets the suite defaults, the iso-check defaults and the help text
+    monkeypatch.setitem(SUITE_DEFAULTS, "iso", {"window": 1, "lens_types": (2,), "samples": 2})
+    path = tmp_path / "iso.json"
+    for argv in (["iso-check", "--N", "2"], ["relcheck", "iso"]):
+        assert main([*argv, "--json", str(path)]) == 0
+        payload = json.loads(path.read_bytes())
+        residuals = {e["id"]: e["residual"] for e in payload["entries"]}
+        assert residuals["iso:homomorphism[N=2,window=1]"] == "2 product spot checks"
+    assert "== iso-check --N 2 --window 1 " in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["relcheck", "--help"])
+    assert "iso 1" in capsys.readouterr().out
 
 
 def test_cli_prolong_honours_samples(monkeypatch, capsys):

@@ -4,11 +4,11 @@ import concurrent.futures
 import sys
 
 from heegaard.lens import CORE_APRIME, CORE_BPRIME, LensElement, LensMonomial, lens_mul
-from heegaard.qalgebras import SPHERE, SphereAlgebra
+from heegaard.qalgebras import DISC, DISC_INV, SPHERE, SphereAlgebra
 from heegaard import suites
 from heegaard.principal import TensorSquare
 from heegaard.qalgebras import CORE_A, SphereMonomial
-from heegaard.reports import FAIL, KNOWN
+from heegaard.reports import FAIL, KNOWN, CheckEntry
 from heegaard.scalars import ONE
 from heegaard.rng import SplitMix64, random_coefficient, random_sphere_element
 from heegaard.suites import SUITE_NAMES, SUITES, SuiteOptions, run_suite
@@ -55,6 +55,50 @@ def test_broken_connection_fails_with_exact_entries(monkeypatch):
     )
     assert entries["sconn.printed:left-colinearity[N=2,n=1]"] == (FAIL, "offending left degrees [2]")
     assert entries["sconn.printed:axiom1[N=2]"] == (FAIL, "a^2 b + p^-1 A - p A")
+
+
+def test_mirror_generator_checks_the_prescribed_image(monkeypatch):
+    # a mirror map that sends x to x_- instead of x_-* must fail the check
+    real = suites.kappa_iso
+    monkeypatch.setattr(suites, "kappa_iso", lambda r: DISC_INV.x() if r == DISC.x() else real(r))
+    entries = {e.id: e.status for e in suites.suite_disc(SuiteOptions())}
+    assert entries["mirror-generator"] == FAIL
+
+
+def test_sampled_failures_keep_the_first_sample_and_every_draw(monkeypatch):
+    # split_expansion loses a term, so star-flips-support fails on each of its
+    # 200 samples; is_unit passes two-term elements, so non-units-rejected fails
+    # on a sample drawn later from the same generator
+    def drop_last_term(real):
+        return lambda r: real(r)[:-1] or real(r)
+
+    def two_terms_are_units(real):
+        return lambda r: ONE if len(list(r.terms())) == 2 else real(r)
+
+    opts = SuiteOptions(seed=24195, samples=20)
+    clean = suites.suite_units(opts)
+    monkeypatch.setattr(suites, "is_unit", two_terms_are_units(suites.is_unit))
+    later_only = suites.suite_units(opts)
+    monkeypatch.setattr(suites, "split_expansion", drop_last_term(suites.split_expansion))
+    both = suites.suite_units(opts)
+    assert [e.id for e in both] == [e.id for e in clean]
+    # the failing entry carries its first failing sample
+    assert both[2] == CheckEntry(
+        "star-flips-support",
+        FAIL,
+        "p^-2*q^-2*w A^2 a b^-3 + 2*p*q^-1*w^2 B a^2 b + 2*p^-2*q^2 B^4 a b^4",
+        "ordmin",
+    )
+    # every later entry sees the same draws as without the first fault
+    assert both[:2] == clean[:2]
+    assert both[3:] == later_only[3:]
+    assert both[4] == CheckEntry(
+        "non-units-rejected",
+        FAIL,
+        "false unit -3*p^2*q^-1 A^2 a^4 b^5 + 2*p^-2*w^-1 A^4 a^-3 b^5",
+        "noninv",
+    )
+    assert later_only[:4] == clean[:4]
 
 
 def test_suite_registry_complete():
