@@ -12,14 +12,16 @@ known discrepancies as failures.
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 import time
+from functools import partial
 from typing import List, Optional
 
 from .scalars import ExponentBoundError, qpoly_Q
-from .expr import ParseError, eval_expr, parse
-from .ktheory import bass_class_report, lens_k_groups
-from .principal import verify_strong_connection
+from .expr import DIALECTS, ParseError, eval_expr, parse
+from .ktheory import lens_k_groups
+from .principal import CONNECTION_VARIANTS, verify_strong_connection
 from .units import is_unit
 from .reports import Report, computed
 from .rng import DEFAULT_SEED
@@ -70,27 +72,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_cmd(name, help_):
-        return sub.add_parser(name, help=help_, parents=[common])
+    def add_cmd(name, help_, run):
+        c = sub.add_parser(name, help=help_, parents=[common])
+        c.set_defaults(run=run)
+        return c
 
-    def add_expr_cmd(name, help_, nargs=1):
-        c = add_cmd(name, help_)
+    def add_expr_cmd(name, help_, combine, nargs=1):
+        c = add_cmd(name, help_, _expression(combine))
         c.add_argument("expr", nargs=nargs)
-        c.add_argument("--dialect", choices=("disc", "sphere", "lens", "prolong"), default="sphere")
+        c.add_argument("--dialect", choices=tuple(DIALECTS), default="sphere")
         c.add_argument("--N", type=_at_least(1), default=None, help="lens type (lens dialect)")
         return c
 
-    add_expr_cmd("nf", "normal form of an expression")
-    add_expr_cmd("mul", "normal form of a product of two expressions", nargs=2)
-    add_expr_cmd("star", "normal form of the adjoint")
-    c = add_cmd("deg", "degree support of a sphere expression")
+    def add_type_cmd(name, help_, suite, label_tail=""):
+        # a suite on the one lens type --N, reported as "<name> --N <N><label_tail>"
+        c = add_cmd(name, help_, _on_lens_type(suite, name + " --N {N}" + label_tail))
+        c.add_argument("--N", type=_at_least(1), required=True)
+        return c
+
+    add_expr_cmd("nf", "normal form of an expression", lambda x: x)
+    add_expr_cmd("mul", "normal form of a product of two expressions", operator.mul, nargs=2)
+    add_expr_cmd("star", "normal form of the adjoint", lambda x: x.star())
+    c = add_cmd("deg", "degree support of a sphere expression", _deg)
     c.add_argument("expr")
 
-    c = add_cmd("qpoly", "print a contraction polynomial")
+    c = add_cmd("qpoly", "print a contraction polynomial", _qpoly)
     c.add_argument("MU", type=int)
     c.add_argument("--var", choices=("p", "q"), default="p")
 
-    c = add_cmd("relcheck", "run a verification suite")
+    c = add_cmd("relcheck", "run a verification suite", _relcheck)
     c.add_argument("suite", choices=SUITE_NAMES)
     c.add_argument("--window", type=_at_least(1), default=None, help=_own_sizes("window"))
     c.add_argument(
@@ -115,50 +125,146 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--max", type=_at_least(1), default=50, help="largest K-theory type")
 
-    c = add_cmd("iso-check", "basis-isomorphism window certificate")
-    c.add_argument("--N", type=_at_least(1), required=True)
+    c = add_type_cmd(
+        "iso-check", "basis-isomorphism window certificate", suites.suite_iso, " --window {window}"
+    )
     c.add_argument("--window", type=_at_least(1), default=SUITE_DEFAULTS["iso"]["window"])
     c.add_argument("--samples", type=_at_least(1), default=SUITE_DEFAULTS["iso"]["samples"])
 
-    c = add_cmd("unit-check", "decide invertibility of a sphere expression")
+    c = add_cmd("unit-check", "decide invertibility of a sphere expression", _unit_check)
     c.add_argument("expr")
 
-    c = add_cmd("sconn", "strong-connection axiom report")
-    c.add_argument("--N", type=_at_least(1), required=True)
-    c.add_argument(
-        "--variant",
-        choices=("corrected", "printed", "isometric"),
-        default="corrected",
-    )
+    for name, help_, least, suite, payload in (
+        ("sconn", "strong-connection axiom report", 1, suites.suite_sconn, lambda conn: {
+            "axioms": {e.id: e.residual for e in verify_strong_connection(conn)}
+        }),
+        ("idem", "associated idempotent report", 2, suites.suite_idem, None),
+    ):
+        c = add_cmd(name, help_, _variant_report(suite, payload))
+        c.add_argument("--N", type=_at_least(least), required=True)
+        c.add_argument("--variant", choices=tuple(_VARIANT_BY_SPELLING), default="corrected")
 
-    c = add_cmd("idem", "associated idempotent report")
-    c.add_argument("--N", type=_at_least(2), required=True)
-    c.add_argument(
-        "--variant",
-        choices=("corrected", "printed", "isometric"),
-        default="corrected",
-    )
-
-    c = add_cmd("ktheory", "K-groups of the lens pullback")
+    c = add_cmd("ktheory", "K-groups of the lens pullback", _ktheory)
     g = c.add_mutually_exclusive_group()
     g.add_argument("--N", type=_at_least(1), default=None)
     g.add_argument("--max", type=_at_least(1), default=50)
 
-    c = add_cmd("bass", "connecting-homomorphism class report")
-    c.add_argument("--N", type=_at_least(1), required=True)
-
-    c = add_cmd("prolong-check", "prolongation isomorphism checks")
-    c.add_argument("--N", type=_at_least(1), required=True)
+    bass = partial(suites.suite_bass, show=_show_bass)
+    add_type_cmd("bass", "connecting-homomorphism class report", bass)
+    c = add_type_cmd("prolong-check", "prolongation isomorphism checks", suites.suite_prolong)
     c.add_argument("--samples", type=_at_least(1), default=SUITE_DEFAULTS["prolong"]["samples"])
     return p
 
 
-def _finish(report: Report, args) -> int:
-    print(report.render_text())
+# -- command handlers: each takes the parsed arguments and returns the exit code
+
+
+def _report(args, command: str, entries, extra=None) -> Report:
+    return Report(command, args.seed, entries, time.monotonic() - args.started, extra or {})
+
+
+def _finish(report: Report, args, show: bool = True) -> int:
+    """Print the report (when ``show``) and write its JSON (when asked); its exit code."""
+    if show:
+        print(report.render_text())
     if args.json:
         with open(args.json, "wb") as fh:
             fh.write(report.to_json_bytes())
     return report.exit_code(strict=args.strict)
+
+
+def _expression(combine):
+    """Evaluate the expressions in their dialect and print ``combine`` of them."""
+
+    def run(args):
+        out = combine(*(eval_expr(parse(e, args.dialect), args.dialect, args.N) for e in args.expr))
+        print(out)
+        return _finish(_report(args, args.command, [computed(args.command, out)]), args, show=False)
+
+    return run
+
+
+def _deg(args):
+    support = sorted(eval_expr(parse(args.expr, "sphere"), "sphere").degree_support())
+    print("{" + ", ".join(str(d) for d in support) + "}")
+    return 0
+
+
+def _qpoly(args):
+    print(qpoly_Q(args.MU, args.var))
+    return 0
+
+
+def _unit_check(args):
+    c = is_unit(eval_expr(parse(args.expr, "sphere"), "sphere"))
+    print("non-unit" if c is None else f"unit: {c} (inverse {c.unit_inverse()})")
+    return 0
+
+
+def _relcheck(args):
+    types = tuple(args.types) if args.types else None
+    opts = SuiteOptions(
+        seed=args.seed, window=args.window, lens_types=types, nmax=args.nmax,
+        samples=args.samples, kmax=args.max,
+    )
+    return _finish(run_suite(args.suite, opts), args)
+
+
+def _on_lens_type(suite, label: str):
+    """Run ``suite`` on the lens type --N alone, with the command's --window
+    and --samples, and report it under ``label`` filled from the arguments."""
+
+    def run(args):
+        window, samples = getattr(args, "window", None), getattr(args, "samples", None)
+        opts = SuiteOptions(seed=args.seed, window=window, samples=samples, lens_types=(args.N,))
+        return _finish(_report(args, label.format_map(vars(args)), suite(opts)), args)
+
+    return run
+
+
+def _show_bass(rep) -> None:
+    """The connecting idempotent a bass report built, or why it was not built."""
+    head = f"connecting idempotent for the canonical class (type N={rep.N})"
+    if rep.idempotent_matrix is None:
+        print(f"{head} not built: {rep.not_built}")
+        return
+    print(f"{head}:")
+    for row in rep.idempotent_matrix:
+        print("  [" + ", ".join(str(e) for e in row) + "]")
+    print(f"block identity verified: {rep.matrix_identity}")
+    print(f"class order (from the torsion of K0): {rep.torsion_order}")
+
+
+# the connection variants by their --variant spelling
+_VARIANT_BY_SPELLING = {v.cli: v for v in CONNECTION_VARIANTS.values()}
+
+
+def _variant_report(suite, payload=None):
+    """Run ``suite`` for one connection variant on the types up to --N; with
+    --json, ``payload`` adds keys computed from the connection of type N."""
+
+    def run(args):
+        variant = _VARIANT_BY_SPELLING[args.variant]
+        entries = suite(SuiteOptions(seed=args.seed, nmax=args.N), variant.name)
+        extra = payload(variant.build(args.N)) if payload and args.json else None
+        command = f"{args.command} --N {args.N} --variant {args.variant}"
+        return _finish(_report(args, command, entries, extra), args)
+
+    return run
+
+
+def _ktheory(args):
+    groups = []
+    for N in [args.N] if args.N is not None else range(1, args.max + 1):
+        res = lens_k_groups(N)
+        parts = (("K0", res.k0), ("K1", res.k1))
+        print(f"N={N}: " + ", ".join(
+            f"{k} = {g} (torsion {list(g.torsion)}, rank {g.free_rank})" for k, g in parts
+        ))
+        torsion_rank = {k: {"torsion": list(g.torsion), "rank": g.free_rank} for k, g in parts}
+        groups.append({"N": N, **torsion_rank})
+    entries = suites.suite_ktheory(SuiteOptions(seed=args.seed, kmax=args.max), single_n=args.N)
+    return _finish(_report(args, "ktheory", entries, {"groups": groups}), args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -167,110 +273,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name, fallback in (("seed", DEFAULT_SEED), ("json", None), ("strict", False)):
         if not hasattr(args, name):
             setattr(args, name, fallback)
-    t0 = time.monotonic()
-
-    def mkreport(command: str, entries) -> Report:
-        return Report(command=command, seed=args.seed, entries=entries, elapsed=time.monotonic() - t0)
-
+    if getattr(args, "dialect", None) == "lens" and args.N is None:
+        parser.error("the lens dialect needs --N")
+    args.started = time.monotonic()
     try:
-        if args.command in ("nf", "mul", "star"):
-            if args.dialect == "lens" and args.N is None:
-                parser.error("the lens dialect needs --N")
-            exprs = args.expr if isinstance(args.expr, list) else [args.expr]
-            vals = [eval_expr(parse(e, args.dialect), args.dialect, args.N) for e in exprs]
-            if args.command == "mul":
-                out = vals[0] * vals[1]
-            elif args.command == "star":
-                out = vals[0].star()
-            else:
-                out = vals[0]
-            print(out)
-            if args.json:
-                rep = mkreport(args.command, [computed(args.command, out)])
-                with open(args.json, "wb") as fh:
-                    fh.write(rep.to_json_bytes())
-            return 0
-        if args.command == "deg":
-            val = eval_expr(parse(args.expr, "sphere"), "sphere")
-            support = sorted(val.degree_support())
-            print("{" + ", ".join(str(d) for d in support) + "}")
-            return 0
-        if args.command == "qpoly":
-            print(qpoly_Q(args.MU, args.var))
-            return 0
-        if args.command == "unit-check":
-            val = eval_expr(parse(args.expr, "sphere"), "sphere")
-            c = is_unit(val)
-            if c is None:
-                print("non-unit")
-                return 0
-            print(f"unit: {c} (inverse {c.unit_inverse()})")
-            return 0
-        if args.command == "relcheck":
-            opts = SuiteOptions(
-                seed=args.seed,
-                window=args.window,
-                lens_types=tuple(args.types) if args.types else None,
-                nmax=args.nmax,
-                samples=args.samples,
-                kmax=args.max,
-            )
-            report = run_suite(args.suite, opts)
-            return _finish(report, args)
-        if args.command == "iso-check":
-            opts = SuiteOptions(
-                seed=args.seed, window=args.window, samples=args.samples, lens_types=(args.N,)
-            )
-            entries = suites.suite_iso(opts)
-            return _finish(mkreport(f"iso-check --N {args.N} --window {args.window}", entries), args)
-        if args.command == "sconn":
-            variant = {"printed": "printed_p_inverse"}.get(args.variant, args.variant)
-            opts = SuiteOptions(seed=args.seed, nmax=args.N)
-            entries = suites.suite_sconn(opts, variant)
-            report = mkreport(f"sconn --N {args.N} --variant {args.variant}", entries)
-            if args.json:
-                conn = suites.connection_for(args.N, variant)
-                report.extra["axioms"] = {e.id: e.residual for e in verify_strong_connection(conn)}
-            return _finish(report, args)
-        if args.command == "idem":
-            variant = {"printed": "printed_p_inverse"}.get(args.variant, args.variant)
-            opts = SuiteOptions(seed=args.seed, nmax=args.N)
-            entries = suites.suite_idem(opts, variant)
-            return _finish(mkreport(f"idem --N {args.N} --variant {args.variant}", entries), args)
-        if args.command == "ktheory":
-            opts = SuiteOptions(seed=args.seed, kmax=args.max)
-            types = [args.N] if args.N is not None else list(range(1, args.max + 1))
-            groups = []
-            for N in types:
-                res = lens_k_groups(N)
-                print(
-                    f"N={N}: K0 = {res.k0} (torsion {list(res.k0.torsion)}, rank {res.k0.free_rank}), "
-                    f"K1 = {res.k1} (torsion {list(res.k1.torsion)}, rank {res.k1.free_rank})"
-                )
-                groups.append(
-                    {
-                        "N": N,
-                        "K0": {"torsion": list(res.k0.torsion), "rank": res.k0.free_rank},
-                        "K1": {"torsion": list(res.k1.torsion), "rank": res.k1.free_rank},
-                    }
-                )
-            report = mkreport("ktheory", suites.suite_ktheory(opts, single_n=args.N))
-            report.extra["groups"] = groups
-            return _finish(report, args)
-        if args.command == "bass":
-            rep = bass_class_report(args.N)
-            print(f"connecting idempotent for the canonical class (type N={args.N}):")
-            for row in rep.idempotent_matrix:
-                print("  [" + ", ".join(str(e) for e in row) + "]")
-            print(f"block identity verified: {rep.matrix_identity}")
-            print(f"class order (from the torsion of K0): {rep.torsion_order}")
-            opts = SuiteOptions(seed=args.seed, lens_types=(args.N,))
-            entries = suites.suite_bass(opts)
-            return _finish(mkreport(f"bass --N {args.N}", entries), args)
-        if args.command == "prolong-check":
-            opts = SuiteOptions(seed=args.seed, samples=args.samples, lens_types=(args.N,))
-            entries = suites.suite_prolong(opts)
-            return _finish(mkreport(f"prolong-check --N {args.N}", entries), args)
+        return args.run(args)
     except (ParseError, ExponentBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -282,8 +289,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # preimage) failed: report it, not a traceback
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 1
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

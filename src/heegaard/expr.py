@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Tuple, Union
 
 from .scalars import Coefficient, ONE, p_pow, q_pow, w_pow
 from .qalgebras import DISC, SPHERE
-from .lens import lens_gen, lens_one
+from .lens import LENS_GENERATORS, lens_gen, lens_one
 from .principal import LaurentHopfElement, ProlongElement, SPHERE_ONE
 
 
@@ -44,14 +44,7 @@ class Expr:
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]+'?)|(?P<sym>[-+*^]))")
 
-DIALECT_ATOMS = {
-    "disc": ("x", "X"),
-    "sphere": ("a", "b", "A", "B", "z"),
-    "lens": ("A'", "B'", "z'", "at'", "bt'"),
-    "prolong": ("a", "b", "A", "B", "z", "u"),
-}
-
-_COEFF_ATOMS = ("p", "q", "w")
+_COEFF_ATOMS = {"p": p_pow, "q": q_pow, "w": w_pow}
 
 
 def _tokenize(text: str):
@@ -76,9 +69,7 @@ def _tokenize(text: str):
 
 
 def parse(text: str, dialect: str) -> Expr:
-    if dialect not in DIALECT_ATOMS:
-        raise ValueError(f"unknown dialect {dialect!r}")
-    atoms = DIALECT_ATOMS[dialect]
+    atoms = _dialect(dialect).atoms
     toks = _tokenize(text)
     i = 0
 
@@ -158,74 +149,65 @@ def parse(text: str, dialect: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-class _Dialect:
-    def __init__(self, name: str, one, atom_fn):
-        self.name = name
-        self.one = one
-        self.atom_fn = atom_fn
+class Dialect(NamedTuple):
+    """An expression dialect: its unit, and each atom's power e, for the lens type N."""
+
+    one: Callable[[int | None], object]
+    atoms: Dict[str, Callable[[int, int | None], object]]
 
 
-def _scalar_atom(atom: Union[str, int], star: bool, power: int) -> Coefficient:
-    if isinstance(atom, int):
-        # the parser admits a negative power only on the literal 1
-        return ONE if power < 0 else Coefficient.integer(atom**power)
-    base = {"p": p_pow, "q": q_pow, "w": w_pow}[atom]
-    c = base(power)
-    return c.conjugate() if star else c
+def _generator_powers(alg, names) -> Dict[str, Callable[[int, int | None], object]]:
+    """Atoms that are generators of ``alg``: the atom g to the power e is g^e."""
+    return {g: (lambda e, N, g=g: getattr(alg, g)().pow_signed(e)) for g in names}
 
 
-def _make_dialects():
-    def disc_atom(name, e):
-        return DISC.x(1).pow_signed(e) if name == "x" else DISC.X(1).pow_signed(e)
+_SPHERE_ATOMS = _generator_powers(SPHERE, ("a", "b", "A", "B", "z"))
+_CIRCLE_ONE = LaurentHopfElement.generator_power(0)
 
-    def sphere_atom(name, e):
-        gen = {
-            "a": SPHERE.a(),
-            "b": SPHERE.b(),
-            "A": SPHERE.A(),
-            "B": SPHERE.B(),
-            "z": SPHERE.z(),
-        }[name]
-        return gen.pow_signed(e)
-
-    def prolong_atom(name, e):
-        if name == "u":
-            return ProlongElement(SPHERE, {(SPHERE_ONE, 1): ONE}).pow_signed(e)
-        x = sphere_atom(name, e)
-        return ProlongElement.of(x, LaurentHopfElement.generator_power(0))
-
-    return {
-        "disc": _Dialect("disc", lambda N: DISC.one(), lambda name, e, N: disc_atom(name, e)),
-        "sphere": _Dialect("sphere", lambda N: SPHERE.one(), lambda name, e, N: sphere_atom(name, e)),
-        "lens": _Dialect(
-            "lens",
-            lambda N: lens_one(N),
-            lambda name, e, N: lens_gen(N, name).pow_signed(e),
-        ),
-        "prolong": _Dialect("prolong", lambda N: ProlongElement(SPHERE, {(SPHERE_ONE, 0): ONE}), lambda name, e, N: prolong_atom(name, e)),
-    }
+DIALECTS: Dict[str, Dialect] = {
+    "disc": Dialect(lambda N: DISC.one(), _generator_powers(DISC, ("x", "X"))),
+    "sphere": Dialect(lambda N: SPHERE.one(), _SPHERE_ATOMS),
+    "lens": Dialect(
+        lens_one, {g: (lambda e, N, g=g: lens_gen(N, g).pow_signed(e)) for g in LENS_GENERATORS}
+    ),
+    "prolong": Dialect(
+        lambda N: ProlongElement(SPHERE, {(SPHERE_ONE, 0): ONE}),
+        {
+            **{
+                g: (lambda e, N, f=f: ProlongElement.of(f(e, N), _CIRCLE_ONE))
+                for g, f in _SPHERE_ATOMS.items()
+            },
+            "u": lambda e, N: ProlongElement(SPHERE, {(SPHERE_ONE, 1): ONE}).pow_signed(e),
+        },
+    ),
+}
 
 
-_DIALECTS = _make_dialects()
+def _dialect(name: str) -> Dialect:
+    if name not in DIALECTS:
+        raise ValueError(f"unknown dialect {name!r}")
+    return DIALECTS[name]
 
 
 def eval_expr(ast: Expr, dialect: str, N: int | None = None):
     """Evaluate to the dialect's element type in normal form."""
-    if dialect not in _DIALECTS:
-        raise ValueError(f"unknown dialect {dialect!r}")
+    d = _dialect(dialect)
     if dialect == "lens" and N is None:
         raise ValueError("the lens dialect needs the type N")
-    d = _DIALECTS[dialect]
     total = None
     for sign, factors in ast.terms:
         acc = d.one(N)
         scalar = ONE if sign > 0 else Coefficient.integer(-1)
         for f in factors:
-            if isinstance(f.atom, int) or f.atom in _COEFF_ATOMS:
-                scalar = scalar * _scalar_atom(f.atom, f.star, f.power)
+            if isinstance(f.atom, int):
+                # the parser admits a negative power only on the literal 1
+                scalar = scalar * (ONE if f.power < 0 else Coefficient.integer(f.atom**f.power))
+            elif f.atom in _COEFF_ATOMS:
+                c = _COEFF_ATOMS[f.atom](f.power)
+                scalar = scalar * (c.conjugate() if f.star else c)
             else:
                 # star binds before the power: (g*)^e = g^(-e)
-                acc = acc * d.atom_fn(f.atom, -f.power if f.star else f.power, N)
+                acc = acc * d.atoms[f.atom](-f.power if f.star else f.power, N)
         acc = acc.scale(scalar)
         total = acc if total is None else total + acc
     return total

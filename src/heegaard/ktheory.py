@@ -535,10 +535,11 @@ def bass_idempotent(
 class BassReport:
     N: int
     matrix_identity: bool
-    idempotent_matrix: PullbackMatrix
+    idempotent_matrix: PullbackMatrix | None  # None when it was not built
     valid_pullback_pair: bool
     torsion_order: int
     entries: List[CheckEntry] = field(default_factory=list)
+    not_built: str = ""  # why the idempotent was not built
 
 
 def sphere_pullback_consistency() -> List[CheckEntry]:
@@ -548,8 +549,13 @@ def sphere_pullback_consistency() -> List[CheckEntry]:
     plus = CrossedAlgebra(1, 1)
     minus = CrossedAlgebra(-1, 1)
     torus = TorusAlgebra(1)
-    a = pullback_make(plus.u(), minus.x() * minus.u(), torus)
-    b = pullback_make(plus.x() * plus.u(), minus.u(), torus)
+    cids = ("ab-phase", "abstar-phase", "a-isometry", "b-isometry", "core-product")
+    try:
+        a = pullback_make(plus.u(), minus.x() * minus.u(), torus)
+        b = pullback_make(plus.x() * plus.u(), minus.u(), torus)
+    except PullbackMismatchError as exc:
+        # the generators are no pullback pairs: every relation fails with why
+        return [check(f"pullback:{cid}", "thm:not-free", False, str(exc)) for cid in cids]
 
     def twisted(x, y, e):
         """x y - w^e y x, leg by leg."""
@@ -565,16 +571,14 @@ def sphere_pullback_consistency() -> List[CheckEntry]:
     pb = pullback_mul(b, bstar)
     gapA = PullbackElement(plus.one() - pa.plus, minus.one() - pa.minus)
     gapB = PullbackElement(plus.one() - pb.plus, minus.one() - pb.minus)
-    return [
-        check_zero(cid, "thm:not-free", res)
-        for cid, res in (
-            ("pullback:ab-phase", twisted(a, b, 2)),
-            ("pullback:abstar-phase", twisted(a, bstar, -2)),
-            ("pullback:a-isometry", PullbackElement(sa.plus - plus.one(), sa.minus - minus.one())),
-            ("pullback:b-isometry", PullbackElement(sb.plus - plus.one(), sb.minus - minus.one())),
-            ("pullback:core-product", pullback_mul(gapA, gapB)),
-        )
-    ]
+    residuals = (
+        twisted(a, b, 2),
+        twisted(a, bstar, -2),
+        PullbackElement(sa.plus - plus.one(), sa.minus - minus.one()),
+        PullbackElement(sb.plus - plus.one(), sb.minus - minus.one()),
+        pullback_mul(gapA, gapB),
+    )
+    return [check_zero(f"pullback:{cid}", "thm:not-free", res) for cid, res in zip(cids, residuals)]
 
 
 def bass_class_report(N: int) -> BassReport:
@@ -589,27 +593,26 @@ def bass_class_report(N: int) -> BassReport:
     c = [[plus.x().star()]]
     d = [[plus.x()]]
     u_mat = [[torus.Z()]]
-    p_u = bass_idempotent(c, d, u_mat, minus, torus)
+    try:
+        p_u, not_built = bass_idempotent(c, d, u_mat, minus, torus), ""
+    except (ValueError, AssertionError) as exc:
+        # a failed lifting or idempotency self-check fails the checks that read p_U
+        p_u, not_built = None, str(exc)
     xxs = plus.x() * plus.x().star()
+    # the block form, leg by leg (plus, minus)
     expected = [
-        [pullback_make(plus.one(), minus.one(), torus), pullback_make(plus.zero(), minus.zero(), torus)],
-        [
-            pullback_make(plus.zero(), minus.zero(), torus),
-            pullback_make(plus.one() - xxs, minus.zero(), torus),
-        ],
+        [(plus.one(), minus.one()), (plus.zero(), minus.zero())],
+        [(plus.zero(), minus.zero()), (plus.one() - xxs, minus.zero())],
     ]
-    matrix_identity = all(
-        p_u[i][j].plus == expected[i][j].plus and p_u[i][j].minus == expected[i][j].minus
-        for i in range(2)
-        for j in range(2)
+    matrix_identity = p_u is not None and all(
+        (p_u[i][j].plus, p_u[i][j].minus) == expected[i][j] for i in range(2) for j in range(2)
     )
     # the displayed identity: p_U = 1 - diag(0, (x x*, 1))
     try:
         pair = pullback_make(xxs, minus.one(), torus)
-        valid_pair = True
     except PullbackMismatchError:
-        valid_pair = False
         pair = None
+    valid_pair = pair is not None
     identity_holds = matrix_identity and valid_pair and (
         p_u[1][1].plus == plus.one() - pair.plus and p_u[1][1].minus == minus.one() - pair.minus
     )
@@ -617,9 +620,9 @@ def bass_class_report(N: int) -> BassReport:
     order = mv.k0.torsion[0] if mv.k0 and mv.k0.torsion else 1
     tag = "thm:not-free"
     entries = [
-        check("bass:block-matrix", tag, matrix_identity, "block mismatch"),
+        check("bass:block-matrix", tag, matrix_identity, not_built or "block mismatch"),
         check("bass:pullback-pair", tag, valid_pair),
-        check("bass:complement-identity", tag, identity_holds),
+        check("bass:complement-identity", tag, identity_holds, not_built),
         check("bass:torsion-order", tag, order == (N if N > 1 else 1), f"order {order}"),
         *sphere_pullback_consistency(),
     ]
@@ -630,4 +633,5 @@ def bass_class_report(N: int) -> BassReport:
         valid_pullback_pair=valid_pair,
         torsion_order=order,
         entries=entries,
+        not_built=not_built,
     )

@@ -10,7 +10,7 @@ with discrepancy reporting.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .scalars import (
     Coefficient,
@@ -34,6 +34,7 @@ from .qalgebras import (
     add_on_core,
 )
 from .reports import CheckEntry, FirstFailures, check_zero, known
+from .rng import DEFAULT_SEED, SplitMix64, random_coefficient
 
 CORE_APRIME = 0
 CORE_BPRIME = 1
@@ -97,24 +98,36 @@ def lens_one(N: int) -> LensElement:
     return LensElement(N, {LENS_ONE: ONE})
 
 
+class LensGenerator(NamedTuple):
+    """A lens generator: its image under f for the type N, and the basis
+    family and exponent field of its powers (none for bt')."""
+
+    image: Callable[[SphereAlgebra, int], SphereElement]
+    core: int = CORE_BPRIME
+    slot: str | None = None
+
+
+# the generators that present the lens algebra, which is universal for them
+LENS_GENERATORS: Dict[str, LensGenerator] = {
+    "A'": LensGenerator(lambda alg, N: alg.A(), CORE_APRIME, "k"),
+    "B'": LensGenerator(lambda alg, N: alg.B(), CORE_BPRIME, "k"),
+    "z'": LensGenerator(lambda alg, N: alg.z(), CORE_BPRIME, "mu"),
+    "at'": LensGenerator(lambda alg, N: alg.a(N), CORE_BPRIME, "nu"),
+    "bt'": LensGenerator(lambda alg, N: alg.b(N)),
+}
+
+
 def lens_gen(N: int, name: str, e: int = 1) -> LensElement:
     """One of A', B', z', at', bt' raised to a (possibly adjoint) power."""
-    if name == "A'":
-        if e < 1:
-            raise ValueError("A' powers must be >= 1")
-        return LensElement(N, {LensMonomial(CORE_APRIME, e, 0, 0): ONE})
-    if name == "B'":
-        if e < 1:
-            raise ValueError("B' powers must be >= 1")
-        return LensElement(N, {LensMonomial(CORE_BPRIME, e, 0, 0): ONE})
-    if name == "z'":
-        return LensElement(N, {LensMonomial(CORE_BPRIME, 0, e, 0): ONE})
-    if name == "at'":
-        return LensElement(N, {LensMonomial(CORE_BPRIME, 0, 0, e): ONE})
-    if name == "bt'":
+    gen = LENS_GENERATORS.get(name)
+    if gen is None:
+        raise ValueError(f"unknown generator {name!r}")
+    if gen.slot is None:
         # bt' alone is not a basis monomial; expand through the engine
-        return lens_to_abstract(SPHERE.b().pow_signed(N * e), N)
-    raise ValueError(f"unknown generator {name!r}")
+        return lens_to_abstract(gen.image(SPHERE, N).pow_signed(e), N)
+    if gen.slot == "k" and e < 1:
+        raise ValueError(f"{name} powers must be >= 1")
+    return LensElement(N, {LensMonomial(gen.core, 0, 0, 0)._replace(**{gen.slot: e}): ONE})
 
 
 # -- the generator map f -------------------------------------------------
@@ -125,17 +138,9 @@ _IMG_MEMO: Dict[Tuple[int, str, int], SphereElement] = {}
 def lens_generator_image(g: str, N: int, alg: SphereAlgebra = SPHERE) -> SphereElement:
     if N < 1:
         raise ValueError("N must be >= 1")
-    if g == "A'":
-        return alg.A()
-    if g == "B'":
-        return alg.B()
-    if g == "z'":
-        return alg.z()
-    if g == "at'":
-        return alg.a(N)
-    if g == "bt'":
-        return alg.b(N)
-    raise ValueError(f"unknown generator {g!r}")
+    if g not in LENS_GENERATORS:
+        raise ValueError(f"unknown generator {g!r}")
+    return LENS_GENERATORS[g].image(alg, N)
 
 
 def _image_power(g: str, e: int, N: int) -> SphereElement:
@@ -455,8 +460,6 @@ def basis_window_check(
     isomorphism onto the invariant subalgebra: exact roundtrips, disjoint
     leading supports (independence certificate), and randomized
     homomorphism spot checks."""
-    from .rng import DEFAULT_SEED, SplitMix64, random_coefficient
-
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rng = SplitMix64(DEFAULT_SEED if seed is None else seed)

@@ -10,7 +10,7 @@ ever appear, so all arithmetic stays in the Laurent coefficient ring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .scalars import (
     Coefficient,
@@ -140,11 +140,6 @@ class TensorSquare(AlgebraElement):
 
         return rule
 
-    def sandwich(self, inner: "TensorSquare") -> "TensorSquare":
-        """Left legs multiply on the left of inner's left legs; right legs
-        on the right of inner's right legs."""
-        return self * inner
-
     def legs_multiplied_by_class(self, N: int) -> Dict[int, SphereElement]:
         """Multiply the legs of each term, grouped by right-leg degree mod N."""
         acc: Dict[int, Dict[SphereMonomial, Coefficient]] = {}
@@ -180,10 +175,11 @@ def strong_connection_algebraic(N: int, coefficient_variant: str = "corrected") 
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if coefficient_variant not in ("corrected", "printed_p_inverse"):
+    variant = CONNECTION_VARIANTS.get(coefficient_variant)
+    if variant is None or variant.p_exp is None:
         raise ValueError(f"unknown variant {coefficient_variant!r}")
     alg = SPHERE
-    c = p_pow(1) if coefficient_variant == "corrected" else p_pow(-1)
+    c = p_pow(variant.p_exp)
     values = [_tensor_one(alg)]
     if N > 1:
         ell1 = TensorSquare(
@@ -195,7 +191,7 @@ def strong_connection_algebraic(N: int, coefficient_variant: str = "corrected") 
         )
         values.append(ell1)
         for _ in range(2, N):
-            values.append(ell1.sandwich(values[-1]))
+            values.append(ell1 * values[-1])
     return StrongConnection(N=N, values=values, variant=coefficient_variant)
 
 
@@ -215,12 +211,36 @@ def strong_connection_isometric(N: int) -> StrongConnection:
     return StrongConnection(N=N, values=values, variant="isometric")
 
 
+class ConnectionVariant(NamedTuple):
+    """A strong-connection variant: the name its check ids carry, its
+    ``--variant`` spelling, the paper tag of its checks, and the exponent of
+    p in its degree-one coefficient (``None`` for the parameter-zero one)."""
+
+    name: str
+    cli: str
+    tag: str
+    p_exp: int | None
+
+    def build(self, N: int) -> StrongConnection:
+        if self.p_exp is None:
+            return strong_connection_isometric(N)
+        return strong_connection_algebraic(N, self.name)
+
+
+# every variant, by the name that check ids and ``StrongConnection.variant`` carry
+CONNECTION_VARIANTS: Dict[str, ConnectionVariant] = {v.name: v for v in (
+    ConnectionVariant("corrected", "corrected", "algstrong", 1),
+    ConnectionVariant("printed_p_inverse", "printed", "algstrong", -1),
+    ConnectionVariant("isometric", "isometric", "c*strong", None),
+)}
+
+
 def verify_strong_connection(conn: StrongConnection) -> List[CheckEntry]:
     """Check unitality, the unit-return axiom and both colinearity axioms
     for every cyclic basis element; ids read ``unit-return[n=1]``."""
     alg = conn.algebra
     N = conn.N
-    tag = "c*strong" if conn.variant == "isometric" else "algstrong"
+    tag = CONNECTION_VARIANTS[conn.variant].tag
     out = [check("unitality[n=0]", tag, conn.values[0] == _tensor_one(alg), str(conn.values[0]))]
     one = alg.one()
     for n, val in enumerate(conn.values):

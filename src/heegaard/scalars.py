@@ -599,24 +599,15 @@ class LinComb:
 Base = Tuple[str, int]
 
 
-def _base_pow(base: Base, e: int) -> Coefficient:
-    var, s = base
-    return var_pow(var, s * e)
-
-
-def qint_base(n: int, base: Base) -> Coefficient:
+def qint(n: int, var: str = "p") -> Coefficient:
+    """1 + v + ... + v^(n-1); zero for n = 0."""
+    _check_var(var)
     if n < 0:
         raise ValueError("deformed integers are defined for n >= 0")
     acc = ZERO
     for m in range(n):
-        acc = acc + _base_pow(base, m)
+        acc = acc + var_pow(var, m)
     return acc
-
-
-def qint(n: int, var: str = "p") -> Coefficient:
-    """1 + v + ... + v^(n-1); zero for n = 0."""
-    _check_var(var)
-    return qint_base(n, (var, 1))
 
 
 # The deformed binomials C(n, m)_t, over the deformation unit t, packed as
@@ -779,7 +770,8 @@ class QPoly(LinComb):
 
     def rescale_base(self, base: Base, e: int) -> "QPoly":
         """Substitute Y -> base^e * Y: the degree-m coefficient gains base^(e*m)."""
-        return self._new({m: c * _base_pow(base, e * m) for m, c in self._t.items()})
+        var, s = base
+        return self._new({m: c * var_pow(var, s * e * m) for m, c in self._t.items()})
 
 
 # In the contraction layer a packed one-variable polynomial is a slot

@@ -15,6 +15,7 @@ from .scalars import (
     Coefficient,
     EvaluationError,
     ONE,
+    QPoly,
     p_pow,
     qbinomial,
     qpoly_Q,
@@ -30,6 +31,7 @@ from .qalgebras import (
     SPHERE,
     SPHERE0,
     DiscElement,
+    DiscMonomial,
     SphereElement,
     SphereMonomial,
     add_on_core,
@@ -47,17 +49,17 @@ from .lens import (
 )
 from .units import deg_extreme, is_unit, split_expansion, subspace_split, verify_inverse
 from .principal import (
+    CONNECTION_VARIANTS,
     LaurentHopfElement,
     ProlongElement,
     SPHERE_ONE,
+    SphereMatrix,
     associated_idempotent,
     idempotent_check,
     prolong_is_invariant,
     prolong_phi,
     prolong_phi_inv,
     prolong_phi_map,
-    strong_connection_algebraic,
-    strong_connection_isometric,
     verify_strong_connection,
 )
 from .ktheory import (
@@ -136,8 +138,6 @@ def suite_qidentities(opts: SuiteOptions) -> List[CheckEntry]:
                 if lhs != rhs:
                     failures.fail(f"pascal[{var}]", "recursion mismatch")
     entries = [failures.entry(f"pascal[{var}]", "pchrec") for var in ("p", "q")]
-
-    from .scalars import QPoly
 
     poly_one = QPoly({0: ONE})
     poly_y = QPoly({1: ONE})
@@ -257,8 +257,6 @@ def _stepwise_power(d, e: int) -> DiscElement:
 def _random_disc_element(rng: SplitMix64, d) -> DiscElement:
     out = d.zero()
     for _ in range(2):
-        from .qalgebras import DiscMonomial
-
         mono = DiscMonomial(rng.randint(0, 3), rng.randint(-4, 4))
         out = out + d.monomial(mono.k, mono.mu, random_coefficient(rng))
     return out
@@ -489,20 +487,13 @@ def _random_part(rng: SplitMix64, s, family: str) -> SphereElement:
 # ---------------------------------------------------------------------------
 
 
-def connection_for(N: int, variant: str):
-    """The strong connection of a suite variant: ``isometric`` at parameter
-    zero, else the generic one with that coefficient variant."""
-    if variant == "isometric":
-        return strong_connection_isometric(N)
-    return strong_connection_algebraic(N, variant)
-
-
 def suite_sconn(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEntry]:
     entries: List[CheckEntry] = []
+    connection = CONNECTION_VARIANTS[variant]
+    tag = connection.tag
     for N in range(1, opts.nmax + 1) if opts.lens_types is None else opts.lens_types:
-        conn = connection_for(N, variant)
+        conn = connection.build(N)
         checks = verify_strong_connection(conn)
-        tag = checks[0].paper_tag  # the verifier tags by variant
         if variant == "printed_p_inverse" and N >= 2:
             classes = conn.values[1].legs_multiplied_by_class(N)
             residual = classes.get(1 % N, SPHERE.zero()) - SPHERE.one()
@@ -534,15 +525,16 @@ def suite_idem(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEntr
                 f"idem[{variant},{asked}]", "algstrong", False, "no lens type checked: N starts at 2"
             )
         )
+    connection = CONNECTION_VARIANTS[variant]
+    tag = connection.tag
     for N in types:
-        conn = connection_for(N, variant)
+        conn = connection.build(N)
         E = associated_idempotent(conn, 1)
         if variant == "printed_p_inverse":
             expected = (SPHERE.A() - SPHERE.A() * SPHERE.A()).scale(p_pow(-2) - ONE)
             top_left = (E * E).entries[0][0] - E.entries[0][0]
-            entries.append(known(f"idem.printed:residual[N={N}]", "algstrong", top_left, expected))
+            entries.append(known(f"idem.printed:residual[N={N}]", tag, top_left, expected))
             continue
-        tag = "c*strong" if variant == "isometric" else "algstrong"
         chk = idempotent_check(E, N)
         ok = chk.idempotent and chk.invariant
         entries.append(check(f"idem.{variant}[N={N}]", tag, ok, str(chk.residuals)))
@@ -564,8 +556,6 @@ def suite_idem(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEntr
 
 
 def _expected_corrected_idempotent():
-    from .principal import SphereMatrix
-
     s = SPHERE
     z = s.z()
     return SphereMatrix(
@@ -613,12 +603,15 @@ def suite_ktheory(opts: SuiteOptions, single_n: int | None = None) -> List[Check
     return entries
 
 
-def suite_bass(opts: SuiteOptions) -> List[CheckEntry]:
-    return [
-        e
-        for N in opts.size("bass", "lens_types")
-        for e in _suffixed(bass_class_report(N).entries, f"N={N}")
-    ]
+def suite_bass(opts: SuiteOptions, show=lambda report: None) -> List[CheckEntry]:
+    """The connecting-idempotent report of each lens type; ``show`` sees
+    each type's report before its entries are taken."""
+    entries: List[CheckEntry] = []
+    for N in opts.size("bass", "lens_types"):
+        report = bass_class_report(N)
+        show(report)
+        entries += _suffixed(report.entries, f"N={N}")
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -671,16 +664,14 @@ def suite_prolong(opts: SuiteOptions) -> List[CheckEntry]:
 # ---------------------------------------------------------------------------
 
 
-_VARIANTS = ("corrected", "printed_p_inverse", "isometric")
-
 SUITES = {
     "qidentities": suite_qidentities,
     "disc": suite_disc,
     "sphere": suite_sphere,
     "lens": suite_lens,
     "units": suite_units,
-    "sconn": lambda opts: [e for v in _VARIANTS for e in suite_sconn(opts, v)],
-    "idem": lambda opts: [e for v in _VARIANTS for e in suite_idem(opts, v)],
+    "sconn": lambda opts: [e for v in CONNECTION_VARIANTS for e in suite_sconn(opts, v)],
+    "idem": lambda opts: [e for v in CONNECTION_VARIANTS for e in suite_idem(opts, v)],
     "ktheory": suite_ktheory,
     "bass": suite_bass,
     "prolong": suite_prolong,

@@ -1,10 +1,14 @@
 """Parser, printer, command surface, exit codes and report determinism."""
 
+import argparse
 import hashlib
 import json
+import re
+import sys
 
 import pytest
 
+from heegaard import cli, suites
 from heegaard.cli import main
 from heegaard.expr import ParseError, eval_normal_form, parse
 from heegaard.reports import FAIL, PASS, CheckEntry, FirstFailures, Report
@@ -469,3 +473,167 @@ def test_cli_literal_without_inverse_is_a_usage_error(text, pos, capsys):
 def test_literal_one_keeps_its_inverse():
     assert eval_normal_form("1^-1 a", "sphere") == "a"
     assert eval_normal_form("2^3 a*^2", "sphere") == "8 a^-2"
+
+
+def _sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "argv, json_digest, stdout_digest",
+    [
+        (["sconn", "--N", "3", "--variant", "printed"], "fa838d58efd41de6", "0cded5cb9e67fcaa"),
+        (["sconn", "--N", "3", "--variant", "isometric"], "af64605b7643cc0f", "48d9454255a78257"),
+        (["idem", "--N", "3"], "ebb970708a5f9528", "5b97ecf746aed201"),
+        (["idem", "--N", "4", "--variant", "printed"], "95fd7864bb726bd1", "11860dbbfafcf5ad"),
+        (["bass", "--N", "3"], "5ac40f7e2b5195ec", "58dde3eae2641d05"),
+        (["ktheory", "--max", "6"], "2071bf75b214934a", "65067c3b2830ad9a"),
+        (["ktheory", "--N", "5"], "b6eec7c3a0c63409", "11c4156ee3fe8cef"),
+        (["prolong-check", "--N", "2", "--samples", "20"], "7711054eeadee2a1", "2ef5a7d57ff07335"),
+        (
+            ["iso-check", "--N", "2", "--window", "1", "--samples", "5"],
+            "863476ca99c19dc2",
+            "6991d561d8657bd9",
+        ),
+    ],
+)
+def test_cli_report_commands_are_pinned(argv, json_digest, stdout_digest, tmp_path, capsys):
+    # the JSON report byte for byte, and the printed report with its elapsed time masked
+    path = tmp_path / "report.json"
+    assert main([*argv, "--json", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert _sha16(path.read_bytes()) == json_digest
+    assert _sha16(re.sub(r"\d+\.\d+s\)", "T)", out).encode()) == stdout_digest
+
+
+# nf of each atom g, of g* and of g^-2, by dialect (the lens dialect at N = 3);
+# the long bt' forms are pinned by the first 16 hex digits of their sha256
+DIALECT_ATOM_FORMS = {
+    ("disc", "x"): ("x", "x^-1", "x^-2"),
+    ("disc", "X"): ("X", "X", "X^2"),
+    ("sphere", "a"): ("a", "a^-1", "a^-2"),
+    ("sphere", "b"): ("b", "b^-1", "b^-2"),
+    ("sphere", "A"): ("A", "A", "A^2"),
+    ("sphere", "B"): ("B", "B", "B^2"),
+    ("sphere", "z"): ("a b^-1", "w^2 a^-1 b", "w^6 a^-2 b^2"),
+    ("sphere", "p"): ("p", "p", "p^-2"),
+    ("sphere", "q"): ("q", "q", "q^-2"),
+    ("sphere", "w"): ("w", "w^-1", "w^-2"),
+    ("lens", "A'"): ("A'", "A'", "A'^2"),
+    ("lens", "B'"): ("B'", "B'", "B'^2"),
+    ("lens", "z'"): ("z'", "z'^-1", "z'^-2"),
+    ("lens", "at'"): ("at'", "at'^-1", "at'^-2"),
+    ("lens", "bt'"): ("sha:ebbe2675195cbeaa", "sha:aa3fd59667d601bb", "sha:6bdee542a587c7a5"),
+    ("prolong", "a"): ("a", "a^-1", "a^-2"),
+    ("prolong", "b"): ("b", "b^-1", "b^-2"),
+    ("prolong", "A"): ("A", "A", "A^2"),
+    ("prolong", "B"): ("B", "B", "B^2"),
+    ("prolong", "z"): ("a b^-1", "w^2 a^-1 b", "w^6 a^-2 b^2"),
+    ("prolong", "u"): ("u", "u^-1", "u^-2"),
+}
+
+
+def test_every_dialect_atom_is_pinned(capsys):
+    for (dialect, atom), forms in DIALECT_ATOM_FORMS.items():
+        for text, expected in zip((atom, f"{atom}*", f"{atom}^-2"), forms):
+            argv = ["nf", text, "--dialect", dialect] + (["--N", "3"] if dialect == "lens" else [])
+            assert main(argv) == 0
+            got = capsys.readouterr().out.rstrip("\n")
+            if expected.startswith("sha:"):
+                got = "sha:" + _sha16(got.encode())
+            assert got == expected, (dialect, text)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nf", "z'"], """atom "z'" is not available in the sphere dialect (at position 0)"""),
+        (["nf", "u"], "atom 'u' is not available in the sphere dialect (at position 0)"),
+        (["nf", "x", "--dialect", "prolong"], "atom 'x' is not available in the prolong dialect (at position 0)"),
+        (["nf", "a", "--dialect", "lens", "--N", "3"], "atom 'a' is not available in the lens dialect (at position 0)"),
+        (["nf", "at'", "--dialect", "disc"], """atom "at'" is not available in the disc dialect (at position 0)"""),
+    ],
+)
+def test_atom_outside_its_dialect_is_a_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_choices_read_the_tables():
+    from heegaard.expr import DIALECTS
+    from heegaard.principal import CONNECTION_VARIANTS
+
+    # every atom of every dialect is pinned above
+    atoms = {(d, g) for d, spec in DIALECTS.items() for g in spec.atoms}
+    assert atoms | {("sphere", c) for c in "pqw"} == set(DIALECT_ATOM_FORMS)
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {
+        name: {a.dest: a.choices for a in command._actions} for name, command in sub.choices.items()
+    }
+    for name in ("nf", "mul", "star"):
+        assert choices[name]["dialect"] == tuple(DIALECTS)
+    for name in ("sconn", "idem"):
+        assert list(choices[name]["variant"]) == [v.cli for v in CONNECTION_VARIANTS.values()]
+    by_spelling = [cli._VARIANT_BY_SPELLING[c] for c in choices["sconn"]["variant"]]
+    assert by_spelling == list(CONNECTION_VARIANTS.values())
+
+
+def _count_everywhere(monkeypatch, fn):
+    """Count the calls of ``fn`` through every heegaard module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("heegaard"):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_bass_computes_its_certificate_once(monkeypatch, capsys):
+    from heegaard import ktheory
+
+    reports = _count_everywhere(monkeypatch, ktheory.bass_class_report)
+    groups = _count_everywhere(monkeypatch, ktheory.lens_k_groups)
+    assert main(["bass", "--N", "3"]) == 0
+    assert "class order (from the torsion of K0): 3" in capsys.readouterr().out
+    assert len(reports) == 1
+    assert len(groups) == 1
+
+
+def test_failed_bass_self_check_keeps_every_entry(monkeypatch, tmp_path, capsys):
+    from heegaard import ktheory
+
+    def run_all():
+        path = tmp_path / "all.json"
+        code = main(["relcheck", "all", "--samples", "2", "--json", str(path)])
+        return code, json.loads(path.read_bytes())["entries"]
+
+    clean_code, clean = run_all()
+    bass_ids = {e.id for e in suites.run_suite("bass", suites.SuiteOptions()).entries}
+    # shifted pullback phases: the lifting self-check of the connecting idempotent fails
+    real = ktheory.w_pow
+    monkeypatch.setattr(ktheory, "w_pow", lambda e: real(e + 1))
+    code, faulted = run_all()
+    assert (clean_code, code) == (0, 1)
+    assert [e["id"] for e in faulted] == [e["id"] for e in clean]
+    message = "leg projection of d does not equal the given matrix"
+    for old, new in zip(clean, faulted):
+        if old["id"] not in bass_ids:
+            assert new == old
+        elif old["id"].startswith(("bass:block-matrix", "bass:complement-identity")):
+            assert (new["status"], new["residual"]) == (FAIL, message)
+    capsys.readouterr()
+    # the bass command says the idempotent was not built, and reports every entry
+    assert main(["bass", "--N", "3"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == f"connecting idempotent for the canonical class (type N=3) not built: {message}"
+    assert lines[1] == "== bass --N 3 (seed 24195)"
+    assert lines[-1].startswith("  -- 1 passed, 8 failed, 0 known discrepancies")
+    assert captured.err == "" and "Traceback" not in captured.out

@@ -5,7 +5,7 @@ import sys
 
 from heegaard.lens import CORE_APRIME, CORE_BPRIME, LensElement, LensMonomial, lens_mul
 from heegaard.qalgebras import DISC, DISC_INV, SPHERE, SphereAlgebra
-from heegaard import suites
+from heegaard import principal, suites
 from heegaard.principal import TensorSquare
 from heegaard.qalgebras import CORE_A, SphereMonomial
 from heegaard.reports import FAIL, KNOWN, CheckEntry
@@ -38,7 +38,7 @@ def test_run_all_suites_no_failures():
 def test_broken_connection_fails_with_exact_entries(monkeypatch):
     # the degree-one value gains the leg a^2 (x) b: unit-return and left
     # colinearity break, and the printed residual moves off the recorded one
-    original = suites.strong_connection_algebraic
+    original = principal.strong_connection_algebraic
 
     def broken(N, variant="corrected"):
         conn = original(N, variant)
@@ -47,7 +47,7 @@ def test_broken_connection_fails_with_exact_entries(monkeypatch):
             conn.values[1] = conn.values[1] + TensorSquare(conn.algebra, {leg: ONE})
         return conn
 
-    monkeypatch.setattr(suites, "strong_connection_algebraic", broken)
+    monkeypatch.setattr(principal, "strong_connection_algebraic", broken)
     entries = {e.id: (e.status, e.residual) for e in run_suite("sconn", SuiteOptions(nmax=3)).entries}
     assert entries["sconn.corrected[N=2]"] == (
         FAIL,
