@@ -609,9 +609,9 @@ def bass_class_report(N: int) -> BassReport:
     )
     # the displayed identity: p_U = 1 - diag(0, (x x*, 1))
     try:
-        pair = pullback_make(xxs, minus.one(), torus)
-    except PullbackMismatchError:
-        pair = None
+        pair, pair_error = pullback_make(xxs, minus.one(), torus), ""
+    except PullbackMismatchError as exc:
+        pair, pair_error = None, str(exc)
     valid_pair = pair is not None
     identity_holds = matrix_identity and valid_pair and (
         p_u[1][1].plus == plus.one() - pair.plus and p_u[1][1].minus == minus.one() - pair.minus
@@ -621,8 +621,8 @@ def bass_class_report(N: int) -> BassReport:
     tag = "thm:not-free"
     entries = [
         check("bass:block-matrix", tag, matrix_identity, not_built or "block mismatch"),
-        check("bass:pullback-pair", tag, valid_pair),
-        check("bass:complement-identity", tag, identity_holds, not_built),
+        check("bass:pullback-pair", tag, valid_pair, pair_error),
+        check("bass:complement-identity", tag, identity_holds, not_built or pair_error or "complement mismatch"),
         check("bass:torsion-order", tag, order == (N if N > 1 else 1), f"order {order}"),
         *sphere_pullback_consistency(),
     ]

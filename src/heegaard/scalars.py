@@ -10,15 +10,14 @@ downstream.  Everything here is immutable and pure, hence thread-safe;
 the memo caches are append-only dicts guarded by the GIL, and the range of
 checked contraction polynomials grows under a lock.
 
-Both layers run on packed integers (Kronecker substitution):
-
-* a ``Coefficient`` term p^i q^j w^k is keyed by the one int
-  ``i*2^(2S) + j*2^S + k`` with balanced digits, so a monomial product is
-  an int add and key order is the lexicographic order of the triples;
-* a one-variable polynomial sum c_d t^d is the one int sum c_d 2^(W*d),
-  with a digit width W taken from a proven bound on the digits; so are
-  the two operands of a large one-variable ``Coefficient`` product, which
-  then takes one bigint multiply.
+Both layers run on packed integers (Kronecker substitution).  A term
+p^i q^j w^k is keyed by the one int ``i*2^(2S) + j*2^S + k`` with balanced
+digits, so a monomial product is an int add and key order is the order of
+the triples.  A ``Coefficient`` whose terms fill enough of their box (per
+variable a lowest exponent, a stride and a count) is one int, sum
+c 2^(W*cell) over the cells in key order, W taken from a bound on the
+digits: a monomial multiple only moves the box, a sum is one bigint add
+over a common box and a product one bigint multiply.
 """
 
 from __future__ import annotations
@@ -26,12 +25,14 @@ from __future__ import annotations
 import sys
 import threading
 from array import array
-from functools import reduce
-from itertools import repeat
-from operator import add, itemgetter, lshift, neg, or_, sub
+from itertools import compress, repeat
+from math import comb, gcd
+from operator import add, and_, floordiv, itemgetter, lshift, mod, mul, rshift, sub
 from typing import Dict, Iterator, List, Tuple
 
 Triple = Tuple[int, int, int]
+# per variable: the lowest exponent, the stride and the count of cells
+Box = Tuple[Triple, Triple, Triple]
 
 _VAR_INDEX = {"p": 0, "q": 1, "w": 2}
 
@@ -42,7 +43,8 @@ _S = 20
 _HALF = 1 << (_S - 1)
 _EMAX = _HALF - 1
 _DIGIT = (1 << _S) - 1
-_VAR_SHIFT = {"p": 2 * _S, "q": _S, "w": 0}
+# per variable, the shift of its exponent in a key
+_SHIFTS = (2 * _S, _S, 0)
 
 
 class EvaluationError(ValueError):
@@ -85,9 +87,9 @@ def _exponent_bound(*exps: int) -> int:
     return b
 
 
-def _coeff(terms: Dict[int, int], bound: int) -> "Coefficient":
-    """A Coefficient over packed keys holding no zero, every exponent of
-    every term at most ``bound`` in absolute value."""
+def _coeff(terms, bound: int) -> "Coefficient":
+    """A Coefficient over ``terms`` (a dict from keys to nonzero ints, or a
+    ``_Packed``), every exponent at most ``bound`` in absolute value."""
     out = object.__new__(Coefficient)
     out._terms = terms
     out._bound = bound
@@ -95,112 +97,296 @@ def _coeff(terms: Dict[int, int], bound: int) -> "Coefficient":
     return out
 
 
-def _product_bound(a: "Coefficient", b: "Coefficient") -> int:
-    """Exact exponent bound of a*b, for when the operands' bounds add up
-    past the limit.  Per variable, the extreme exponents of a product of
-    nonzero Laurent polynomials are the sums of the operands' extremes
-    (the leading parts multiply to a nonzero part), so this raises only
-    when a term of the product really leaves the range."""
-    if not a._terms or not b._terms:
-        return 0
-    ends = []
-    for idx in range(3):
-        ea = [_unkey(key)[idx] for key in a._terms]
-        eb = [_unkey(key)[idx] for key in b._terms]
-        ends += (min(ea) + min(eb), max(ea) + max(eb))
-    return _exponent_bound(*ends)
-
-
-_LOW2 = (1 << 2 * _S) - 1
-_WORD = (1 << 64) - 1
-# the fewest terms per operand for which the packed product beats the sparse
-# loop: its fixed cost is about that of 60 term pairs (CPython 3.11)
+# per operand, the fewest terms for which two dict values are multiplied
+# packed: that costs about as much as 60 term pairs of the sparse loop
 _KRONECKER_MIN_TERMS = 8
+# a value is packed when it has at least _PACK_MIN_TERMS terms that fill at
+# least 1/_SPREAD of their least box: below that size, dict operations are
+# the faster ones (CPython 3.11)
+_PACK_MIN_TERMS = 16
+_SPREAD = 2
 
 
-def _common_shift(a: Dict[int, int], b: Dict[int, int]) -> int:
-    """The largest of 2S, S, 0 such that 2^shift divides every key of a and
-    b: 2S when both lie in p alone, S when both lie in p and q."""
-    bits = reduce(or_, a, reduce(or_, b))
-    return 2 * _S if not bits & _LOW2 else _S if not bits & _DIGIT else 0
+def _width_for(top: int) -> int:
+    """The width in whole 64-bit words of balanced digits up to ``top``."""
+    return -(-(top.bit_length() + 1) // 64) * 64
 
 
-def _from_digits(digits: List[int], width: int) -> int:
-    """sum d_i 2^(width*i) for digits 0 <= d_i < 2^width, through an array
-    of 64-bit words."""
-    if width > 64:
-        digits = [d >> s & _WORD for d in digits for s in range(0, width, 64)]
-    words = array("Q", digits)
+def _encode(digits, width: int) -> int:
+    """sum d_i 2^(W*i) for balanced digits |d_i| < 2^(W-1), each offset by
+    2^(W-1) into W/64 words of a little-endian word array (a 64-bit digit
+    is its two's complement with the top bit flipped)."""
+    r, half = width // 64, _halves(width, len(digits))
+    if r == 1:
+        words = array("q", digits)
+    else:
+        offset = list(map(add, digits, repeat(1 << (width - 1))))
+        words = array("Q", bytes(8 * r * len(offset)))
+        for t in range(r):
+            words[t::r] = array("Q", map(and_, map(rshift, offset, repeat(64 * t)), repeat((1 << 64) - 1)))
     if sys.byteorder == "big":
         words.byteswap()
-    return int.from_bytes(words.tobytes(), "little")
+    packed = int.from_bytes(words.tobytes(), "little")
+    return (packed ^ half if r == 1 else packed) - half
 
 
-def _pack(terms: Dict[int, int], shift: int, low: int, count: int, width: int) -> int:
-    """sum c 2^(width*(e - low)) over the terms c of ``terms``, e being the
-    key divided by 2^shift, each |c| < 2^(width-1): the positive part minus
-    the negative part."""
-    pos, negs = [0] * count, [0] * count
-    for key, c in terms.items():
-        if c > 0:
-            pos[(key >> shift) - low] = c
+def _unpack(value: int, width: int, count: int):
+    """The ``count`` balanced W-bit digits of ``value``, lowest first: an
+    array of 64-bit digits, else a list."""
+    r, half = width // 64, _halves(width, count)
+    raw = ((value + half) ^ (half if r == 1 else 0)).to_bytes(8 * r * count, "little")
+    words = array("q" if r == 1 else "Q", raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    if r == 1:
+        return words
+    digits = words[0::r]  # digit d is the run of words d*r .. d*r + r - 1
+    for t in range(1, r):
+        digits = map(add, digits, map(lshift, words[t::r], repeat(64 * t)))
+    return list(map(sub, digits, repeat(1 << (width - 1))))
+
+
+def _halves(width: int, count: int) -> int:
+    """2^(W-1) in each of ``count`` W-bit digits."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * count, "little")
+
+
+def _cells(box: Box) -> int:
+    r = box[2]
+    return r[0] * r[1] * r[2]
+
+
+def _cell(t: Triple, box: Box) -> int:
+    """The cell of exponent triple ``t`` in a box holding it."""
+    (li, lj, lk), (si, sj, sk), (_, rj, rk) = box
+    return ((t[0] - li) // si * rj + (t[1] - lj) // sj) * rk + (t[2] - lk) // sk
+
+
+def _cell_keys(box: Box) -> List[int]:
+    """The keys of the cells of ``box``, in cell order (which is key order)."""
+    keys = [_key(*box[0])]
+    for s, r, shift in zip(box[1], box[2], _SHIFTS):
+        if r > 1:
+            keys = [k + o for k in keys for o in range(0, r * s << shift, s << shift)]
+    return keys
+
+
+def _box_bound(box: Box) -> int:
+    (li, lj, lk), (si, sj, sk), (ri, rj, rk) = box
+    return _exponent_bound(li, lj, lk, li + si * (ri - 1), lj + sj * (rj - 1), lk + sk * (rk - 1))
+
+
+def _box_of(keys: List[int]) -> Box:
+    """The least box holding the (nonempty) keys: per variable, the lowest
+    exponent and the gcd of the strides from it to the others.  Key order
+    is the order of the triples, so when the least and the greatest key
+    agree before variable v and all differences are multiples of 2^(v's
+    shift), only v varies, and the keys alone give its stride."""
+    lo, hi = min(keys), max(keys)
+    low, top, g = _unkey(lo), _unkey(hi), gcd(*map(sub, keys, repeat(lo)))
+    for v, shift in enumerate(_SHIFTS):
+        if low[:v] == top[:v] and not g % (1 << shift):
+            s = g >> shift or 1
+            return low, (*[1] * v, s, *[1] * (2 - v)), (*[1] * v, (top[v] - low[v]) // s + 1, *[1] * (2 - v))
+    out = []
+    for axis in _axes(keys):
+        a = min(axis)
+        s = gcd(*map(sub, axis, repeat(a))) or 1
+        out.append((a, s, (max(axis) - a) // s + 1))
+    return tuple(zip(*out))
+
+
+def _axes(keys: List[int]) -> Tuple[List[int], List[int], List[int]]:
+    """The exponents of p, of q and of w in the keys (``_unkey`` on lists)."""
+    k = list(map(sub, map(and_, map(add, keys, repeat(_HALF)), repeat(_DIGIT)), repeat(_HALF)))
+    rest = list(map(rshift, map(sub, keys, k), repeat(_S)))
+    j = list(map(sub, map(and_, map(add, rest, repeat(_HALF)), repeat(_DIGIT)), repeat(_HALF)))
+    return list(map(rshift, map(sub, rest, j), repeat(_S))), j, k
+
+
+def _cells_of(keys: List[int], box: Box):
+    """The cells of ``box`` at the keys, which it holds."""
+    if box[2].count(1) < 2:
+        i, j, k = (map(floordiv, map(sub, e, repeat(lo)), repeat(s)) for e, lo, s in zip(_axes(keys), *box[:2]))
+        return map(add, map(mul, map(add, map(mul, i, repeat(box[2][1])), j), repeat(box[2][2])), k)
+    # one variable v varies: the cell is the key's distance over v's stride
+    v = max(range(3), key=box[2].__getitem__)
+    return map(floordiv, map(sub, keys, repeat(_key(*box[0]))), repeat(box[1][v] << _SHIFTS[v]))
+
+
+def _join(bx: Box, by: Box, product: bool) -> Box:
+    """The least box holding a product (``product``) or a sum of values whose
+    least boxes are bx and by, for all that the boxes tell."""
+    axes = []
+    for a, sa, ra, b, sb, rb in zip(*bx, *by):
+        ea, eb = sa * (ra - 1), sb * (rb - 1)
+        if product:
+            lo, hi, s = a + b, a + b + ea + eb, gcd(ea and sa, eb and sb) or 1
         else:
-            negs[(key >> shift) - low] = -c
-    return _from_digits(pos, width) - _from_digits(negs, width)
+            lo, hi = min(a, b), max(a + ea, b + eb)
+            s = gcd(ea and sa, eb and sb, a - lo, b - lo) or 1
+        axes.append((lo, s, (hi - lo) // s + 1))
+    return tuple(zip(*axes))
 
 
-def _kronecker_product(a: Dict[int, int], b: Dict[int, int], bound: int) -> "Coefficient | None":
-    """a*b by one bigint product (Kronecker substitution t -> 2^W), or
-    None when the sparse loop is the cheaper one.
+class _Packed:
+    """Terms packed over their least box: ``value`` is sum c 2^(width*cell)
+    over the cells, c the coefficient there (0 for none), ``top`` bounds
+    |c| and ``count`` is the number of terms."""
 
-    Keys add when monomials multiply, so the keys of a and b, divided by
-    2^shift (``_common_shift``), are themselves exponents of one variable t
-    and the product can be taken in Z[t^±1].  That pays only while the
-    packed ints have no more digits than the sparse loop has term pairs,
-    which in practice means both operands lie in one and the same variable:
-    across a variable the divided keys jump by about 2^S.
+    __slots__ = ("box", "width", "top", "value", "count")
 
-    Every coefficient of a*b is at most min(l1(a) max|b|, l1(b) max|a|) in
-    absolute value, so W is that bound's bit length plus a sign bit,
-    rounded up to whole 64-bit words; the balanced digits of the product
-    are then its coefficients, read through 64-bit word arrays as in
-    ``_decode`` after every digit is offset by 2^(W-1)."""
-    shift = _common_shift(a, b)
-    low_a, low_b = min(a) >> shift, min(b) >> shift
-    span_a, span_b = (max(a) >> shift) - low_a + 1, (max(b) >> shift) - low_b + 1
-    count = span_a + span_b - 1
-    if count > len(a) * len(b):
-        return None
-    va, vb = a.values(), b.values()
-    top = min(sum(map(abs, va)) * max(map(abs, vb)), sum(map(abs, vb)) * max(map(abs, va)))
-    width = -(-(top.bit_length() + 1) // 64) * 64
-    packed = _pack(a, shift, low_a, span_a, width) * _pack(b, shift, low_b, span_b, width)
-    # every digit offset by 2^(W-1), so that none is negative
-    halves = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * count, "little")
-    digits = map(sub, _digits(packed + halves, width, count), repeat(1 << (width - 1)))
-    low = low_a + low_b
-    keys = range(low << shift, (low + count) << shift, 1 << shift)
-    return _coeff(dict(filter(itemgetter(1), zip(keys, digits))), bound)
+    def __init__(self, box: Box, width: int, top: int, value: int, count: int):
+        self.box, self.width, self.top, self.value, self.count = box, width, top, value, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not _Packed or self.box != other.box:
+            return False
+        if self.width == other.width:
+            return self.value == other.value
+        return list(self.items()) == list(other.items())
+
+    def items(self):
+        """(key, coefficient) pairs of the terms, in key order."""
+        return filter(itemgetter(1), zip(_cell_keys(self.box), _unpack(self.value, self.width, _cells(self.box))))
+
+
+def _packed(box: Box, width: int, top: int, value: int, count: int) -> "Coefficient":
+    return _coeff(_Packed(box, width, top, value, count), _box_bound(box))
+
+
+def _from_terms(terms: Dict[int, int], bound: int) -> "Coefficient":
+    """The value with these terms (none zero) in its form: packed when at
+    least _PACK_MIN_TERMS of them fill at least 1/_SPREAD of their least
+    box, else the dict itself."""
+    if len(terms) < _PACK_MIN_TERMS:
+        return _coeff(terms, bound)
+    box = _box_of(list(terms))
+    if _cells(box) > _SPREAD * len(terms):
+        return _coeff(terms, bound)
+    return _from_cells(box, _scatter(terms, box))
+
+
+def _scatter(terms: Dict[int, int], box: Box) -> List[int]:
+    """The coefficients of ``terms`` at their cells of ``box``, 0 elsewhere."""
+    digits = [0] * _cells(box)
+    for cell, c in zip(_cells_of(list(terms), box), terms.values()):
+        digits[cell] = c
+    return digits
+
+
+def _least(box: Box, cells: List[int]) -> Box:
+    """The least box holding the given (nonempty) cells of ``box``."""
+    rj, rk = box[2][1:]
+    coords = (
+        map(floordiv, cells, repeat(rj * rk)),
+        map(mod, map(floordiv, cells, repeat(rk)), repeat(rj)),
+        map(mod, cells, repeat(rk)),
+    )
+    out = []
+    for lo, s, axis in zip(*box[:2], map(list, coords)):
+        a = min(axis)
+        g = gcd(*map(sub, axis, repeat(a)))
+        out.append((lo + s * a, s * g or 1, (max(axis) - a) // (g or 1) + 1))
+    return tuple(zip(*out))
+
+
+def _relay(digits, src: Box, dst: Box, rows: Box) -> List[int]:
+    """The digits over ``src`` laid out over ``dst``, one slice per run
+    along w of the cells of ``rows`` (the smaller box, held by both)."""
+    (si, sj, sk), (ri, rj, rk) = rows[1:]
+
+    def steps(b: Box):  # the cell steps in b of a stride of rows along p, q, w
+        (bi, bj, bk), (_, bj_count, bk_count) = b[1:]
+        return si // bi * bj_count * bk_count, sj // bj * bk_count, sk // bk if rk > 1 else 1
+
+    out = [0] * _cells(dst)
+    (xi, xj, xk), (yi, yj, yk) = steps(src), steps(dst)
+    x0, y0 = _cell(rows[0], src), _cell(rows[0], dst)
+    for i in range(ri):
+        for j in range(rj):
+            x, y = x0 + i * xi + j * xj, y0 + i * yi + j * yj
+            out[y : y + rk * yk : yk] = digits[x : x + rk * xk : xk]
+    return out
+
+
+def _from_cells(box: Box, digits, width: int = 0, value: int = 0) -> "Coefficient":
+    """The value with balanced ``digits`` over the cells of ``box`` (which
+    ``value`` packs at ``width``, when given) in its form."""
+    cells = list(compress(range(len(digits)), digits))
+    least = _least(box, cells) if _PACK_MIN_TERMS <= len(cells) < len(digits) else box
+    if len(cells) < _PACK_MIN_TERMS or _cells(least) > _SPREAD * len(cells):
+        return _coeff(dict(zip(compress(_cell_keys(box), digits), filter(None, digits))), _box_bound(box))
+    if least != box:
+        box, digits, width = least, _relay(digits, box, least, least), 0
+    top = max(max(digits), -min(digits))
+    if _width_for(top) != width:
+        width = _width_for(top)
+        value = _encode(digits, width)
+    return _packed(box, width, top, value, len(cells))
+
+
+def _box(c: "Coefficient") -> Box:
+    t = c._terms
+    return _box_of(list(t)) if type(t) is dict else t.box
+
+
+def _top(terms) -> int:
+    return max(map(abs, terms.values())) if type(terms) is dict else terms.top
+
+
+def _lay(c: "Coefficient", box: Box, width: int) -> int:
+    """The nonzero ``c`` packed at ``width`` over a box that holds it."""
+    t = c._terms
+    if type(t) is not dict:
+        # t's cells are a run of the box's cells when t has the box's
+        # strides and, inside its outermost varying variable, its counts
+        _, step, radix = t.box
+        outer = 0 if radix[0] > 1 else 1 if radix[1] > 1 else 2
+        if radix[outer + 1 :] == box[2][outer + 1 :] and (
+            step == box[1] or all(r == 1 or s == bs for r, s, bs in zip(radix, step, box[1]))
+        ):
+            value = t.value if t.width == width else _encode(_unpack(t.value, t.width, _cells(t.box)), width)
+            return value << width * _cell(t.box[0], box)
+        return _encode(_relay(_unpack(t.value, t.width, _cells(t.box)), t.box, box, t.box), width)
+    if len(t) < _PACK_MIN_TERMS:
+        return sum(map(lshift, t.values(), map(mul, _cells_of(list(t), box), repeat(width))))
+    return _encode(_scatter(t, box), width)
+
+
+def _scaled(t: _Packed, key: int, c: int) -> "Coefficient":
+    """The packed ``t`` times c * (the monomial of ``key``): the box moves,
+    and for c = 1 the packed int is shared."""
+    box = (tuple(map(add, t.box[0], _unkey(key))), *t.box[1:])
+    top = t.top * abs(c)
+    width = max(t.width, _width_for(top))
+    if width == t.width:
+        value = t.value if c == 1 else t.value * c
+    else:
+        value = _encode([d * c for d in _unpack(t.value, t.width, _cells(box))], width)
+    return _packed(box, width, top, value, t.count)
 
 
 class Coefficient:
-    """A sparse Laurent polynomial: map (i, j, k) -> integer for p^i q^j w^k.
+    """A Laurent polynomial: map (i, j, k) -> integer for p^i q^j w^k.
 
-    Terms are stored under packed int keys (``_key``) with a per-object
-    bound on |exponent| kept in O(1) per operation: a sum keeps the larger
-    bound, a product the sum of bounds, re-derived exactly from the terms
-    only when that sum passes the limit.  Instances are immutable; all
-    operations return fresh values or one of their (immutable) operands.
-    Equality is termwise; no stored integer is zero.
+    The terms are a dict from packed keys (``_key``) to nonzero ints, or a
+    ``_Packed`` when they fill enough of their least box: which, depends on
+    the value alone.  A bound on |exponent| costs O(1) per operation: a sum
+    keeps the larger bound, a product adds them, re-derived exactly from
+    the boxes when the sum passes the limit.  Instances are immutable.
     """
 
     __slots__ = ("_terms", "_bound", "_hash")
 
     def __init__(self, terms: Dict[Triple, int] | None = None):
         terms = {e: c for e, c in (terms or {}).items() if c}
-        self._bound = _exponent_bound(*(x for e in terms for x in e))
-        self._terms = {_key(*e): c for e, c in terms.items()}
-        self._hash: int | None = None
+        bound = _exponent_bound(*(x for e in terms for x in e))
+        got = _from_terms({_key(*e): c for e, c in terms.items()}, bound)
+        self._terms, self._bound, self._hash = got._terms, got._bound, None
 
     # -- constructors ------------------------------------------------
 
@@ -224,6 +410,15 @@ class Coefficient:
             return self
         if not a:
             return other
+        if type(a) is not dict or type(b) is not dict:
+            # one bigint add over a common box, unless that box is too sparse
+            box = _join(_box(self), _box(other), False)
+            cells = _cells(box)
+            if cells <= _SPREAD * (len(a) + len(b)):
+                width = _width_for(_top(a) + _top(b))
+                value = _lay(self, box, width) + _lay(other, box, width)
+                return _from_cells(box, _unpack(value, width, cells), width, value)
+            a, b = dict(a.items()), dict(b.items())
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
@@ -233,9 +428,11 @@ class Coefficient:
                 out[e] = s
             else:
                 del out[e]
-        return _coeff(out, max(self._bound, other._bound))
+        return _from_terms(out, max(self._bound, other._bound))
 
     def __neg__(self) -> "Coefficient":
+        if type(self._terms) is not dict:
+            return _scaled(self._terms, 0, -1)
         return _coeff({e: -c for e, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
@@ -245,10 +442,8 @@ class Coefficient:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return ZERO
-            return _coeff({e: c * other for e, c in self._terms.items()}, self._bound)
-        if not isinstance(other, Coefficient):
+            other = Coefficient.integer(other)
+        elif not isinstance(other, Coefficient):
             return NotImplemented
         a, b = self._terms, other._terms
         # a unit operand passes the other through: values are immutable
@@ -260,14 +455,20 @@ class Coefficient:
             a, b = b, a
         bound = self._bound + other._bound
         if bound > _EMAX:
-            bound = _product_bound(self, other)
+            # exact: per variable, the extreme exponents of a product of
+            # nonzero Laurent polynomials are the sums of the operands' ones
+            bound = _box_bound(_join(_box(self), _box(other), True)) if a and b else 0
         if len(b) == 1:
             ((eb, cb),) = b.items()
+            if type(a) is not dict:
+                return _scaled(a, eb, cb)
             return _coeff({e + eb: c * cb for e, c in a.items()}, bound)
-        if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS:
-            got = _kronecker_product(a, b, bound)
+        packed = type(a) is not dict or type(b) is not dict
+        if a and b and (packed or min(len(a), len(b)) >= _KRONECKER_MIN_TERMS):
+            got = self._kronecker(other)
             if got is not None:
                 return got
+            a, b = dict(a.items()), dict(b.items())
         out: Dict[int, int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -277,9 +478,25 @@ class Coefficient:
                     out[e] = s
                 else:
                     del out[e]
-        return _coeff(out, bound)
+        return _from_terms(out, bound)
 
     __rmul__ = __mul__
+
+    def _kronecker(self, other: "Coefficient") -> "Coefficient | None":
+        """self*other by one bigint product, or None when the product's box
+        has more cells than the sparse loop has term pairs.  Each operand is
+        laid out over that box's strides and counts, from its own lowest
+        exponents, so cells add as monomials multiply; no coefficient exceeds
+        l1(a) max|b| <= min(#a, #b) max|a| max|b|, which gives the width."""
+        a, b = self._terms, other._terms
+        bx, by = _box(self), _box(other)
+        box = _join(bx, by, True)
+        cells = _cells(box)
+        if cells > len(a) * len(b):
+            return None
+        width = _width_for(min(len(a), len(b)) * _top(a) * _top(b))
+        value = _lay(self, (bx[0], *box[1:]), width) * _lay(other, (by[0], *box[1:]), width)
+        return _from_cells(box, _unpack(value, width, cells), width, value)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -303,10 +520,11 @@ class Coefficient:
 
     def conjugate(self) -> "Coefficient":
         """p and q are fixed (real parameters); w is inverted."""
-        return _coeff(
-            {e - 2 * (((e + _HALF) & _DIGIT) - _HALF): c for e, c in self._terms.items()},
-            self._bound,
-        )
+        t = self._terms
+        if type(t) is not dict and t.box[2][2] == 1:
+            (i, j, k), step, radix = t.box
+            return _packed(((i, j, -k), step, radix), t.width, t.top, t.value, t.count)
+        return _from_terms({e - 2 * (((e + _HALF) & _DIGIT) - _HALF): c for e, c in t.items()}, self._bound)
 
     def eval_at_zero(self, var: str) -> "Coefficient":
         """Set var = 0: drop terms with positive var-exponent, keep exponent 0.
@@ -314,16 +532,17 @@ class Coefficient:
         A negative var-exponent means the value is not defined there.
         """
         idx = _check_var(var)
+        t = self._terms
+        if type(t) is not dict and t.box[0][idx] >= 0 and (t.box[0][idx] or t.box[2][idx] == 1):
+            return ZERO if t.box[0][idx] else self
         out: Dict[int, int] = {}
-        for e, c in self._terms.items():
+        for e, c in t.items():
             d = _unkey(e)[idx]
             if d < 0:
-                raise EvaluationError(
-                    f"negative power of {var} cannot be evaluated at {var}=0: {self}"
-                )
+                raise EvaluationError(f"negative power of {var} cannot be evaluated at {var}=0: {self}")
             if d == 0:
                 out[e] = c
-        return _coeff(out, self._bound)
+        return _from_terms(out, self._bound)
 
     # -- units ---------------------------------------------------------
 
@@ -611,13 +830,11 @@ def qint(n: int, var: str = "p") -> Coefficient:
 
 
 # The deformed binomials C(n, m)_t, over the deformation unit t, packed as
-# ints sum c_d 2^(W*d) (Kronecker substitution t -> 2^W).  The coefficients
-# of C(n, m)_t are positive and add up to the ordinary binomial
-# C(n, m) < 2^n, so a digit width W >= n + 3 keeps every digit of a
-# binomial of row n, of the sum of two binomials of row n - 1 and of their
-# difference inside a balanced W-bit digit.  W is that bound rounded up to
-# whole 64-bit words, never a fixed width.  A packed binomial serves every
-# base: only decoding tells p from q and t from 1/t.
+# ints sum c_d 2^(W*d).  The coefficients of C(n, m)_t are positive and add
+# up to the ordinary binomial C(n, m) < 2^n, so a digit width W >= n + 3,
+# in whole 64-bit words, holds every digit of a binomial of row n and of
+# the sum or difference of two of row n - 1.  ``_poly`` places a packed
+# binomial in p or q, reversed for t = 1/v.
 #
 # Rows are built by the Pascal rule C(n, m) = C(n-1, m-1) + t^m C(n-1, m);
 # the contraction-polynomial check below rests on the other Pascal rule,
@@ -653,51 +870,20 @@ def _row(n: int, width: int = 0) -> List[int]:
     return got
 
 
-def _digits(packed: int, width: int, count: int):
-    """The ``count`` lowest ``width``-bit digits of the int ``packed`` >= 0,
-    lowest first, read through 64-bit word arrays."""
-    words = array("Q", packed.to_bytes(count * width // 8, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    # digit d is the little-endian run of 64-bit words d*r .. d*r + r - 1
-    r = width // 64
-    if r == 1:
-        return words
-    digits = words[0::r]
-    for t in range(1, r):
-        digits = map(add, digits, map(lshift, words[t::r], repeat(64 * t)))
-    return digits
-
-
-def _decode(sign: int, packed: int, width: int, low: int, var: str, step: int) -> Coefficient:
-    """The polynomial sign * sum c_d t^(low + d), t = var^step, whose
-    coefficients c_d >= 0 are the W-bit digits of ``packed``."""
-    ndigits = -(-packed.bit_length() // width)
-    digits = _digits(packed, width, ndigits)
-    if sign < 0:
-        digits = map(neg, digits)
-    bound = _exponent_bound(low, low + ndigits - 1)
-    terms = dict(filter(itemgetter(1), zip(_var_keys(var, step, low, ndigits), digits)))
-    return _coeff(terms, bound)
-
-
-# the keys of var^e, -E <= e <= E, at index e + E: decoded polynomials take
-# their keys from here, so memoized coefficients share one int per power
-_KEY_TABLES: Dict[str, List[int]] = {}
-
-
-def _var_keys(var: str, step: int, low: int, count: int) -> List[int]:
-    """The keys of t^low, ..., t^(low + count - 1) for t = var^step."""
-    table = _KEY_TABLES.get(var, [])
-    top = max(abs(low), abs(low + count - 1))
-    if len(table) <= 2 * top:
-        e = max(len(table), top)  # at least doubles the range
-        shift = _VAR_SHIFT[var]
-        table = _KEY_TABLES[var] = [x << shift for x in range(-e, e + 1)]
-    mid = len(table) // 2
-    if step > 0:
-        return table[mid + low : mid + low + count]
-    return table[mid - low - count + 1 : mid - low + 1][::-1]
+def _poly(sign: int, packed: int, width: int, low: int, base: Base, top: int) -> Coefficient:
+    """sign * sum c_d t^(low + d), t = var^s for the base (var, s), whose
+    coefficients 0 < c_d <= top are the W-bit digits of ``packed``.  A
+    binomial has a positive coefficient at every degree 0..m(n-m), so its
+    digits fill their box: over t = var it is packed as it stands."""
+    var, s = base
+    count = -(-packed.bit_length() // width)
+    value, axis = packed if sign > 0 else -packed, _VAR_INDEX[var]
+    low = low if s > 0 else -(low + count - 1)
+    box = tuple(tuple(x if v == axis else y for v in range(3)) for x, y in ((low, 0), (1, 1), (count, 1)))
+    if s > 0 and count >= _PACK_MIN_TERMS:
+        return _packed(box, width, top, value, count)
+    digits = _unpack(value, width, count)
+    return _from_cells(box, digits[::-1], 0) if s < 0 else _from_cells(box, digits, width, value)
 
 
 _QBINOM_MEMO: Dict[Tuple[int, int, Base], Coefficient] = {}
@@ -711,8 +897,7 @@ def qbinomial_base(n: int, m: int, base: Base) -> Coefficient:
     key = (n, m, base)
     got = _QBINOM_MEMO.get(key)
     if got is None:
-        var, s = base
-        got = _QBINOM_MEMO[key] = _decode(1, _row(n)[m], _width(n), 0, var, s)
+        got = _QBINOM_MEMO[key] = _poly(1, _row(n)[m], _width(n), 0, base, comb(n, m))
     return got
 
 
@@ -774,56 +959,37 @@ class QPoly(LinComb):
         return self._new({m: c * var_pow(var, s * e * m) for m, c in self._t.items()})
 
 
-# In the contraction layer a packed one-variable polynomial is a slot
-# (sign, packed, low): sign * t^low * sum c_d t^d, packed = sum c_d 2^(W*d).
-
-Slot = Tuple[int, int, int]
-
-
-def _closed_slots(row: List[int], n: int, inverse: bool) -> List[Slot]:
-    """The Y^1..Y^n coefficients of the closed form at index n (index -n
-    when ``inverse``), over t = the base (its inverse when ``inverse``):
-    (-1)^m t^(-n*m + m(m+1)/2) C(n, m)_t, times t^-m for a negative index
-    (the inverse-base family taken at base*Y)."""
+def _closed_form(row: List[int], n: int, inverse: bool, width: int, base: Base) -> List[Coefficient]:
+    """The Y^1..Y^n coefficients of the closed form at index n (-n when
+    ``inverse``), from row n packed at ``width``, over t = the base (its
+    inverse when ``inverse``): (-1)^m t^(-n*m + m(m+1)/2) C(n, m)_t, times
+    t^-m for a negative index (the inverse-base family taken at base*Y)."""
+    var, s = base
+    t = (var, -s if inverse else s)
     return [
-        (-1 if m % 2 else 1, row[m], -n * m + m * (m + 1) // 2 - (m if inverse else 0))
+        _poly(-1 if m % 2 else 1, row[m], width, -n * m + m * (m + 1) // 2 - (m if inverse else 0), t, comb(n, m))
         for m in range(1, n + 1)
     ]
 
 
-def _is_zero_sum(slots: List[Slot], width: int) -> bool:
-    """Whether the polynomials of ``slots`` add up to 0: their packed ints
-    are shifted to the lowest exponent among them and added."""
-    low = min(lo for _, _, lo in slots)
-    total = 0
-    for sign, p, lo in slots:
-        term = p << width * (lo - low)
-        total = total + term if sign > 0 else total - term
-    return not total
-
-
-def _check_recursion(n: int, inverse: bool, row: List[int], prev: List[int], width: int) -> None:
+def _check_recursion(n: int, inverse: bool, closed: List[Coefficient], lower: List[Coefficient], width: int) -> None:
     """Check the closed form at index n (-n when ``inverse``) against the
-    one-step recursion from the closed form at n - 1, given the binomial
-    rows n and n - 1 at one width, slot by slot as packed ints: the width
-    bounds every digit of closed - recursion, so that packed difference is
-    0 exactly when the two polynomials agree.
-
-    Q(+-n) = X - Y t^-i (1 + X), X = Q(+-(n-1)) at Y -> Y/t, i = 1 for a
-    negative index (Y/t is base*Y there, t being the inverse base); the 1
-    is slot 0 of ``lower``.
+    one-step recursion from ``lower``, 1 and the closed form at n - 1, all
+    over t = p at ``width``: that width bounds every digit of closed -
+    recursion, so laid out over one box it is the int 0 exactly when the
+    two agree.  Q(+-n) = X - Y t^-i (1 + X), X = Q(+-(n-1)) at Y -> Y/t,
+    i = 1 for a negative index (Y/t is base*Y there, t the inverse base).
     """
-    closed = _closed_slots(row, n, inverse)
-    lower = [(1, 1, 0), *_closed_slots(prev, n - 1, inverse)]
     i = 1 if inverse else 0
     for m in range(1, n + 1):
-        # closed_m - X_m + t^-i (1 + X)_(m-1)
-        sign, p, lo = lower[m - 1]
-        slots = [closed[m - 1], (sign, p, lo - (m - 1) - i)]
+        # closed_m - X_m + t^-i (1 + X)_(m-1): (part, its shift in t, sign)
+        parts = [(closed[m - 1], 0, 1), (lower[m - 1], 1 - m - i, 1)]
         if m < n:
-            sign, p, lo = lower[m]
-            slots.append((-sign, p, lo - m))
-        if not _is_zero_sum(slots, width):
+            parts.append((lower[m], -m, -1))
+        ends = [(lo[0] + e, lo[0] + e + s[0] * (r[0] - 1)) for c, e, _ in parts for lo, s, r in [_box(c)]]
+        low, count = min(ends)[0], max(hi for _, hi in ends) - min(ends)[0] + 1
+        # each part laid out from low - shift is the part times t^shift
+        if sum(sign * _lay(c, ((low - e, 0, 0), (1, 1, 1), (count, 1, 1)), width) for c, e, sign in parts):
             raise AssertionError(f"closed form and recursion disagree at index {-n if inverse else n}")
 
 
@@ -833,12 +999,17 @@ def _check_up_to(n: int, inverse: bool) -> None:
     checked = _QPOLY_CHECKED[inverse]
     if checked >= n:
         return
-    # the whole walk at the width of row n, which bounds every row below
+    # the whole walk at the width of row n, which bounds every row below;
+    # over the base p^-1 for a negative index, so that t = p either way
     width = _width(n)
+    base = ("p", -1 if inverse else 1)
     row = _row(checked, width)
+    lower = [ONE, *_closed_form(row, checked, inverse, width, base)]
     for k in range(checked + 1, n + 1):
-        prev, row = row, _pascal_step(row, width)
-        _check_recursion(k, inverse, row, prev, width)
+        row = _pascal_step(row, width)
+        closed = _closed_form(row, k, inverse, width, base)
+        _check_recursion(k, inverse, closed, lower, width)
+        lower = [ONE, *closed]
         _QPOLY_CHECKED[inverse] = k
     _ROW_MEMO.setdefault(n, row)
 
@@ -856,8 +1027,7 @@ def qpoly_Q_base(mu: int, base: Base) -> QPoly:
 
     Always computed twice — closed form and one-step recursion — and the
     two results are checked against each other at every index from 1 up to
-    |mu| (with the sign of mu) before the closed form is decoded and
-    memoized.
+    |mu| (with the sign of mu) before the closed form is memoized, packed.
     """
     if mu == 0:
         return QPoly.zero()
@@ -869,12 +1039,7 @@ def qpoly_Q_base(mu: int, base: Base) -> QPoly:
     if _QPOLY_CHECKED[inverse] < n:
         with _QPOLY_LOCK:
             _check_up_to(n, inverse)
-    var, s = base
-    step = -s if inverse else s
-    slots = _closed_slots(_row(n), n, inverse)
-    got = QPoly(
-        {m: _decode(sign, p, _width(n), low, var, step) for m, (sign, p, low) in enumerate(slots, 1)}
-    )
+    got = QPoly(dict(enumerate(_closed_form(_row(n), n, inverse, _width(n), base), 1)))
     _QPOLY_MEMO[key] = got
     return got
 

@@ -514,19 +514,15 @@ def suite_idem(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEntr
     given = range(1, opts.nmax + 1) if opts.lens_types is None else opts.lens_types
     types = [N for N in given if N >= 2]
     entries: List[CheckEntry] = []
+    connection = CONNECTION_VARIANTS[variant]
+    tag = connection.tag
     if not types:
         # a range that checks no type is a failure, never a vacuous pass
         asked = (
             f"nmax={opts.nmax}" if opts.lens_types is None
             else "types=" + ",".join(map(str, opts.lens_types))
         )
-        entries.append(
-            check(
-                f"idem[{variant},{asked}]", "algstrong", False, "no lens type checked: N starts at 2"
-            )
-        )
-    connection = CONNECTION_VARIANTS[variant]
-    tag = connection.tag
+        entries.append(check(f"idem[{variant},{asked}]", tag, False, "no lens type checked: N starts at 2"))
     for N in types:
         conn = connection.build(N)
         E = associated_idempotent(conn, 1)

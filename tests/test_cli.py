@@ -334,6 +334,18 @@ def test_cli_idem_with_no_lens_type_fails(capsys):
     assert "[FAIL]" not in capsys.readouterr().out
 
 
+def test_cli_idem_with_no_lens_type_keeps_each_variant_tag(tmp_path, capsys):
+    path = tmp_path / "idem.json"
+    assert main(["relcheck", "idem", "--nmax", "1", "--json", str(path)]) == 1
+    capsys.readouterr()
+    tags = {e["id"]: e["paper_tag"] for e in json.loads(path.read_bytes())["entries"]}
+    assert tags == {
+        "idem[corrected,nmax=1]": "algstrong",
+        "idem[isometric,nmax=1]": "c*strong",
+        "idem[printed_p_inverse,nmax=1]": "algstrong",
+    }
+
+
 def test_cli_relcheck_iso_honours_window_and_samples(tmp_path, capsys):
     path = tmp_path / "iso.json"
     assert main(["relcheck", "iso", "--window", "1", "--samples", "2", "--json", str(path)]) == 0
@@ -424,12 +436,12 @@ def test_cli_reports_a_failed_closed_form_check(monkeypatch, capsys):
     # cold contraction-polynomial state, and a closed form off by t at index 2
     monkeypatch.setattr(scalars, "_QPOLY_MEMO", {})
     monkeypatch.setattr(scalars, "_QPOLY_CHECKED", {False: 0, True: 0})
-    real = scalars._closed_slots
+    real = scalars._closed_form
 
-    def shifted(row, n, inverse):
-        return [(s, p, lo + (n == 2)) for s, p, lo in real(row, n, inverse)]
+    def shifted(row, n, inverse, width, base):
+        return [c * scalars.p_pow(int(n == 2)) for c in real(row, n, inverse, width, base)]
 
-    monkeypatch.setattr(scalars, "_closed_slots", shifted)
+    monkeypatch.setattr(scalars, "_closed_form", shifted)
     assert main(["qpoly", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.err == (

@@ -362,3 +362,33 @@ def test_bass_lift_precondition_checked():
     torus = TorusAlgebra(N)
     with pytest.raises(ValueError):
         bass_idempotent([[plus.x().star()]], [[plus.x().star()]], [[torus.Z()]], minus, torus)
+
+
+def test_failed_bass_entries_say_why(monkeypatch):
+    unfaulted = {e.id: e for e in bass_class_report(3).entries}
+    # shifted pullback phases: the idempotent is not built, and (x x*, 1) is
+    # no pullback pair; each failing entry carries its own message
+    real = ktheory.w_pow
+    monkeypatch.setattr(ktheory, "w_pow", lambda e: real(e + 1))
+    entries = {e.id: e for e in bass_class_report(3).entries}
+    not_built = "leg projection of d does not equal the given matrix"
+    assert (entries["bass:block-matrix"].status, entries["bass:block-matrix"].residual) == (FAIL, not_built)
+    assert entries["bass:pullback-pair"].status == FAIL
+    assert entries["bass:pullback-pair"].residual.startswith("leg projections differ by ")
+    assert entries["bass:complement-identity"].residual == not_built
+    # the idempotent built, but the pair (x x*, 1) refused: the identity
+    # fails with the pair's message
+    monkeypatch.setattr(ktheory, "w_pow", real)
+    make = ktheory.pullback_make
+
+    def refuse_the_pair(a_plus, a_minus, torus=None):
+        x = a_plus.alg.x()
+        if a_plus == x * x.star() and a_minus == a_minus.alg.one():
+            raise ktheory.PullbackMismatchError(torus.one())
+        return make(a_plus, a_minus, torus)
+
+    monkeypatch.setattr(ktheory, "pullback_make", refuse_the_pair)
+    entries = {e.id: e for e in bass_class_report(3).entries}
+    assert entries["bass:block-matrix"] == unfaulted["bass:block-matrix"]
+    for cid in ("bass:pullback-pair", "bass:complement-identity"):
+        assert (entries[cid].status, entries[cid].residual) == (FAIL, "leg projections differ by 1")

@@ -414,3 +414,51 @@ def test_printing():
     assert str(t) == "A'^2 z'^-1 bt'"
     t = LensElement(N, {LensMonomial(CORE_BPRIME, 0, 0, -2): ONE})
     assert str(t) == "at'^-2"
+
+
+
+# In a fresh interpreter, so that no earlier test has filled the memos.  The
+# relation suite of type 7 fills about 600,000 terms of coefficients into
+# the contraction-polynomial memo and the sphere's monomial-product memo.
+MEMO_SHARING_SCRIPT = r"""
+from heegaard import scalars
+from heegaard.lens import lens_relation_suite
+from heegaard.qalgebras import SPHERE
+from heegaard.scalars import Coefficient
+
+lens_relation_suite(7, 6)
+q = [c for poly in scalars._QPOLY_MEMO.values() for _, c in poly.items()]
+products = [c for got in SPHERE._mul_memo.values() for _, c in got]
+print(sum(len(list(c.terms())) for c in q + products))
+print(sum(len(c._terms) for c in q + products if type(c._terms) is dict))
+# a product coefficient with the digits of a Q coefficient is a Q
+# coefficient times a monomial, and holds that coefficient's packed int
+by_digits = {}
+for c in q:
+    t = c._terms
+    if type(t) is not dict:
+        by_digits.setdefault((t.box[1:], t.width, t.value), []).append(c)
+multiples = 0
+for c in products:
+    t = c._terms
+    if type(t) is dict or (t.box[1:], t.width, t.value) not in by_digits:
+        continue
+    base = next(b for b in by_digits[t.box[1:], t.width, t.value] if b._terms.value is t.value)
+    shift = [e - b for e, b in zip(t.box[0], base._terms.box[0])]
+    assert c == base * Coefficient.monomial(1, *shift)
+    multiples += 1
+print(multiples)
+"""
+
+
+def test_memoized_contraction_coefficients_stay_packed_and_shared():
+    from test_demos import _run
+
+    proc = _run(["-c", MEMO_SHARING_SCRIPT])
+    assert proc.returncode == 0, proc.stderr
+    total, in_dicts, multiples = map(int, proc.stdout.split())
+    assert total > 500_000
+    # only coefficients of fewer than 16 terms stay dicts: under 20,000
+    # terms in all, where every one of them was a dict entry before
+    assert in_dicts < 20_000
+    assert multiples > 1_000

@@ -4,6 +4,8 @@ The binomial oracle is independent of the Pascal implementation: it
 computes [n]!/([m]![n-m]!) by exact dense-polynomial division.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -582,13 +584,23 @@ def _check_product(ta, tb):
     _agree(b * a, product)
     if not (ta and tb):
         return  # the packed path takes nonempty operands only
-    packed = scalars._kronecker_product(a._terms, b._terms, 0)
-    # refused only when it would decode more digits than there are term pairs
-    spans = [max(e[i] for e in t) - min(e[i] for e in t) + 1 for t in (ta, tb) for i in range(3)]
-    digits = max(spans[:3]) + max(spans[3:]) - 1
-    assert (packed is None) == (digits > len(ta) * len(tb))
+    packed = a._kronecker(b)
+    # refused only when the product's box has more cells than there are term pairs
+    assert (packed is None) == (_product_cells(ta, tb) > len(ta) * len(tb))
     if packed is not None:
         _agree(packed, product)
+
+
+def _product_cells(ta, tb):
+    """The cells of the least box holding every product of a term of ta and
+    a term of tb: per variable, the extent of the sums over the gcd of all
+    strides."""
+    cells = 1
+    for v in range(3):
+        ea, eb = [e[v] for e in ta], [e[v] for e in tb]
+        stride = math.gcd(*(x - min(ea) for x in ea), *(y - min(eb) for y in eb)) or 1
+        cells *= (max(ea) + max(eb) - min(ea) - min(eb)) // stride + 1
+    return cells
 
 
 @settings(max_examples=150, deadline=None)
@@ -626,9 +638,9 @@ def _oracle(c):
 
 def _spy_kronecker(monkeypatch):
     results = []
-    real = scalars._kronecker_product
+    real = Coefficient._kronecker
     monkeypatch.setattr(
-        scalars, "_kronecker_product", lambda *args: results.append(real(*args)) or results[-1]
+        Coefficient, "_kronecker", lambda *args: results.append(real(*args)) or results[-1]
     )
     return results
 
@@ -666,30 +678,186 @@ def test_kronecker_product_cancellation_and_bounds(var, monkeypatch):
         bottom * _dense(var, [1] * n, -1)
 
 
-def test_mixed_variable_products_take_the_sparse_loop(monkeypatch):
+def test_mixed_variable_products_follow_the_box_rule(monkeypatch):
+    # a product is packed exactly when its box has no more cells than the
+    # sparse loop has term pairs, whatever the variables
     packed = _spy_kronecker(monkeypatch)
     n = _KRONECKER_MIN_TERMS
     by_var = [_dense(var, range(1, n + 1), -3) for var in range(3)]
     mixed = by_var[0] * q_pow(1) + by_var[1]
-    # one variable, but the exponents too spread out for a packed product
+    # one variable, the exponents 1000 apart: a box of stride 1000
     spread = Coefficient({(1000 * d, 0, 0): d + 1 for d in range(n)})
     pairs = [(by_var[0], by_var[1]), (by_var[1], by_var[2]), (by_var[0], by_var[2])]
     pairs += [(mixed, by_var[0]), (mixed, mixed), (spread, by_var[0]), (spread, spread)]
-    for a, b in pairs:
-        product = _oracle(a) * _oracle(b)
-        _agree(a * b, product)
-        _agree(b * a, product)
-    assert len(packed) == 2 * len(pairs) and all(r is None for r in packed)
-    for x in by_var:
-        _agree(x * x, _oracle(x) * _oracle(x))
-    assert len(packed) == 2 * len(pairs) + 3 and all(r is not None for r in packed[-3:])
-    # keys add, so a mix whose keys happen to be dense (q^e near the top of
-    # the q range beside p q^e near its bottom) is still exact if packed
+    # q^e near the top of the q range beside p q^e near its bottom: a box
+    # far too large, though the keys happen to lie close together
     edge = Coefficient(
         {(0, _EMAX - d, 0): d - 20 for d in range(4, 12)}
         | {(1, -_EMAX + d, 0): 2**70 * (-1) ** d for d in range(3, 11)}
     )
     near_one = Coefficient({(0, j, 0): j + 5 for j in range(-3, 5)})
-    _agree(edge * near_one, _oracle(edge) * _oracle(near_one))
-    _agree(near_one * edge, _oracle(edge) * _oracle(near_one))
-    assert packed[-1] is not None
+    pairs += [(edge, near_one), *((x, x) for x in by_var)]
+    expected = []
+    for a, b in pairs:
+        product = _oracle(a) * _oracle(b)
+        _agree(a * b, product)
+        _agree(b * a, product)
+        ta, tb = dict(a.terms()), dict(b.terms())
+        expected += [_product_cells(ta, tb) <= len(ta) * len(tb)] * 2
+    assert [r is not None for r in packed] == expected
+    # the two refusals, and packed products across variables
+    assert expected.count(False) == 4 and expected[:6] == [True] * 6
+
+
+# -- the packed form: dense, strided and sparse boxes, mixed forms ----------------
+
+from heegaard.scalars import _PACK_MIN_TERMS, _SPREAD, _Packed  # noqa: E402
+
+
+def _least_cells(terms):
+    """The cells of the least box holding the exponent triples of ``terms``:
+    per variable, the span over the gcd of the strides."""
+    cells = 1
+    for v in range(3):
+        axis = [e[v] for e in terms]
+        stride = math.gcd(*(x - min(axis) for x in axis)) or 1
+        cells *= (max(axis) - min(axis)) // stride + 1
+    return cells
+
+
+def _check_form(c, oracle):
+    """c is packed exactly when at least _PACK_MIN_TERMS terms fill at least
+    1/_SPREAD of their least box, and its terms count the terms."""
+    terms = oracle.terms_
+    packed = len(terms) >= _PACK_MIN_TERMS and _least_cells(terms) <= _SPREAD * len(terms)
+    assert (type(c._terms) is _Packed) == packed
+    assert len(c._terms) == len(terms)
+
+
+@st.composite
+def boxed_terms(draw):
+    """Terms in a box with a stride per variable (w in steps of 1 or 2),
+    placed near 0 or at either end of the exponent range: every cell of it,
+    at least half of them, or a few."""
+    step = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.sampled_from((1, 2))))
+    radix = [draw(st.integers(1, 6)) for _ in range(3)]
+    low = [
+        draw(st.one_of(st.integers(-4, 4), st.just(-_EMAX), st.just(_EMAX - s * (r - 1))))
+        for s, r in zip(step, radix)
+    ]
+    cells = [
+        (low[0] + step[0] * i, low[1] + step[1] * j, low[2] + step[2] * k)
+        for i in range(radix[0]) for j in range(radix[1]) for k in range(radix[2])
+    ]
+    fill = draw(st.sampled_from(("every", "half", "few")))
+    if fill != "every":
+        least, most = ((len(cells) + 1) // 2, len(cells)) if fill == "half" else (0, 3)
+        cells = draw(st.lists(st.sampled_from(cells), min_size=least, max_size=most, unique=True))
+    coeffs = draw(st.lists(integer.filter(bool), min_size=len(cells), max_size=len(cells)))
+    return dict(zip(cells, coeffs))
+
+
+def _agree_or_refused(compute, oracle):
+    """compute() against the oracle, or ExponentBoundError when a term of
+    the oracle's value leaves the exponent range."""
+    if any(abs(e) > _EMAX for e in oracle.exponents()):
+        with pytest.raises(ExponentBoundError):
+            compute()
+    else:
+        got = compute()
+        _agree(got, oracle)
+        _check_form(got, oracle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_terms(), boxed_terms())
+def test_packed_form_matches_oracle(ta, tb):
+    (a, oa), (b, ob) = _both(ta), _both(tb)
+    for c, o in ((a, oa), (b, ob), (a + b, oa + ob), (a - b, oa - ob), (-a, -oa), (a.conjugate(), oa.conjugate())):
+        _agree(c, o)
+        _check_form(c, o)
+    _agree_or_refused(lambda: a * b, oa * ob)
+    _agree_or_refused(lambda: b * a, oa * ob)
+    monomial = {(1, -2, 2): -3}
+    _agree_or_refused(lambda: a * Coefficient(monomial), oa * SparseCoefficient(monomial))
+    _agree_or_refused(lambda: 5 * a, oa * SparseCoefficient({(0, 0, 0): 5}))
+    for var in ("p", "q"):
+        try:
+            expected = oa.eval_at_zero(var)
+        except EvaluationError:
+            with pytest.raises(EvaluationError):
+                a.eval_at_zero(var)
+        else:
+            _agree(a.eval_at_zero(var), expected)
+            _check_form(a.eval_at_zero(var), expected)
+    rebuilt = (a + b) - b  # the same value through another history
+    assert rebuilt == a and hash(rebuilt) == hash(a) and (a == b) == (oa == ob)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_terms(), st.data())
+def test_cancellation_down_to_a_sparse_value_or_zero(ta, data):
+    kept = data.draw(st.lists(st.sampled_from(sorted(ta)), max_size=3, unique=True)) if ta else []
+    a = Coefficient(ta)
+    rest = Coefficient({e: c for e, c in ta.items() if e not in kept})
+    expected = SparseCoefficient({e: ta[e] for e in kept})
+    for got in (a - rest, -rest + a, a + (-rest)):
+        _agree(got, expected)
+        _check_form(got, expected)
+    assert (a - a).is_zero() and (a + (-a)).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(boxed_terms(), term_dicts), min_size=2, max_size=5))
+def test_mixed_forms_in_one_sum(parts):
+    total, expected = ZERO, SparseCoefficient()
+    for terms in parts:
+        total, expected = total + Coefficient(terms), expected + SparseCoefficient(terms)
+        _agree(total, expected)
+        _check_form(total, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(boxed_terms(), term_dicts))
+def test_terms_length_counts_the_terms_in_either_form(terms):
+    c = Coefficient(terms)
+    for x in (c, c + c, c * 3, -c, c.conjugate(), c - c):
+        assert len(x._terms) == len(list(x.terms()))
+    assert len(c._terms) == len(SparseCoefficient(terms).terms_)
+
+
+def test_both_forms_occur():
+    dense = Coefficient({(0, 0, 2 * d): d + 1 for d in range(_PACK_MIN_TERMS)})
+    sparse = Coefficient({(0, 0, 3 * d * d): d + 1 for d in range(_PACK_MIN_TERMS)})
+    short = Coefficient({(0, 0, 2 * d): d + 1 for d in range(_PACK_MIN_TERMS - 1)})
+    assert type(dense._terms) is _Packed and type(sparse._terms) is dict and type(short._terms) is dict
+    assert len(dense._terms) == len(sparse._terms) == _PACK_MIN_TERMS
+    # a monomial multiple moves the box and shares the packed int
+    moved = dense * p_pow(3) * w_pow(-1)
+    assert moved._terms.value is dense._terms.value and moved != dense
+
+
+def test_cancellation_down_to_a_smaller_dense_box():
+    # a dense 6 x 6 box over p and w in steps of 2, less its first row, its
+    # last column and one inner cell: what is left fills 24 of the cells of
+    # a 5 x 5 box and must be packed whichever way it was reached
+    box = {(i, 0, 2 * k): i + k + 1 for i in range(6) for k in range(6)}
+    edge = {e: c for e, c in box.items() if e[0] == 0 or e[2] == 10 or e == (3, 0, 4)}
+    rest = {e: c for e, c in box.items() if e not in edge}
+    expected = SparseCoefficient(rest)
+    for got in (Coefficient(box) - Coefficient(edge), -Coefficient(edge) + Coefficient(box), Coefficient(rest)):
+        _agree(got, expected)
+        _check_form(got, expected)
+        assert type(got._terms) is _Packed and got._terms.box == ((1, 0, 0), (1, 1, 2), (5, 1, 5))
+    assert Coefficient(box) - Coefficient(edge) == Coefficient(rest)
+
+
+def test_cancellation_that_leaves_one_variable():
+    # two rows along p, at w^0 and w^2: cancelling the second leaves a box
+    # in p alone, whose stride in w is 1 however the value was reached
+    rows = {(i, 0, 2 * k): i + 1 for i in range(_PACK_MIN_TERMS) for k in range(2)}
+    second = {e: c for e, c in rows.items() if e[2] == 2}
+    first = Coefficient({e: c for e, c in rows.items() if e[2] == 0})
+    for got in (Coefficient(rows) - Coefficient(second), Coefficient(rows) + (-Coefficient(second))):
+        assert got == first and hash(got) == hash(first)
+        assert got._terms.box == first._terms.box == ((0, 0, 0), (1, 1, 1), (_PACK_MIN_TERMS, 1, 1))

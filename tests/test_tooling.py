@@ -61,3 +61,36 @@ def test_only_reports_keeps_first_failures_and_builds_entries():
         if why
     ]
     assert not offenders, offenders
+
+
+def _scalars_private_names():
+    """The private functions and classes of ``scalars.py`` (the packing
+    helpers among them) and the private methods of its classes."""
+    tree = ast.parse((SRC / "scalars.py").read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef) and node.name == "Coefficient":
+            names |= {
+                f.name for f in node.body
+                if isinstance(f, ast.FunctionDef) and f.name.startswith("_") and not f.name.endswith("__")
+            }
+    return names
+
+
+def test_only_scalars_reads_coefficient_internals():
+    private = _scalars_private_names()
+    assert {"_kronecker", "_lay", "_encode", "_unpack", "_from_cells", "_Packed"} <= private
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and (node.attr == "_terms" or node.attr in private):
+                offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("scalars"):
+                offenders += [
+                    f"{path.name}:{node.lineno}: imports {a.name}" for a in node.names if a.name.startswith("_")
+                ]
+    assert not offenders, offenders
