@@ -38,7 +38,7 @@ printed = strong_connection_algebraic(N, "printed_p_inverse")
 classes = printed.values[1].legs_multiplied_by_class(N)
 print("  unit-return residual:", classes[1] - SPHERE.one())
 Ep = associated_idempotent(printed, 1)
-top_left = (Ep * Ep).entries[0][0] - Ep.entries[0][0]
+top_left = (Ep * Ep)[0][0] - Ep[0][0]
 print("  idempotency residual at the corner:", top_left)
 
 print("\nparameter-zero connection")

@@ -51,12 +51,12 @@ from .lens import (
     lens_to_abstract,
     subspace_classify,
 )
+from .matrix import Matrix
 from .units import SplitTerm, deg_extreme, is_unit, split_expansion, subspace_split, verify_inverse
 from .principal import (
     CyclicHopfElement,
     LaurentHopfElement,
     ProlongElement,
-    SphereMatrix,
     StrongConnection,
     TensorSquare,
     associated_idempotent,

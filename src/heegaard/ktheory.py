@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .scalars import Coefficient, ONE, format_monomial, matrix_product, w_pow
+from .scalars import Coefficient, ONE, format_monomial, w_pow
 from .qalgebras import DISC0, Algebra, AlgebraElement, DiscAlgebra, DiscMonomial, disc_mono_str
+from .matrix import Matrix
 from .reports import CheckEntry, check, check_zero
-
-IntMatrix = List[List[int]]
 
 
 # ---------------------------------------------------------------------------
@@ -27,26 +26,7 @@ IntMatrix = List[List[int]]
 # ---------------------------------------------------------------------------
 
 
-def mat_identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for t in range(inner):
-            v = ai[t]
-            if v:
-                bt = b[t]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += v * bt[j]
-    return out
-
-
-def mat_det(m: IntMatrix) -> int:
+def mat_det(m: List[List[int]]) -> int:
     """Fraction-free (Bareiss) determinant."""
     n = len(m)
     if n == 0:
@@ -71,7 +51,7 @@ def mat_det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(m: List[List[int]]) -> Tuple[list, list, list]:
     """(U, D, V) with D = U m V diagonal, U and V unimodular, and the
     diagonal entries nonnegative in a divisibility chain.
 
@@ -84,8 +64,8 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     rows = len(m)
     cols = len(m[0]) if rows else 0
     d = [row[:] for row in m]
-    u = mat_identity(rows)
-    v = mat_identity(cols)
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def row_op(i1, i2, c):  # row i1 -= c * row i2
         di1, di2, ui1, ui2 = d[i1], d[i2], u[i1], u[i2]
@@ -217,12 +197,12 @@ class AbelianGroup:
         return cokernel(m).direct_sum(AbelianGroup.free(self.free_rank + other.free_rank))
 
 
-def matrix_rank(m: IntMatrix) -> int:
+def matrix_rank(m: List[List[int]]) -> int:
     _, d, _ = smith_normal_form(m)
     return sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i])
 
 
-def cokernel(m: IntMatrix) -> AbelianGroup:
+def cokernel(m: List[List[int]]) -> AbelianGroup:
     """Cokernel of the column-action map Z^cols -> Z^rows."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -237,7 +217,7 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
     return AbelianGroup(torsion, rows - rank)
 
 
-def kernel_rank(m: IntMatrix) -> int:
+def kernel_rank(m: List[List[int]]) -> int:
     cols = len(m[0]) if m else 0
     return cols - matrix_rank(m) if cols else 0
 
@@ -255,7 +235,7 @@ class MayerVietorisResult:
     reason: str = ""
 
 
-def lens_k_data(N: int) -> Tuple[IntMatrix, IntMatrix]:
+def lens_k_data(N: int) -> Tuple[List[List[int]], List[List[int]]]:
     """Difference maps of the two projection legs on the even and odd
     K-groups of the pullback presentation: (m, n) -> (m - n, 0) and
     (m, n) -> (-N n, m - n)."""
@@ -266,7 +246,7 @@ def lens_k_data(N: int) -> Tuple[IntMatrix, IntMatrix]:
     return m0, m1
 
 
-def mayer_vietoris_solve(m0: IntMatrix, m1: IntMatrix) -> MayerVietorisResult:
+def mayer_vietoris_solve(m0: List[List[int]], m1: List[List[int]]) -> MayerVietorisResult:
     """K-groups of the pullback from the two difference maps.
 
     Even part: 0 -> coker(m1) -> K0 -> ker(m0) -> 0, split since the
@@ -430,6 +410,10 @@ class PullbackMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class PullbackElement:
+    """A pair of crossed-product elements whose leg projections agree, as
+    ``pullback_make`` checks.  The ring operations act leg by leg; sums,
+    products, adjoints and scalar multiples of pairs are pairs again."""
+
     plus: CrossedElement
     minus: CrossedElement
 
@@ -438,6 +422,21 @@ class PullbackElement:
 
     def is_zero(self) -> bool:
         return self.plus.is_zero() and self.minus.is_zero()
+
+    def __add__(self, other: "PullbackElement") -> "PullbackElement":
+        return PullbackElement(self.plus + other.plus, self.minus + other.minus)
+
+    def __sub__(self, other: "PullbackElement") -> "PullbackElement":
+        return PullbackElement(self.plus - other.plus, self.minus - other.minus)
+
+    def __mul__(self, other: "PullbackElement") -> "PullbackElement":
+        return PullbackElement(self.plus * other.plus, self.minus * other.minus)
+
+    def star(self) -> "PullbackElement":
+        return PullbackElement(self.plus.star(), self.minus.star())
+
+    def scale(self, c: Coefficient) -> "PullbackElement":
+        return PullbackElement(self.plus.scale(c), self.minus.scale(c))
 
 
 def pullback_make(a_plus: CrossedElement, a_minus: CrossedElement,
@@ -452,82 +451,45 @@ def pullback_make(a_plus: CrossedElement, a_minus: CrossedElement,
     return PullbackElement(a_plus, a_minus)
 
 
-def pullback_mul(x: PullbackElement, y: PullbackElement) -> PullbackElement:
-    return PullbackElement(x.plus * y.plus, x.minus * y.minus)
-
-
-CrossedMatrix = List[List[CrossedElement]]
-TorusMatrix = List[List[TorusElement]]
-PullbackMatrix = List[List[PullbackElement]]
-
-
-def _tmat_identity(torus: TorusAlgebra, n: int) -> TorusMatrix:
-    return [[torus.one() if i == j else torus.zero() for j in range(n)] for i in range(n)]
-
-
-def bass_idempotent(
-    c: CrossedMatrix,
-    d: CrossedMatrix,
-    u_mat: TorusMatrix,
-    minus_alg: CrossedAlgebra,
-    torus: TorusAlgebra | None = None,
-) -> PullbackMatrix:
+def bass_idempotent(c, d, u_mat, minus_alg: CrossedAlgebra, torus: TorusAlgebra | None = None) -> Matrix:
     """Block idempotent of the connecting homomorphism for the class of
-    the invertible matrix u_mat, lifted through c and d on the plus leg.
+    the invertible matrix u_mat (torus entries), lifted through c and d
+    (plus-leg entries); each of the three is a ``Matrix`` or its rows.
 
     The lifting conditions (leg projection of d equals u_mat; of c, a
     two-sided inverse of u_mat) are verified, not assumed, and the result
     is verified to square to itself before being returned.
     """
-    n = len(c)
+    c, d, u_mat = Matrix(c), Matrix(d), Matrix(u_mat)
+    n = c.rows
     alg = c[0][0].alg
     if torus is None:
         torus = TorusAlgebra(alg.mult)
-    pc = [[project_to_torus(e, 1, torus) for e in row] for row in c]
-    pd = [[project_to_torus(e, 1, torus) for e in row] for row in d]
-    ident = _tmat_identity(torus, n)
+    pc, pd = (m.map(lambda e: project_to_torus(e, 1, torus)) for m in (c, d))
+    ident = Matrix.identity(n, torus.one(), torus.zero())
     if pd != u_mat:
         raise ValueError("leg projection of d does not equal the given matrix")
-    if matrix_product(pc, u_mat) != ident or matrix_product(u_mat, pc) != ident:
+    if pc * u_mat != ident or u_mat * pc != ident:
         raise ValueError("leg projection of c is not a two-sided inverse")
-    dc = matrix_product(d, c)
-    one_minus_dc = [
-        [(alg.one() if i == j else alg.zero()) - dc[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    two_minus_dc = [
-        [(alg.scalar(2) if i == j else alg.zero()) - dc[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    c_two_minus_dc = matrix_product(c, two_minus_dc)
-    blk11 = matrix_product(c_two_minus_dc, d)
-    blk12 = matrix_product(c_two_minus_dc, one_minus_dc)
-    blk21 = matrix_product(one_minus_dc, d)
-    blk22 = matrix_product(one_minus_dc, one_minus_dc)
-    mzero = minus_alg.zero()
-    mone = minus_alg.one()
-    out: PullbackMatrix = []
-    for i in range(2 * n):
-        row = []
-        for j in range(2 * n):
-            bi, bj = i // n, j // n
-            plus = (blk11, blk12, blk21, blk22)[2 * bi + bj][i % n][j % n]
-            if bi == 0 and bj == 0:
-                minus = mone if i == j else mzero
-            else:
-                minus = mzero
-            row.append(pullback_make(plus, minus, torus))
-        out.append(row)
+    dc = d * c
+    one_minus_dc = Matrix.identity(n, alg.one(), alg.zero()) - dc
+    c_two_minus_dc = c * (Matrix.identity(n, alg.scalar(2), alg.zero()) - dc)
+    plus = Matrix.block([
+        [c_two_minus_dc * d, c_two_minus_dc * one_minus_dc],
+        [one_minus_dc * d, one_minus_dc * one_minus_dc],
+    ])
+    mone, mzero = minus_alg.one(), minus_alg.zero()
+    zeros = Matrix.identity(n, mzero, mzero)
+    minus = Matrix.block([[Matrix.identity(n, mone, mzero), zeros], [zeros, zeros]])
+    out = plus.map(lambda a, b: pullback_make(a, b, torus), minus)
     # symbolic idempotency check
-    for leg in ("plus", "minus"):
-        mat = [[getattr(out[i][j], leg) for j in range(2 * n)] for i in range(2 * n)]
-        sq = matrix_product(mat, mat)
-        for i in range(2 * n):
-            for j in range(2 * n):
-                if sq[i][j] != mat[i][j]:
-                    raise AssertionError(
-                        f"connecting idempotent fails to square on the {leg} leg at {(i, j)}"
-                    )
+    square = out * out
+    for i in range(2 * n):
+        for j in range(2 * n):
+            got, want = square[i][j], out[i][j]
+            if got != want:
+                leg = "plus" if got.plus != want.plus else "minus"
+                raise AssertionError(f"connecting idempotent fails to square on the {leg} leg at {(i, j)}")
     return out
 
 
@@ -535,7 +497,7 @@ def bass_idempotent(
 class BassReport:
     N: int
     matrix_identity: bool
-    idempotent_matrix: PullbackMatrix | None  # None when it was not built
+    idempotent_matrix: Matrix | None  # None when it was not built
     valid_pullback_pair: bool
     torsion_order: int
     entries: List[CheckEntry] = field(default_factory=list)
@@ -557,26 +519,14 @@ def sphere_pullback_consistency() -> List[CheckEntry]:
         # the generators are no pullback pairs: every relation fails with why
         return [check(f"pullback:{cid}", "thm:not-free", False, str(exc)) for cid in cids]
 
-    def twisted(x, y, e):
-        """x y - w^e y x, leg by leg."""
-        xy, yx = pullback_mul(x, y), pullback_mul(y, x)
-        phase = w_pow(e)
-        return PullbackElement(xy.plus - yx.plus.scale(phase), xy.minus - yx.minus.scale(phase))
-
-    astar = PullbackElement(a.plus.star(), a.minus.star())
-    bstar = PullbackElement(b.plus.star(), b.minus.star())
-    sa = pullback_mul(astar, a)
-    sb = pullback_mul(bstar, b)
-    pa = pullback_mul(a, astar)
-    pb = pullback_mul(b, bstar)
-    gapA = PullbackElement(plus.one() - pa.plus, minus.one() - pa.minus)
-    gapB = PullbackElement(plus.one() - pb.plus, minus.one() - pb.minus)
+    one = PullbackElement(plus.one(), minus.one())
+    astar, bstar = a.star(), b.star()
     residuals = (
-        twisted(a, b, 2),
-        twisted(a, bstar, -2),
-        PullbackElement(sa.plus - plus.one(), sa.minus - minus.one()),
-        PullbackElement(sb.plus - plus.one(), sb.minus - minus.one()),
-        pullback_mul(gapA, gapB),
+        a * b - (b * a).scale(w_pow(2)),
+        a * bstar - (bstar * a).scale(w_pow(-2)),
+        astar * a - one,
+        bstar * b - one,
+        (one - a * astar) * (one - b * bstar),
     )
     return [check_zero(f"pullback:{cid}", "thm:not-free", res) for cid, res in zip(cids, residuals)]
 
@@ -590,32 +540,23 @@ def bass_class_report(N: int) -> BassReport:
     plus = CrossedAlgebra(1, N)
     minus = CrossedAlgebra(-1, N)
     torus = TorusAlgebra(N)
-    c = [[plus.x().star()]]
-    d = [[plus.x()]]
-    u_mat = [[torus.Z()]]
     try:
-        p_u, not_built = bass_idempotent(c, d, u_mat, minus, torus), ""
+        p_u, not_built = bass_idempotent([[plus.x().star()]], [[plus.x()]], [[torus.Z()]], minus, torus), ""
     except (ValueError, AssertionError) as exc:
         # a failed lifting or idempotency self-check fails the checks that read p_U
         p_u, not_built = None, str(exc)
     xxs = plus.x() * plus.x().star()
-    # the block form, leg by leg (plus, minus)
-    expected = [
-        [(plus.one(), minus.one()), (plus.zero(), minus.zero())],
-        [(plus.zero(), minus.zero()), (plus.one() - xxs, minus.zero())],
-    ]
-    matrix_identity = p_u is not None and all(
-        (p_u[i][j].plus, p_u[i][j].minus) == expected[i][j] for i in range(2) for j in range(2)
-    )
+    one = PullbackElement(plus.one(), minus.one())
+    zero = PullbackElement(plus.zero(), minus.zero())
+    expected = Matrix([[one, zero], [zero, PullbackElement(plus.one() - xxs, minus.zero())]])
+    matrix_identity = p_u == expected
     # the displayed identity: p_U = 1 - diag(0, (x x*, 1))
     try:
         pair, pair_error = pullback_make(xxs, minus.one(), torus), ""
     except PullbackMismatchError as exc:
         pair, pair_error = None, str(exc)
     valid_pair = pair is not None
-    identity_holds = matrix_identity and valid_pair and (
-        p_u[1][1].plus == plus.one() - pair.plus and p_u[1][1].minus == minus.one() - pair.minus
-    )
+    identity_holds = matrix_identity and valid_pair and p_u[1][1] == one - pair
     mv = lens_k_groups(N)
     order = mv.k0.torsion[0] if mv.k0 and mv.k0.torsion else 1
     tag = "thm:not-free"

@@ -19,7 +19,6 @@ from .scalars import (
     ZERO,
     add_term,
     format_monomial,
-    matrix_product,
     p_pow,
 )
 from .qalgebras import (
@@ -33,6 +32,7 @@ from .qalgebras import (
     SPHERE_ONE,
     sphere_mono_str,
 )
+from .matrix import Matrix
 from .reports import CheckEntry, check
 
 
@@ -264,55 +264,11 @@ def verify_strong_connection(conn: StrongConnection) -> List[CheckEntry]:
 
 
 # ---------------------------------------------------------------------------
-# Matrices over the sphere and the associated idempotent
+# The associated idempotent
 # ---------------------------------------------------------------------------
 
 
-class SphereMatrix:
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: List[List[SphereElement]]):
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        for row in entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-        self.entries = entries
-
-    def __mul__(self, other: "SphereMatrix") -> "SphereMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return SphereMatrix(matrix_product(self.entries, other.entries))
-
-    def __sub__(self, other: "SphereMatrix") -> "SphereMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return SphereMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SphereMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.entries[i][j] == other.entries[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
-
-    def __str__(self):
-        return "[" + "; ".join(
-            ", ".join(str(e) for e in row) for row in self.entries
-        ) + "]"
-
-
-def associated_idempotent(conn: StrongConnection, n: int) -> SphereMatrix:
+def associated_idempotent(conn: StrongConnection, n: int) -> Matrix:
     """Idempotent for the rank-one module attached to the n-th cyclic basis
     element: with the connection value written as sum_i x_i (x) e_i over
     linearly independent right legs (grouped by right basis monomial,
@@ -327,7 +283,7 @@ def associated_idempotent(conn: StrongConnection, n: int) -> SphereMatrix:
     right_legs = sorted(grouped, reverse=True)
     xs = [SphereElement(alg, grouped[m]) for m in right_legs]
     es = [SphereElement(alg, {m: ONE}) for m in right_legs]
-    return SphereMatrix([[e * x for x in xs] for e in es])
+    return Matrix([[e * x for x in xs] for e in es])
 
 
 @dataclass
@@ -337,18 +293,16 @@ class IdempotentCheck:
     residuals: List[Tuple[int, int, str]] = field(default_factory=list)
 
 
-def idempotent_check(E: SphereMatrix, N: int) -> IdempotentCheck:
+def idempotent_check(E: Matrix, N: int) -> IdempotentCheck:
     if E.rows != E.cols:
         raise ValueError("idempotent check needs a square matrix")
     diff = (E * E) - E
     residuals = []
     for i in range(E.rows):
         for j in range(E.cols):
-            if diff.entries[i][j]:
-                residuals.append((i, j, str(diff.entries[i][j])))
-    invariant = all(
-        E.entries[i][j].is_invariant(N) for i in range(E.rows) for j in range(E.cols)
-    )
+            if diff[i][j]:
+                residuals.append((i, j, str(diff[i][j])))
+    invariant = all(e.is_invariant(N) for row in E for e in row)
     return IdempotentCheck(idempotent=not residuals, invariant=invariant, residuals=residuals)
 
 

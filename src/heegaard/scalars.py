@@ -640,15 +640,6 @@ def add_term(out: dict, key, c: Coefficient) -> None:
         out.pop(key, None)
 
 
-def matrix_product(a: list, b: list) -> list:
-    """Product of two matrices, given as lists of rows, of ring elements."""
-    cols = range(len(b[0]))
-    return [
-        [sum((row[t] * b[t][j] for t in range(1, len(b))), row[0] * b[0][j]) for j in cols]
-        for row in a
-    ]
-
-
 def _add_exponents(m1: int, m2: int):
     return ((m1 + m2, ONE),)
 
@@ -870,14 +861,13 @@ def _row(n: int, width: int = 0) -> List[int]:
     return got
 
 
-def _poly(sign: int, packed: int, width: int, low: int, base: Base, top: int) -> Coefficient:
-    """sign * sum c_d t^(low + d), t = var^s for the base (var, s), whose
-    coefficients 0 < c_d <= top are the W-bit digits of ``packed``.  A
+def _poly(value: int, width: int, low: int, base: Base, top: int) -> Coefficient:
+    """sign(value) * sum c_d t^(low + d), t = var^s for the base (var, s),
+    whose coefficients 0 < c_d <= top are the W-bit digits of |value|.  A
     binomial has a positive coefficient at every degree 0..m(n-m), so its
     digits fill their box: over t = var it is packed as it stands."""
     var, s = base
-    count = -(-packed.bit_length() // width)
-    value, axis = packed if sign > 0 else -packed, _VAR_INDEX[var]
+    count, axis = -(-value.bit_length() // width), _VAR_INDEX[var]
     low = low if s > 0 else -(low + count - 1)
     box = tuple(tuple(x if v == axis else y for v in range(3)) for x, y in ((low, 0), (1, 1), (count, 1)))
     if s > 0 and count >= _PACK_MIN_TERMS:
@@ -897,7 +887,7 @@ def qbinomial_base(n: int, m: int, base: Base) -> Coefficient:
     key = (n, m, base)
     got = _QBINOM_MEMO.get(key)
     if got is None:
-        got = _QBINOM_MEMO[key] = _poly(1, _row(n)[m], _width(n), 0, base, comb(n, m))
+        got = _QBINOM_MEMO[key] = _poly(_row(n)[m], _width(n), 0, base, comb(n, m))
     return got
 
 
@@ -959,37 +949,42 @@ class QPoly(LinComb):
         return self._new({m: c * var_pow(var, s * e * m) for m, c in self._t.items()})
 
 
-def _closed_form(row: List[int], n: int, inverse: bool, width: int, base: Base) -> List[Coefficient]:
+def _closed_rows(row: List[int], n: int, inverse: bool) -> List[Tuple[int, int]]:
     """The Y^1..Y^n coefficients of the closed form at index n (-n when
-    ``inverse``), from row n packed at ``width``, over t = the base (its
-    inverse when ``inverse``): (-1)^m t^(-n*m + m(m+1)/2) C(n, m)_t, times
-    t^-m for a negative index (the inverse-base family taken at base*Y)."""
-    var, s = base
-    t = (var, -s if inverse else s)
+    ``inverse``), as (signed row int, lowest degree) pairs from row n, over
+    t = the base (its inverse when ``inverse``): (-1)^m t^(-n*m + m(m+1)/2)
+    C(n, m)_t, times t^-m for a negative index (the inverse-base family
+    taken at base*Y)."""
     return [
-        _poly(-1 if m % 2 else 1, row[m], width, -n * m + m * (m + 1) // 2 - (m if inverse else 0), t, comb(n, m))
+        (-row[m] if m % 2 else row[m], -n * m + m * (m + 1) // 2 - (m if inverse else 0))
         for m in range(1, n + 1)
     ]
 
 
-def _check_recursion(n: int, inverse: bool, closed: List[Coefficient], lower: List[Coefficient], width: int) -> None:
+def _closed_form(row: List[int], n: int, inverse: bool, width: int, base: Base) -> List[Coefficient]:
+    """``_closed_rows`` over the base, from row n packed at ``width``."""
+    t = (base[0], -base[1] if inverse else base[1])
+    return [_poly(v, width, low, t, comb(n, m)) for m, (v, low) in enumerate(_closed_rows(row, n, inverse), 1)]
+
+
+def _check_recursion(
+    n: int, inverse: bool, closed: List[Tuple[int, int]], lower: List[Tuple[int, int]], width: int
+) -> None:
     """Check the closed form at index n (-n when ``inverse``) against the
     one-step recursion from ``lower``, 1 and the closed form at n - 1, all
-    over t = p at ``width``: that width bounds every digit of closed -
-    recursion, so laid out over one box it is the int 0 exactly when the
-    two agree.  Q(+-n) = X - Y t^-i (1 + X), X = Q(+-(n-1)) at Y -> Y/t,
-    i = 1 for a negative index (Y/t is base*Y there, t the inverse base).
-    """
+    as ``_closed_rows`` pairs at ``width``: that width bounds every digit of
+    closed - recursion, so their row ints shifted to one lowest degree add
+    up to 0 exactly when the two agree.  Q(+-n) = X - Y t^-i (1 + X),
+    X = Q(+-(n-1)) at Y -> Y/t, i = 1 for a negative index (Y/t is base*Y
+    there, t the inverse base)."""
     i = 1 if inverse else 0
     for m in range(1, n + 1):
-        # closed_m - X_m + t^-i (1 + X)_(m-1): (part, its shift in t, sign)
-        parts = [(closed[m - 1], 0, 1), (lower[m - 1], 1 - m - i, 1)]
+        # closed_m - X_m + t^-i (1 + X)_(m-1)
+        parts = [closed[m - 1], (lower[m - 1][0], lower[m - 1][1] + 1 - m - i)]
         if m < n:
-            parts.append((lower[m], -m, -1))
-        ends = [(lo[0] + e, lo[0] + e + s[0] * (r[0] - 1)) for c, e, _ in parts for lo, s, r in [_box(c)]]
-        low, count = min(ends)[0], max(hi for _, hi in ends) - min(ends)[0] + 1
-        # each part laid out from low - shift is the part times t^shift
-        if sum(sign * _lay(c, ((low - e, 0, 0), (1, 1, 1), (count, 1, 1)), width) for c, e, sign in parts):
+            parts.append((-lower[m][0], lower[m][1] - m))
+        low = min(d for _, d in parts)
+        if sum(v << width * (d - low) for v, d in parts):
             raise AssertionError(f"closed form and recursion disagree at index {-n if inverse else n}")
 
 
@@ -999,17 +994,15 @@ def _check_up_to(n: int, inverse: bool) -> None:
     checked = _QPOLY_CHECKED[inverse]
     if checked >= n:
         return
-    # the whole walk at the width of row n, which bounds every row below;
-    # over the base p^-1 for a negative index, so that t = p either way
+    # the whole walk at the width of row n, which bounds every row below
     width = _width(n)
-    base = ("p", -1 if inverse else 1)
     row = _row(checked, width)
-    lower = [ONE, *_closed_form(row, checked, inverse, width, base)]
+    lower = [(1, 0), *_closed_rows(row, checked, inverse)]
     for k in range(checked + 1, n + 1):
         row = _pascal_step(row, width)
-        closed = _closed_form(row, k, inverse, width, base)
+        closed = _closed_rows(row, k, inverse)
         _check_recursion(k, inverse, closed, lower, width)
-        lower = [ONE, *closed]
+        lower = [(1, 0), *closed]
         _QPOLY_CHECKED[inverse] = k
     _ROW_MEMO.setdefault(n, row)
 

@@ -53,7 +53,6 @@ from .principal import (
     LaurentHopfElement,
     ProlongElement,
     SPHERE_ONE,
-    SphereMatrix,
     associated_idempotent,
     idempotent_check,
     prolong_is_invariant,
@@ -68,10 +67,10 @@ from .ktheory import (
     kernel_rank,
     lens_k_groups,
     mat_det,
-    mat_mul,
     matrix_rank,
     smith_normal_form,
 )
+from .matrix import Matrix
 from .reports import CheckEntry, FirstFailures, Report, check, check_zero, known
 from .rng import DEFAULT_SEED, SplitMix64, random_coefficient, random_sphere_element, random_sphere_monomial
 
@@ -528,7 +527,7 @@ def suite_idem(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEntr
         E = associated_idempotent(conn, 1)
         if variant == "printed_p_inverse":
             expected = (SPHERE.A() - SPHERE.A() * SPHERE.A()).scale(p_pow(-2) - ONE)
-            top_left = (E * E).entries[0][0] - E.entries[0][0]
+            top_left = (E * E)[0][0] - E[0][0]
             entries.append(known(f"idem.printed:residual[N={N}]", tag, top_left, expected))
             continue
         chk = idempotent_check(E, N)
@@ -554,7 +553,7 @@ def suite_idem(opts: SuiteOptions, variant: str = "corrected") -> List[CheckEntr
 def _expected_corrected_idempotent():
     s = SPHERE
     z = s.z()
-    return SphereMatrix(
+    return Matrix(
         [
             [s.one() - s.A(), (z * s.A()).scale(p_pow(1))],
             [z.star(), s.A().scale(p_pow(1))],
@@ -583,7 +582,7 @@ def suite_ktheory(opts: SuiteOptions, single_n: int | None = None) -> List[Check
         cols = rng.randint(1, 6)
         m = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
         u, d, v = smith_normal_form(m)
-        if mat_mul(mat_mul(u, m), v) != d:
+        if Matrix(u) * Matrix(m) * Matrix(v) != Matrix(d):
             failures.fail("snf-random", f"product mismatch on {m}")
         if abs(mat_det(u)) != 1 or abs(mat_det(v)) != 1:
             failures.fail("snf-random", f"non-unimodular transform on {m}")

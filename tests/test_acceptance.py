@@ -179,7 +179,7 @@ def test_criterion_06_strong_connection_and_idempotent():
         chk = idempotent_check(E, N)
         if not (chk.idempotent and chk.invariant):
             ok = False
-        for row in E.entries:
+        for row in E:
             for entry in row:
                 emit("sphere", entry)
     # the printed coefficient must fail with exactly the recorded residuals
@@ -193,7 +193,7 @@ def test_criterion_06_strong_connection_and_idempotent():
     chkp = idempotent_check(Ep, 3)
     if chkp.idempotent:
         ok = False
-    top_left = (Ep * Ep).entries[0][0] - Ep.entries[0][0]
+    top_left = (Ep * Ep)[0][0] - Ep[0][0]
     expected2 = (SPHERE.A() - SPHERE.A() * SPHERE.A()).scale(p_pow(-2) - ONE)
     if emit("sphere", top_left) != emit("sphere", expected2):
         ok = False

@@ -436,12 +436,12 @@ def test_cli_reports_a_failed_closed_form_check(monkeypatch, capsys):
     # cold contraction-polynomial state, and a closed form off by t at index 2
     monkeypatch.setattr(scalars, "_QPOLY_MEMO", {})
     monkeypatch.setattr(scalars, "_QPOLY_CHECKED", {False: 0, True: 0})
-    real = scalars._closed_form
+    real = scalars._closed_rows
 
-    def shifted(row, n, inverse, width, base):
-        return [c * scalars.p_pow(int(n == 2)) for c in real(row, n, inverse, width, base)]
+    def shifted(row, n, inverse):
+        return [(v, low + int(n == 2)) for v, low in real(row, n, inverse)]
 
-    monkeypatch.setattr(scalars, "_closed_form", shifted)
+    monkeypatch.setattr(scalars, "_closed_rows", shifted)
     assert main(["qpoly", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.err == (

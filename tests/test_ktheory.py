@@ -6,6 +6,7 @@ one must equal the i-th diagonal entry of the normal form.
 """
 
 import math
+import re
 from itertools import combinations
 
 import pytest
@@ -27,13 +28,13 @@ from heegaard.ktheory import (
     lens_k_data,
     lens_k_groups,
     mat_det,
-    mat_mul,
     matrix_rank,
     mayer_vietoris_solve,
     project_to_torus,
     pullback_make,
     smith_normal_form,
 )
+from heegaard.matrix import Matrix
 from heegaard.reports import FAIL, PASS
 from heegaard.rng import SplitMix64
 
@@ -75,7 +76,7 @@ def snf_diag(m):
 def test_snf_examples():
     m = [[0, -3], [1, -1]]
     u, d, v = smith_normal_form(m)
-    assert mat_mul(mat_mul(u, m), v) == d
+    assert Matrix(u) * Matrix(m) * Matrix(v) == Matrix(d)
     assert [d[0][0], d[1][1]] == [1, 3]
     ident = [[1, 0], [0, 1]]
     _, d, _ = smith_normal_form(ident)
@@ -108,7 +109,7 @@ matrix_strategy = st.integers(1, 5).flatmap(
 @given(matrix_strategy)
 def test_snf_properties(m):
     u, d, v = smith_normal_form(m)
-    assert mat_mul(mat_mul(u, m), v) == d
+    assert Matrix(u) * Matrix(m) * Matrix(v) == Matrix(d)
     assert abs(mat_det(u)) == 1
     assert abs(mat_det(v)) == 1
     diag = [d[i][i] for i in range(min(len(m), len(m[0])))]
@@ -298,16 +299,21 @@ def test_bass_idempotent_and_report():
         assert p_u[0][1].plus.is_zero() and p_u[1][0].plus.is_zero()
 
 
-def test_pullback_consistency_with_a_shifted_phase_fails(monkeypatch):
-    # every pullback product gains w on its plus leg: the twisted
-    # commutators still vanish, the isometries and the core product do not
-    product = ktheory.pullback_mul
+def _shift_pullback_products(monkeypatch):
+    """Every pullback product gains w on its plus leg."""
+    product = PullbackElement.__mul__
 
     def shifted(x, y):
         r = product(x, y)
         return PullbackElement(r.plus.scale(w_pow(1)), r.minus)
 
-    monkeypatch.setattr(ktheory, "pullback_mul", shifted)
+    monkeypatch.setattr(PullbackElement, "__mul__", shifted)
+
+
+def test_pullback_consistency_with_a_shifted_phase_fails(monkeypatch):
+    # the twisted commutators still vanish, the isometries and the core
+    # product do not
+    _shift_pullback_products(monkeypatch)
     entries = {e.id: (e.status, e.residual, e.paper_tag) for e in ktheory.sphere_pullback_consistency()}
     assert entries == {
         "pullback:ab-phase": (PASS, "0", "thm:not-free"),
@@ -316,6 +322,20 @@ def test_pullback_consistency_with_a_shifted_phase_fails(monkeypatch):
         "pullback:b-isometry": (FAIL, "(-1 + w, 0)", "thm:not-free"),
         "pullback:core-product": (FAIL, "(w - 2*w^2 + w^3 + w^2 X - w^3 X, 0)", "thm:not-free"),
     }
+
+
+def test_failed_bass_square_says_why(monkeypatch):
+    # the block idempotent no longer squares to itself: bass_idempotent
+    # raises, and the entries that read it fail with its message
+    _shift_pullback_products(monkeypatch)
+    plus, minus, torus = CrossedAlgebra(1, 3), CrossedAlgebra(-1, 3), TorusAlgebra(3)
+    message = "connecting idempotent fails to square on the plus leg at (0, 0)"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        bass_idempotent([[plus.x().star()]], [[plus.x()]], [[torus.Z()]], minus, torus)
+    entries = {e.id: e for e in bass_class_report(3).entries}
+    for cid in ("bass:block-matrix", "bass:complement-identity"):
+        assert (entries[cid].status, entries[cid].residual) == (FAIL, message)
+    assert entries["bass:pullback-pair"].status == PASS
 
 
 def test_bass_trivial_lift():
@@ -350,7 +370,7 @@ def test_bass_random_liftable_examples():
     d = [[plus.x(), plus.zero()], [plus.zero(), plus.one()]]
     u_mat = [[torus.Z(), torus.zero()], [torus.zero(), torus.one()]]
     p_u = bass_idempotent(c, d, u_mat, minus, torus)
-    assert len(p_u) == 4
+    assert p_u.rows == 4
     with pytest.raises(ValueError):
         bass_idempotent([[plus.x()]], [[plus.x()]], [[torus.Z()]], minus, torus)
 

@@ -5,12 +5,12 @@ import pytest
 
 from heegaard.scalars import Coefficient, EvaluationError, ONE, ZERO, p_pow
 from heegaard.qalgebras import CORE_A, SPHERE, SPHERE0, SphereMonomial
+from heegaard.matrix import Matrix
 from heegaard.principal import (
     CyclicHopfElement,
     LaurentHopfElement,
     ProlongElement,
     SPHERE_ONE,
-    SphereMatrix,
     TensorSquare,
     associated_idempotent,
     hopf_ops,
@@ -105,7 +105,7 @@ def test_associated_idempotent_matrix():
     E = associated_idempotent(conn, 1)
     s = SPHERE
     z = s.z()
-    expected = SphereMatrix(
+    expected = Matrix(
         [
             [s.one() - s.A(), (z * s.A()).scale(p_pow(1))],
             [z.star(), s.A().scale(p_pow(1))],
@@ -134,7 +134,7 @@ def test_printed_idempotent_fails_with_exact_residual():
     E = associated_idempotent(conn, 1)
     chk = idempotent_check(E, 3)
     assert not chk.idempotent
-    top_left = (E * E).entries[0][0] - E.entries[0][0]
+    top_left = (E * E)[0][0] - E[0][0]
     expected = (SPHERE.A() - SPHERE.A() * SPHERE.A()).scale(p_pow(-2) - ONE)
     assert top_left == expected
 
@@ -143,7 +143,7 @@ def test_isometric_idempotent():
     conn = strong_connection_isometric(5)
     E = associated_idempotent(conn, 1)
     assert E.rows == E.cols == 1
-    assert E.entries[0][0] == SPHERE0.one() - SPHERE0.A()
+    assert E[0][0] == SPHERE0.one() - SPHERE0.A()
     chk = idempotent_check(E, 5)
     assert chk.idempotent and chk.invariant
     # the squared class leaves the representable span at parameter zero
@@ -192,7 +192,7 @@ def test_idempotent_shape_contract():
 
 def test_identity_matrix_is_idempotent():
     s = SPHERE
-    ident = SphereMatrix([[s.one(), s.zero()], [s.zero(), s.one()]])
+    ident = Matrix([[s.one(), s.zero()], [s.zero(), s.one()]])
     chk = idempotent_check(ident, 3)
     assert chk.idempotent and chk.invariant
 

@@ -94,3 +94,42 @@ def test_only_scalars_reads_coefficient_internals():
                     f"{path.name}:{node.lineno}: imports {a.name}" for a in node.names if a.name.startswith("_")
                 ]
     assert not offenders, offenders
+
+
+# the Bareiss determinant runs on int rows by design; it is no matrix operation
+INT_ROW_ALGORITHMS = {"mat_det"}
+
+
+def _is_rows_alias(value):
+    """Whether ``value`` spells ``List[List[...]]`` (or ``list[list[...]]``)."""
+    return (
+        isinstance(value, ast.Subscript)
+        and isinstance(value.value, ast.Name)
+        and value.value.id in ("List", "list")
+        and isinstance(value.slice, ast.Subscript)
+        and isinstance(value.slice.value, ast.Name)
+        and value.slice.value.id in ("List", "list")
+    )
+
+
+def _matrix_definitions(path):
+    """What ``path`` defines that the one ``Matrix`` type already is."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Matrix"):
+            found.append(f"{path.name}:{node.lineno}: class {node.name}")
+        if isinstance(node, ast.FunctionDef) and node.name not in INT_ROW_ALGORITHMS and (
+            node.name.startswith("mat_") or node.name == "matrix_product"
+        ):
+            found.append(f"{path.name}:{node.lineno}: function {node.name}")
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_rows_alias(node.value):
+            found.append(f"{path.name}:{node.lineno}: List[List[...]] alias")
+    return found
+
+
+def test_only_matrix_defines_a_matrix():
+    assert [found.endswith(": class Matrix") for found in _matrix_definitions(SRC / "matrix.py")] == [True]
+    offenders = [
+        found for path in sorted(SRC.glob("*.py")) if path.name != "matrix.py" for found in _matrix_definitions(path)
+    ]
+    assert not offenders, offenders
