@@ -13,6 +13,7 @@ from .scalars import (
     ONE,
     QPoly,
     ZERO,
+    memo_sizes,
     p_pow,
     q_pow,
     qbinomial,

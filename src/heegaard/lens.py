@@ -16,8 +16,10 @@ from .scalars import (
     Coefficient,
     LinComb,
     ONE,
+    RUN_SCOPE,
     add_term,
     format_monomial,
+    memo_table,
     p_pow,
     q_pow,
     qpoly_Q,
@@ -132,7 +134,7 @@ def lens_gen(N: int, name: str, e: int = 1) -> LensElement:
 
 # -- the generator map f -------------------------------------------------
 
-_IMG_MEMO: Dict[Tuple[int, str, int], SphereElement] = {}
+_IMG_MEMO: Dict[Tuple[int, str, int], SphereElement] = memo_table("lens._IMG_MEMO", RUN_SCOPE)
 
 
 def lens_generator_image(g: str, N: int, alg: SphereAlgebra = SPHERE) -> SphereElement:
@@ -154,7 +156,9 @@ def _image_power(g: str, e: int, N: int) -> SphereElement:
 
 # f of one basis monomial, by (N, monomial): the product of generator powers
 # that the sphere engine computes, so no phase is read off a printed formula
-_BASIS_IMAGE_MEMO: Dict[Tuple[int, LensMonomial], SphereElement] = {}
+_BASIS_IMAGE_MEMO: Dict[Tuple[int, LensMonomial], SphereElement] = memo_table(
+    "lens._BASIS_IMAGE_MEMO", RUN_SCOPE
+)
 
 
 def _basis_image(N: int, m: LensMonomial) -> SphereElement:
@@ -204,7 +208,7 @@ def _invert_unit(c: Coefficient) -> Coefficient:
 # on each call.
 _PREIMAGE_MEMO: Dict[
     Tuple[int, SphereMonomial], Tuple[LensMonomial, Coefficient, SphereElement]
-] = {}
+] = memo_table("lens._PREIMAGE_MEMO", RUN_SCOPE)
 
 
 def _preimage(N: int, m: SphereMonomial) -> Tuple[LensMonomial, Coefficient, SphereElement]:

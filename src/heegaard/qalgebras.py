@@ -9,8 +9,9 @@ Every algebra object takes its element constructors from ``Algebra``.  The
 two engines share ``_EngineBase``, which owns the memo tables (monomial
 interning, monomial products) and the parameter-zero tail of every product
 and adjoint; each engine gives only its raw product and adjoint rules.
-Values are immutable and the caches are append-only, so everything can be
-shared freely between threads.
+Values are immutable, so everything can be shared freely between threads.
+The memo tables are run-scoped (see ``scalars.memo_table``): a full
+verification run empties them after each suite, and nothing else does.
 
 Setting ``isometric=True`` instantiates the parameter-at-zero presentation:
 the same contraction rules run, every emitted coefficient is evaluated at
@@ -29,9 +30,11 @@ from .scalars import (
     Coefficient,
     LinComb,
     ONE,
+    RUN_SCOPE,
     ZERO,
     add_term,
     format_monomial,
+    memo_table,
     qpoly_Qpair_base,
     var_pow,
     w_pow,
@@ -117,12 +120,12 @@ class _EngineBase(Algebra):
     ``star_mono`` that ends in ``_normalize``, and ``_gen_exp``: the
     generator exponent that a core power annihilates at parameter zero."""
 
-    def __init__(self, isometric: bool, zero_vars: Tuple[str, ...]):
+    def __init__(self, name: str, isometric: bool, zero_vars: Tuple[str, ...]):
         self.isometric = isometric
         # variables evaluated at zero in every emitted coefficient
         self.zero_vars = zero_vars if isometric else ()
-        self._mul_memo: Dict[Tuple, Tuple] = {}
-        self._intern: Dict[Tuple, Tuple] = {}
+        self._mul_memo: Dict[Tuple, Tuple] = memo_table(f"{name}._mul_memo", RUN_SCOPE, self)
+        self._intern: Dict[Tuple, Tuple] = memo_table(f"{name}._intern", RUN_SCOPE, self)
 
     def _reduce_mono(self, m):
         """Parameter-zero relations: a core power is idempotent and kills
@@ -190,7 +193,7 @@ class DiscAlgebra(_EngineBase):
     def __init__(self, var: str = "p", sign: int = 1, isometric: bool = False):
         if isometric and sign != 1:
             raise ValueError("the parameter-at-zero presentation uses sign +1")
-        super().__init__(isometric, (var,))
+        super().__init__("DISC0" if isometric else "DISC_INV" if sign < 0 else "DISC", isometric, (var,))
         self.var = var
         self.sign = sign
         self.base: Base = (var, sign)
@@ -286,7 +289,7 @@ class SphereAlgebra(_EngineBase):
     mono_mul = _EngineBase.mono_mul  # own binding, wrapped per class
 
     def __init__(self, isometric: bool = False):
-        super().__init__(isometric, ("p", "q"))
+        super().__init__("SPHERE0" if isometric else "SPHERE", isometric, ("p", "q"))
         self.base_a: Base = ("p", 1)
         self.base_b: Base = ("q", 1)
 

@@ -6,9 +6,17 @@ integers are arbitrary precision; there is no floating point anywhere.
 
 The module also provides the deformed integer/binomial families and the
 one-variable contraction polynomials that drive every normal-form rule
-downstream.  Everything here is immutable and pure, hence thread-safe;
-the memo caches are append-only dicts guarded by the GIL, and the range of
-checked contraction polynomials grows under a lock.
+downstream.  Everything here is immutable and pure, hence thread-safe,
+and the range of checked contraction polynomials grows under a lock.
+
+Every memo table in the package is a plain dict made by ``memo_table``,
+which registers it with a name and a scope.  Process tables (the binomial
+rows and the closed forms here) are bounded by the index ranges asked for
+and live as long as the process.  Run-scoped tables (the engines' monomial
+products and interned monomials, the lens transport images) grow with the
+inputs; ``clear_run_memos`` empties them, and only a full verification run
+calls it, after each suite.  Within a table, entries are only ever added,
+under the GIL.
 
 Both layers run on packed integers (Kronecker substitution).  A term
 p^i q^j w^k is keyed by the one int ``i*2^(2S) + j*2^S + k`` with balanced
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import weakref
 from array import array
 from itertools import compress, repeat
 from math import comb, gcd
@@ -798,6 +807,44 @@ class LinComb:
 
 
 # ---------------------------------------------------------------------------
+# Memo tables: plain dicts, each registered with a name and a scope.
+# ---------------------------------------------------------------------------
+
+# emptied after each suite of a full verification run
+RUN_SCOPE = "run"
+# kept for the life of the process: bounded by the index ranges asked for
+PROCESS_SCOPE = "process"
+# id of the table -> (name, scope, table)
+_REGISTRY: Dict[int, Tuple[str, str, dict]] = {}
+
+
+def memo_table(name: str, scope: str, owner: object = None) -> dict:
+    """A new empty memo table, registered under ``name`` with ``scope``.
+    The tables of an ``owner`` leave the registry when it is collected."""
+    table: dict = {}
+    _REGISTRY[id(table)] = (name, scope, table)
+    if owner is not None:
+        weakref.finalize(owner, _REGISTRY.pop, id(table), None)
+    return table
+
+
+def clear_run_memos() -> None:
+    """Empty every run-scoped memo table.  Memos are pure caches, so this
+    changes no result, only what must be computed again."""
+    for _, scope, table in list(_REGISTRY.values()):
+        if scope == RUN_SCOPE:
+            table.clear()
+
+
+def memo_sizes() -> Dict[str, int]:
+    """Entries per memo table name (tables sharing a name are summed)."""
+    sizes: Dict[str, int] = {}
+    for name, _, table in list(_REGISTRY.values()):
+        sizes[name] = sizes.get(name, 0) + len(table)
+    return sizes
+
+
+# ---------------------------------------------------------------------------
 # Deformed integers and binomials.
 #
 # A "base" is the deformation unit: ('p', +1) means the variable p itself,
@@ -843,7 +890,7 @@ def _pascal_step(prev: List[int], width: int) -> List[int]:
 
 
 # rows asked for by qbinomial and qpoly_Q, each at its own width
-_ROW_MEMO: Dict[int, List[int]] = {}
+_ROW_MEMO: Dict[int, List[int]] = memo_table("scalars._ROW_MEMO", PROCESS_SCOPE)
 
 
 def _row(n: int, width: int = 0) -> List[int]:
@@ -876,7 +923,7 @@ def _poly(value: int, width: int, low: int, base: Base, top: int) -> Coefficient
     return _from_cells(box, digits[::-1], 0) if s < 0 else _from_cells(box, digits, width, value)
 
 
-_QBINOM_MEMO: Dict[Tuple[int, int, Base], Coefficient] = {}
+_QBINOM_MEMO: Dict[Tuple[int, int, Base], Coefficient] = memo_table("scalars._QBINOM_MEMO", PROCESS_SCOPE)
 
 
 def qbinomial_base(n: int, m: int, base: Base) -> Coefficient:
@@ -1012,7 +1059,7 @@ def _check_up_to(n: int, inverse: bool) -> None:
 # extend it hold the lock
 _QPOLY_CHECKED = {False: 0, True: 0}
 _QPOLY_LOCK = threading.Lock()
-_QPOLY_MEMO: Dict[Tuple[int, Base], QPoly] = {}
+_QPOLY_MEMO: Dict[Tuple[int, Base], QPoly] = memo_table("scalars._QPOLY_MEMO", PROCESS_SCOPE)
 
 
 def qpoly_Q_base(mu: int, base: Base) -> QPoly:

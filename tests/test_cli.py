@@ -452,9 +452,11 @@ def test_cli_reports_a_failed_closed_form_check(monkeypatch, capsys):
 
 def test_cli_reports_a_failed_lens_preimage_check(monkeypatch, capsys):
     from heegaard import lens
+    from heegaard.scalars import clear_run_memos
 
-    # basis images doubled: the lead of a preimage is no longer a ring unit
-    monkeypatch.setattr(lens, "_PREIMAGE_MEMO", {})
+    # basis images doubled: the lead of a preimage is no longer a ring unit;
+    # cleared through the registry, so no preimage is read from the memo
+    clear_run_memos()
     real = lens._basis_image
     monkeypatch.setattr(lens, "_basis_image", lambda N, m: real(N, m).scale(2))
     assert main(["mul", "--dialect", "lens", "--N", "2", "z'", "z'"]) == 1

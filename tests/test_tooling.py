@@ -133,3 +133,49 @@ def test_only_matrix_defines_a_matrix():
         found for path in sorted(SRC.glob("*.py")) if path.name != "matrix.py" for found in _matrix_definitions(path)
     ]
     assert not offenders, offenders
+
+
+# the names a memo table goes by: module-level ``_*MEMO*`` and the engines' tables
+MEMO_NAME = re.compile(r"_\w*MEMO\w*$")
+ENGINE_MEMOS = {"_mul_memo", "_intern"}
+
+
+def _memo_assignments(path):
+    """(line, target, whether the value comes from the registry) for every
+    assignment in ``path`` to a memo table's name."""
+    tree = ast.parse(path.read_text())
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            if isinstance(target, ast.Name) and node in tree.body and MEMO_NAME.match(target.id):
+                name = target.id
+            elif (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+                and target.attr in ENGINE_MEMOS
+            ):
+                name = f"self.{target.attr}"
+            else:
+                continue
+            value = node.value
+            registered = (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "memo_table"
+            )
+            found.append((node.lineno, name, registered))
+    return found
+
+
+def test_every_memo_table_comes_from_the_registry():
+    found = {path.name: _memo_assignments(path) for path in sorted(SRC.glob("*.py"))}
+    registered = sorted(name for assignments in found.values() for _, name, ok in assignments if ok)
+    assert registered == sorted(
+        ["_ROW_MEMO", "_QBINOM_MEMO", "_QPOLY_MEMO", "_IMG_MEMO", "_BASIS_IMAGE_MEMO", "_PREIMAGE_MEMO"]
+        + ["self._mul_memo", "self._intern"]
+    )
+    offenders = [
+        f"{name}:{line}: {target}" for name, assignments in found.items() for line, target, ok in assignments if not ok
+    ]
+    assert not offenders, offenders
