@@ -182,7 +182,7 @@ def lens_from_abstract(t: LensElement) -> SphereElement:
     """Apply f term by term, summing the images of the basis monomials."""
     N = t.N
     out: Dict[SphereMonomial, Coefficient] = {}
-    for m, c in t.sorted_terms():
+    for m, c in t.terms():
         for im, ic in _basis_image(N, m).terms():
             add_term(out, im, ic * c)
     return SPHERE.element(out)
@@ -245,7 +245,8 @@ def lens_to_abstract(r: SphereElement, N: int) -> LensElement:
 
     Core-free terms are peeled first through their B'-family preimage;
     each such image has one core-free term, so a peel changes only
-    core-carrying terms, which then invert monomial by monomial.
+    core-carrying terms, which then invert monomial by monomial, each to
+    its own candidate with k >= 1, which no peel produced.
     """
     if r.alg is not SPHERE:
         raise ValueError("inverse map expects generic sphere elements")
@@ -253,16 +254,17 @@ def lens_to_abstract(r: SphereElement, N: int) -> LensElement:
         raise NonInvariantError("element is not invariant for this lens type")
     out: Dict[LensMonomial, Coefficient] = {}
     rest = dict(r.terms())
-    for m in sorted(m for m in rest if m.k == 0):
+    for m in [m for m in rest if m.k == 0]:
         cand, inv, img = _preimage(N, m)
         factor = rest[m] * inv
         add_term(out, cand, factor)
         for im, ic in img.terms():
             add_term(rest, im, -(ic * factor))
-    for m, c in sorted(rest.items()):
+    for m, c in rest.items():
         cand, inv, _ = _preimage(N, m)
-        add_term(out, cand, c * inv)
-    return LensElement(N, out)
+        out[cand] = c * inv
+    # every key came from _preimage and no coefficient is zero
+    return LensElement(N)._new(out)
 
 
 def lens_mul(t1: LensElement, t2: LensElement) -> LensElement:

@@ -419,6 +419,13 @@ class Coefficient:
             return self
         if not a:
             return other
+        if len(a) == 1 == len(b):
+            ((ea, ca),), ((eb, cb),) = a.items(), b.items()
+            bound = max(self._bound, other._bound)
+            if ea != eb:
+                return _coeff({ea: ca, eb: cb}, bound)
+            s = ca + cb
+            return _coeff({ea: s} if s else {}, bound)
         if type(a) is not dict or type(b) is not dict:
             # one bigint add over a common box, unless that box is too sparse
             box = _join(_box(self), _box(other), False)
@@ -450,12 +457,22 @@ class Coefficient:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, Coefficient):
+            if not isinstance(other, int):
+                return NotImplemented
             other = Coefficient.integer(other)
-        elif not isinstance(other, Coefficient):
-            return NotImplemented
         a, b = self._terms, other._terms
-        # a unit operand passes the other through: values are immutable
+        if len(a) == 1 == len(b):
+            ((ea, ca),), ((eb, cb),) = a.items(), b.items()
+            # a unit operand passes the other through: values are immutable
+            if eb == 0 and cb == 1:
+                return self
+            if ea == 0 and ca == 1:
+                return other
+            bound = self._bound + other._bound
+            if bound > _EMAX:
+                bound = _exponent_bound(*map(add, _unkey(ea), _unkey(eb)))
+            return _coeff({ea + eb: ca * cb}, bound)
         if len(b) == 1 and b.get(0) == 1:
             return self
         if len(a) == 1:
@@ -642,11 +659,14 @@ def format_monomial(pairs) -> str:
 
 def add_term(out: dict, key, c: Coefficient) -> None:
     """out[key] += c, dropping the key when the sum vanishes."""
-    s = out.get(key, ZERO) + c
-    if s:
+    s = out.get(key)
+    if s is None:
+        if c:
+            out[key] = c
+    elif s := s + c:
         out[key] = s
     else:
-        out.pop(key, None)
+        del out[key]
 
 
 def _add_exponents(m1: int, m2: int):
@@ -672,7 +692,8 @@ class LinComb:
 
     A factor that is the ``ONE`` object itself is not multiplied in, so
     rules with unit factors (polynomials, group algebras) cost one
-    coefficient product per term pair.
+    coefficient product per term pair.  No factor is zero and the
+    coefficient ring is a domain, so no product of terms is tested for zero.
     """
 
     __slots__ = ("_t",)
@@ -718,14 +739,17 @@ class LinComb:
 
     def __add__(self, other):
         self._check(other)
-        # add_term inlined here and in __mul__: these are the package's hottest loops
+        # add_term inlined here and in __mul__, with no zero test on a new
+        # key: no stored coefficient, and no product of two, is zero
         out = dict(self._t)
         for m, c in other._t.items():
-            s = out.get(m, ZERO) + c
-            if s:
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+            elif s := s + c:
                 out[m] = s
             else:
-                out.pop(m, None)
+                del out[m]
         return self._new(out)
 
     def __neg__(self):
@@ -756,10 +780,17 @@ class LinComb:
         out: dict = {}
         for m1, c1 in self._t.items():
             for m2, c2 in other._t.items():
+                # a pair whose monomial product vanishes costs no coefficient product
+                prods = mono_mul(m1, m2)
+                if not prods:
+                    continue
                 c12 = c1 * c2
-                for mono, f in mono_mul(m1, m2):
-                    s = out.get(mono, ZERO) + (c12 if f is ONE else c12 * f)
-                    if s:
+                for mono, f in prods:
+                    c = c12 if f is ONE else c12 * f
+                    s = out.get(mono)
+                    if s is None:
+                        out[mono] = c
+                    elif s := s + c:
                         out[mono] = s
                     else:
                         del out[mono]
@@ -969,10 +1000,6 @@ class QPoly(LinComb):
         return _add_exponents
 
     @staticmethod
-    def zero() -> "QPoly":
-        return QPoly()
-
-    @staticmethod
     def term(m: int, c: Coefficient) -> "QPoly":
         if m < 0:
             raise ValueError("Y-exponents are nonnegative")
@@ -994,6 +1021,10 @@ class QPoly(LinComb):
         """Substitute Y -> base^e * Y: the degree-m coefficient gains base^(e*m)."""
         var, s = base
         return self._new({m: c * var_pow(var, s * e * m) for m, c in self._t.items()})
+
+
+# the zero polynomial, shared: values are immutable
+_QPOLY_ZERO = QPoly()
 
 
 def _closed_rows(row: List[int], n: int, inverse: bool) -> List[Tuple[int, int]]:
@@ -1070,7 +1101,7 @@ def qpoly_Q_base(mu: int, base: Base) -> QPoly:
     |mu| (with the sign of mu) before the closed form is memoized, packed.
     """
     if mu == 0:
-        return QPoly.zero()
+        return _QPOLY_ZERO
     key = (mu, base)
     got = _QPOLY_MEMO.get(key)
     if got is not None:
@@ -1091,7 +1122,7 @@ def qpoly_Q(mu: int, var: str = "p") -> QPoly:
 
 def qpoly_Qpair_base(mu: int, nu: int, base: Base) -> QPoly:
     if mu * nu >= 0:
-        return QPoly.zero()
+        return _QPOLY_ZERO
     if abs(mu) <= abs(nu):
         return qpoly_Q_base(mu, base)
     return qpoly_Q_base(-nu, base).rescale_base(base, -(mu + nu))

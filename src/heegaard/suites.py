@@ -291,13 +291,13 @@ def suite_sphere(opts: SuiteOptions) -> List[CheckEntry]:
         r = random_sphere_element(rng, SPHERE, terms=1, kmax=4, emax=5)
         s = random_sphere_element(rng, SPHERE, terms=1, kmax=4, emax=5)
         t = random_sphere_element(rng, SPHERE, terms=1, kmax=4, emax=5)
-        if (r * s) * t != r * (s * t):
+        prod = r * s
+        if prod * t != r * (s * t):
             failures.fail("associativity", f"{r} | {s} | {t}")
-        if (r * s).star() != s.star() * r.star():
+        if prod.star() != s.star() * r.star():
             failures.fail("star-antihomomorphism", f"{r} | {s}")
         if r.star().star() != r:
             failures.fail("star-antihomomorphism", str(r))
-        prod = r * s
         minkowski = {
             dr + ds for dr in r.degree_support() for ds in s.degree_support()
         }
@@ -419,11 +419,12 @@ def suite_units(opts: SuiteOptions) -> List[CheckEntry]:
         r = random_sphere_element(rng, s, terms=2, kmax=3, emax=4)
         t = random_sphere_element(rng, s, terms=2, kmax=3, emax=4)
         try:
+            rt = r * t
             for side in ("A", "B"):
                 for which in ("max", "min"):
                     er = deg_extreme(r, side, which)
                     et = deg_extreme(t, side, which)
-                    ep = deg_extreme(r * t, side, which)
+                    ep = deg_extreme(rt, side, which)
                     if ep != (er[0] + et[0], er[1] + et[1]):
                         failures.fail("extreme-additivity", f"{side}/{which}: {r} | {t}")
         except ValueError:

@@ -430,11 +430,10 @@ def test_cli_sphere_units_ktheory_honour_samples(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_cli_reports_a_failed_closed_form_check(monkeypatch, capsys):
+def test_cli_reports_a_failed_closed_form_check(monkeypatch, capsys, cold_process_memos):
     from heegaard import scalars
 
     # cold contraction-polynomial state, and a closed form off by t at index 2
-    monkeypatch.setattr(scalars, "_QPOLY_MEMO", {})
     monkeypatch.setattr(scalars, "_QPOLY_CHECKED", {False: 0, True: 0})
     real = scalars._closed_rows
 

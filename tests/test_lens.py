@@ -462,3 +462,79 @@ def test_memoized_contraction_coefficients_stay_packed_and_shared():
     # terms in all, where every one of them was a dict entry before
     assert in_dicts < 20_000
     assert multiples > 1_000
+
+
+# -- the boundaries a warm product crosses ------------------------------------------
+
+import json  # noqa: E402
+import pathlib  # noqa: E402
+
+from heegaard.qalgebras import SphereAlgebra  # noqa: E402
+from heegaard.scalars import Coefficient, clear_run_memos  # noqa: E402
+
+LAYERS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "layers.json"
+# each boundary of the benchmark's layer map that lens-warm must cross, and
+# the attribute the traced run wraps for it
+WARM_BOUNDARIES = {
+    "scalars.coeff_mul": (Coefficient, "__mul__"),
+    "scalars.coeff_add": (Coefficient, "__add__"),
+    "qalgebras.mono_mul": (SphereAlgebra, "mono_mul"),
+    "lens.from_abstract": (lens_module, "lens_from_abstract"),
+    "lens.to_abstract": (lens_module, "lens_to_abstract"),
+    "lens.mul": (lens_module, "lens_mul"),
+}
+
+
+def test_warm_lens_products_cross_every_traced_boundary(monkeypatch):
+    # a memo that answered whole products would skip the engine: the traced
+    # benchmark run fails lens-warm when a boundary records no calls
+    layers = json.loads(LAYERS.read_text())["layers"]
+    tied = {b for layer in layers if "lens-warm" in layer["moves"] for b in layer["boundaries"]}
+    assert tied == set(WARM_BOUNDARIES)
+    rng = SplitMix64(83)
+    pairs = [(random_lens_element(rng, N), random_lens_element(rng, N)) for N in (2, 3, 5) for _ in range(3)]
+    cold = [lens_mul(t1, t2) for t1, t2 in pairs]
+    calls = dict.fromkeys(WARM_BOUNDARIES, 0)
+    for name, (owner, attr) in WARM_BOUNDARIES.items():
+        real = getattr(owner, attr)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+    warm = [lens_module.lens_mul(t1, t2) for t1, t2 in pairs]
+    monkeypatch.undo()
+    assert warm == cold
+    assert calls["lens.mul"] == len(pairs)
+    assert calls["lens.from_abstract"] == 2 * len(pairs)
+    assert calls["lens.to_abstract"] == len(pairs)
+    assert min(calls.values()) > 0, calls
+
+
+def test_inverse_map_ignores_term_order():
+    rng = SplitMix64(89)
+    for N in (1, 2, 3, 7):
+        for _ in range(4):
+            x = lens_from_abstract(random_lens_element(rng, N)) * lens_from_abstract(random_lens_element(rng, N))
+            backwards = SPHERE.element(dict(reversed(list(x.terms()))))
+            assert list(backwards.terms()) != list(x.terms()) or len(x.terms()) < 2
+            got = lens_to_abstract(x, N)
+            assert lens_to_abstract(backwards, N) == got
+            assert lens_from_abstract(got) == x
+
+
+def test_inverse_map_refusals_still_raise(monkeypatch):
+    with pytest.raises(NonInvariantError):
+        lens_to_abstract(SPHERE.a() + SPHERE.A(), 2)
+    with pytest.raises(NonInvariantError):
+        lens_to_abstract(SPHERE.z() * SPHERE.a(), 3)
+    # doubled basis images: no lead is a ring unit, so the preimage of a
+    # core-free and of a core-carrying term each fail; the registry's clear
+    # keeps every preimage from being read from the memo
+    clear_run_memos()
+    real = lens_module._basis_image
+    monkeypatch.setattr(lens_module, "_basis_image", lambda N, m: real(N, m).scale(2))
+    for x in (SPHERE.z(), SPHERE.A(), SPHERE.A() * SPHERE.b(2), SPHERE.one() + SPHERE.B()):
+        with pytest.raises(AssertionError, match="is not a ring unit"):
+            lens_to_abstract(x, 2)

@@ -454,7 +454,7 @@ def test_packed_contraction_polynomials_at_large_n(mu, var, ms):
         assert list(poly.coefficient(m).terms()) == expected, m
 
 
-def test_contraction_polynomials_shared_across_threads(monkeypatch):
+def test_contraction_polynomials_shared_across_threads(monkeypatch, cold_process_memos):
     # cold memos filled from eight threads in interleaved index order agree
     # with the sequential results; a race may only repeat a check
     import concurrent.futures
@@ -464,9 +464,8 @@ def test_contraction_polynomials_shared_across_threads(monkeypatch):
 
     requests = [(mu, var) for k in range(1, 25) for mu in (k, -k) for var in "pq"][::-1]
     sequential = [qpoly_Q(mu, var) for mu, var in requests]
-    monkeypatch.setattr(scalars, "_QPOLY_MEMO", {})
+    cold_process_memos()
     monkeypatch.setattr(scalars, "_QPOLY_CHECKED", {False: 0, True: 0})
-    monkeypatch.setattr(scalars, "_ROW_MEMO", {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -861,3 +860,157 @@ def test_cancellation_that_leaves_one_variable():
     for got in (Coefficient(rows) - Coefficient(second), Coefficient(rows) + (-Coefficient(second))):
         assert got == first and hash(got) == hash(first)
         assert got._terms.box == first._terms.box == ((0, 0, 0), (1, 1, 1), (_PACK_MIN_TERMS, 1, 1))
+
+
+# -- one-term operands and accumulation ---------------------------------------------
+
+from heegaard.qalgebras import CORE_A, CORE_B, SPHERE, SphereMonomial  # noqa: E402
+from heegaard.scalars import add_term  # noqa: E402
+
+triple = st.tuples(exponent, exponent, exponent)
+nonzero = integer.filter(bool)
+one_term = st.builds(lambda e, c: {e: c}, triple, nonzero)
+signed_unit = st.sampled_from([{(0, 0, 0): 1}, {(0, 0, 0): -1}])
+
+
+def _bound_error(exps):
+    """The error a product with these exponents raises: it names the first
+    exponent of largest size, in the order p, q, w."""
+    return str(ExponentBoundError(max(exps, key=abs)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(one_term, signed_unit), st.one_of(one_term, signed_unit))
+def test_one_term_products_match_oracle(ta, tb):
+    (a, oa), (b, ob) = _both(ta), _both(tb)
+    ((e, _),) = (oa * ob).terms()
+    for (x, tx), (y, ty) in (((a, ta), (b, tb)), ((b, tb), (a, ta))):
+        if max(map(abs, e)) > _EMAX:
+            with pytest.raises(ExponentBoundError) as info:
+                x * y
+            assert str(info.value) == _bound_error(e)
+            continue
+        got = x * y
+        _agree(got, oa * ob)
+        # past the limit the bound is re-derived exactly, else it is the sum
+        expected_bound = max(map(abs, e)) if x._bound + y._bound > _EMAX else x._bound + y._bound
+        assert got._bound == expected_bound
+        # a unit passes the other operand through, the right one checked first
+        if ty == {(0, 0, 0): 1}:
+            assert got is x
+        elif tx == {(0, 0, 0): 1}:
+            assert got is y
+
+
+def test_one_term_products_at_the_exponent_limit():
+    top = Coefficient.monomial(1, _EMAX)
+    corner = Coefficient.monomial(-2, _EMAX, -_EMAX, 0)
+    # bounds that sum past the limit, exponents inside it
+    for got, term in ((top * p_pow(-1), ((_EMAX - 1, 0, 0), 1)), (corner * q_pow(1), ((_EMAX, 1 - _EMAX, 0), -2))):
+        assert list(got.terms()) == [term]
+        assert got._bound == max(map(abs, term[0]))
+    # and past it, per variable, named as before
+    for x, y, exps in (
+        (top, p_pow(1), (_EMAX + 1, 0, 0)),
+        (corner, q_pow(-1), (_EMAX, -_EMAX - 1, 0)),
+        (Coefficient.monomial(3, 0, 0, -_EMAX), w_pow(-2), (0, 0, -_EMAX - 2)),
+        (-ONE * corner, Coefficient.monomial(5, 1, -1, 0), (_EMAX + 1, -_EMAX - 1, 0)),
+    ):
+        for first, second in ((x, y), (y, x)):
+            with pytest.raises(ExponentBoundError) as info:
+                first * second
+            assert str(info.value) == _bound_error(exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triple, triple, nonzero, nonzero, st.sampled_from(["distinct", "equal", "cancel"]))
+def test_one_term_sums_match_oracle(ea, eb, ca, cb, case):
+    if case != "distinct":
+        eb = ea
+    if case == "cancel":
+        cb = -ca
+    (a, oa), (b, ob) = _both({ea: ca}), _both({eb: cb})
+    for got, expected in ((a + b, oa + ob), (b + a, ob + oa), (a - b, oa - ob)):
+        _agree(got, expected)
+        assert got._bound == max(a._bound, b._bound)
+        assert got == Coefficient(expected.terms_) and hash(got) == hash(Coefficient(expected.terms_))
+    if case == "cancel":
+        assert a + b == ZERO and not (a + b)
+
+
+small = st.integers(-3, 3)
+small_coefficients = st.dictionaries(st.tuples(small, small, small), nonzero, min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 4), small_coefficients, max_size=5),
+    st.dictionaries(st.integers(0, 4), small_coefficients, max_size=5),
+    st.sets(st.integers(0, 4)),
+)
+def test_accumulation_drops_cancelled_keys(tx, ty, cancel):
+    # y takes -x at the keys in ``cancel``: those sums vanish, and their keys
+    # must leave both LinComb.__add__'s result and add_term's dict
+    ty = {**ty, **{d: {e: -c for e, c in tx[d].items()} for d in cancel if d in tx}}
+    expected = {}
+    for terms in (tx, ty):
+        for d, t in terms.items():
+            expected[d] = expected.get(d, SparseCoefficient()) + SparseCoefficient(t)
+    expected = {d: c for d, c in expected.items() if c.terms_}
+    x = QPoly({d: Coefficient(t) for d, t in tx.items()})
+    y = QPoly({d: Coefficient(t) for d, t in ty.items()})
+    out = {}
+    for d, t in [*tx.items(), *ty.items()]:
+        add_term(out, d, Coefficient(t))
+    for got in ((x + y)._t, (y + x)._t, out):
+        assert sorted(got) == sorted(expected)
+        for d, c in got.items():
+            _agree(c, expected[d])
+    assert (x - x)._t == {} and (x + -x)._t == {}
+
+
+def test_add_term_stores_no_zero():
+    c = Coefficient.monomial(3, 1, 0, 2)
+    out = {}
+    add_term(out, "m", ZERO)
+    assert out == {}
+    add_term(out, "m", c)
+    assert out["m"] is c
+    add_term(out, "m", -c)
+    assert out == {}
+
+
+sphere_monomials = st.builds(SphereMonomial, st.sampled_from([CORE_A, CORE_B]), st.integers(0, 2), small, small).map(
+    lambda m: m._replace(k=max(m.k, 1)) if m.core == CORE_B else m
+)
+sphere_terms = st.dictionaries(sphere_monomials, small_coefficients.map(Coefficient), max_size=4)
+
+
+def _product_of_every_pair(x, y):
+    """x * y by the loop that multiplies the coefficients of every pair of
+    terms before asking the monomial rule, and adds through ZERO."""
+    out = {}
+    for m1, c1 in x.terms():
+        for m2, c2 in y.terms():
+            c12 = c1 * c2
+            for mono, f in SPHERE.mono_mul(m1, m2):
+                s = out.get(mono, ZERO) + c12 * f
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+    return SPHERE.element(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sphere_terms, sphere_terms, small_coefficients, small_coefficients)
+def test_sphere_product_with_mixed_core_annihilations(tx, ty, ca, cb):
+    # x holds an A-core term and y a B-core one, so some pairs annihilate
+    tx = {**tx, SphereMonomial(CORE_A, 1, 1, -1): Coefficient(ca)}
+    ty = {**ty, SphereMonomial(CORE_B, 2, 0, 1): Coefficient(cb)}
+    x, y = SPHERE.element(tx), SPHERE.element(ty)
+    assert not SPHERE.mono_mul(SphereMonomial(CORE_A, 1, 1, -1), SphereMonomial(CORE_B, 2, 0, 1))
+    for first, second in ((x, y), (y, x)):
+        got = first * second
+        assert got == _product_of_every_pair(first, second)
+        assert all(got._t.values())

@@ -179,3 +179,36 @@ def test_every_memo_table_comes_from_the_registry():
         f"{name}:{line}: {target}" for name, assignments in found.items() for line, target, ok in assignments if not ok
     ]
     assert not offenders, offenders
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def _memo_replacements(source: str):
+    """(line, name) for every ``setattr``/``delattr`` call, a monkeypatch's
+    or the builtin, whose string argument names a memo table."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else func.id if isinstance(func, ast.Name) else None
+        if name not in ("setattr", "delattr"):
+            continue
+        for arg in node.args[:2]:
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str) and "MEMO" in arg.value.rsplit(".", 1)[-1]:
+                found.append((node.lineno, arg.value))
+    return found
+
+
+def test_no_test_replaces_a_memo_table():
+    # a replaced table is no longer the registry's, so memo_sizes() and the
+    # clears would miss it: tests empty tables in place (cold_process_memos)
+    assert _memo_replacements('monkeypatch.setattr(scalars, "_QPOLY_MEMO", {})') == [(1, "_QPOLY_MEMO")]
+    assert _memo_replacements('mp.setattr("heegaard.lens._IMG_MEMO", {})') == [(1, "heegaard.lens._IMG_MEMO")]
+    offenders = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(TESTS.glob("*.py"))
+        for line, name in _memo_replacements(path.read_text())
+    ]
+    assert not offenders, offenders
