@@ -419,13 +419,6 @@ class Coefficient:
             return self
         if not a:
             return other
-        if len(a) == 1 == len(b):
-            ((ea, ca),), ((eb, cb),) = a.items(), b.items()
-            bound = max(self._bound, other._bound)
-            if ea != eb:
-                return _coeff({ea: ca, eb: cb}, bound)
-            s = ca + cb
-            return _coeff({ea: s} if s else {}, bound)
         if type(a) is not dict or type(b) is not dict:
             # one bigint add over a common box, unless that box is too sparse
             box = _join(_box(self), _box(other), False)
@@ -462,28 +455,21 @@ class Coefficient:
                 return NotImplemented
             other = Coefficient.integer(other)
         a, b = self._terms, other._terms
-        if len(a) == 1 == len(b):
-            ((ea, ca),), ((eb, cb),) = a.items(), b.items()
-            # a unit operand passes the other through: values are immutable
-            if eb == 0 and cb == 1:
-                return self
-            if ea == 0 and ca == 1:
-                return other
-            bound = self._bound + other._bound
-            if bound > _EMAX:
-                bound = _exponent_bound(*map(add, _unkey(ea), _unkey(eb)))
-            return _coeff({ea + eb: ca * cb}, bound)
-        if len(b) == 1 and b.get(0) == 1:
+        # a unit operand passes the other through: values are immutable
+        if len(b) == 1 and 0 in b and b[0] == 1:
             return self
-        if len(a) == 1:
-            if a.get(0) == 1:
-                return other
-            a, b = b, a
         bound = self._bound + other._bound
         if bound > _EMAX:
             # exact: per variable, the extreme exponents of a product of
             # nonzero Laurent polynomials are the sums of the operands' ones
             bound = _box_bound(_join(_box(self), _box(other), True)) if a and b else 0
+        if len(a) == 1:
+            if 0 in a and a[0] == 1:
+                return other
+            if len(b) == 1:
+                ((ea, ca),), ((eb, cb),) = a.items(), b.items()
+                return _coeff({ea + eb: ca * cb}, bound)
+            a, b = b, a
         if len(b) == 1:
             ((eb, cb),) = b.items()
             if type(a) is not dict:
