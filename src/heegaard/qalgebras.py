@@ -9,6 +9,8 @@ Every algebra object takes its element constructors from ``Algebra``.  The
 two engines share ``_EngineBase``, which owns the memo tables (monomial
 interning, monomial products) and the parameter-zero tail of every product
 and adjoint; each engine gives only its raw product and adjoint rules.
+Both raw products come from one disc rule, ``_disc_rule``: the sphere's is
+the disc products at p (a) and q (b), glued by the w-phase and AB = 0.
 Values are immutable, so everything can be shared freely between threads.
 The memo tables are run-scoped (see ``scalars.memo_table``): a full
 verification run empties them after each suite, and nothing else does.
@@ -30,6 +32,7 @@ from .scalars import (
     Coefficient,
     LinComb,
     ONE,
+    QPoly,
     RUN_SCOPE,
     ZERO,
     add_term,
@@ -165,6 +168,14 @@ class _EngineBase(Algebra):
         return got
 
 
+def _disc_rule(k1: int, mu1: int, k2: int, mu2: int, base: Base) -> Tuple[int, Coefficient, QPoly]:
+    """X^k1 x^mu1 X^k2 x^mu2 = f X^k (1 + cont(X)) x^(mu1 + mu2) at parameter
+    ``base``: X^k2 commutes left past x^mu1 at f = base^(-mu1*k2) (the ``ONE``
+    object itself when that is 1), and x^mu1 x^mu2 contracts into 1 + Q(X)."""
+    f = var_pow(base[0], -base[1] * mu1 * k2) if k2 and mu1 else ONE
+    return k1 + k2, f, qpoly_Qpair_base(mu1, mu2, base)
+
+
 # ---------------------------------------------------------------------------
 # Quantum disc
 # ---------------------------------------------------------------------------
@@ -207,14 +218,11 @@ class DiscAlgebra(_EngineBase):
         return m.mu
 
     def _mul_raw(self, m1: DiscMonomial, m2: DiscMonomial) -> Dict[DiscMonomial, Coefficient]:
-        k1, mu1 = m1
-        k2, mu2 = m2
-        factor = self.param_pow(-mu1 * k2) if k2 else ONE
-        cont = qpoly_Qpair_base(mu1, mu2, self.base)
-        mu = mu1 + mu2
-        emitted: Dict[DiscMonomial, Coefficient] = {DiscMonomial(k1 + k2, mu): factor}
+        k, f, cont = _disc_rule(*m1, *m2, self.base)
+        mu = m1.mu + m2.mu
+        emitted: Dict[DiscMonomial, Coefficient] = {DiscMonomial(k, mu): f}
         for deg, c in cont.items():
-            add_term(emitted, DiscMonomial(k1 + k2 + deg, mu), factor * c)
+            emitted[DiscMonomial(k + deg, mu)] = f * c
         return emitted
 
     def star_mono(self, m: DiscMonomial) -> Tuple[DiscMonomial | None, Coefficient]:
@@ -250,13 +258,9 @@ def kappa_iso(r: DiscElement) -> DiscElement:
     kX = target.one() - kx * kx.star()
     out = target.zero()
     powX: Dict[int, DiscElement] = {0: target.one()}
-    for m, c in sorted(r.terms()):
-        k, mu = m
-        if k not in powX:
-            acc = powX[max(powX)]
-            for _ in range(max(powX), k):
-                acc = acc * kX
-                powX[max(powX) + 1] = acc
+    for (k, mu), c in sorted(r.terms()):
+        while k not in powX:
+            powX[len(powX)] = powX[len(powX) - 1] * kX
         out = out + (powX[k] * kx.pow_signed(mu)).scale(c)
     return out
 
@@ -290,8 +294,6 @@ class SphereAlgebra(_EngineBase):
 
     def __init__(self, isometric: bool = False):
         super().__init__("SPHERE0" if isometric else "SPHERE", isometric, ("p", "q"))
-        self.base_a: Base = ("p", 1)
-        self.base_b: Base = ("q", 1)
 
     @staticmethod
     def _gen_exp(m: SphereMonomial) -> int:
@@ -300,49 +302,29 @@ class SphereAlgebra(_EngineBase):
     def _mul_raw(self, m1: SphereMonomial, m2: SphereMonomial) -> Dict[SphereMonomial, Coefficient]:
         core1, k1, mu1, nu1 = m1
         core2, k2, mu2, nu2 = m2
-        # (1) commute the right factor's core to the left
-        factor = ONE
-        if k2:
-            if core2 == CORE_A:
-                if mu1:
-                    factor = factor * var_pow("p", -mu1 * k2)
-            else:
-                if nu1:
-                    factor = factor * var_pow("q", -nu1 * k2)
-        # (2) merge cores; mixed cores annihilate
         if k1 and k2 and core1 != core2:
-            return {}
-        if k1:
-            core, k = core1, k1 + (k2 if core1 == core2 else 0)
-        else:
-            core, k = (core2, k2) if k2 else (CORE_A, 0)
-        # (3) first factor's b-powers cross the second's a-powers
-        if nu1 and mu2:
-            factor = factor * w_pow(-2 * nu1 * mu2)
-        # (4) contract generator powers
-        cont_a = qpoly_Qpair_base(mu1, mu2, self.base_a)
-        cont_b = qpoly_Qpair_base(nu1, nu2, self.base_b)
-        mu = mu1 + mu2
-        nu = nu1 + nu2
-        # (5) merge produced core powers (mixed products annihilate) and emit
-        emitted: Dict[SphereMonomial, Coefficient] = {
-            SphereMonomial(core, k, mu, nu): factor
-        }
-        for deg, c in cont_a.items():
-            if k and core == CORE_B:
-                continue
-            add_term(emitted, SphereMonomial(CORE_A, k + deg, mu, nu), factor * c)
-        for deg, c in cont_b.items():
-            if k and core == CORE_A:
-                continue
-            add_term(emitted, SphereMonomial(CORE_B, k + deg, mu, nu), factor * c)
+            return {}  # AB = 0
+        # one disc product per side: a at p, b at q; a core power goes to its side
+        a1, a2 = (k1 if core1 == CORE_A else 0), (k2 if core2 == CORE_A else 0)
+        ka, fa, cont_a = _disc_rule(a1, mu1, a2, mu2, ("p", 1))
+        kb, fb, cont_b = _disc_rule(k1 - a1, nu1, k2 - a2, nu2, ("q", 1))
+        f = fb if fa is ONE else fa  # k2 sits on one side, so fa or fb is ONE: fa*fb
+        if nu1 and mu2:  # the first factor's b-powers cross the second's a-powers
+            f = f * w_pow(-2 * nu1 * mu2)
+        mu, nu = mu1 + mu2, nu1 + nu2
+        emitted = {SphereMonomial(CORE_B, kb, mu, nu) if kb else SphereMonomial(CORE_A, ka, mu, nu): f}
+        # a side's contraction terms survive only when the other side has no core
+        if not kb:
+            for deg, c in cont_a.items():
+                emitted[SphereMonomial(CORE_A, ka + deg, mu, nu)] = f * c
+        if not ka:
+            for deg, c in cont_b.items():
+                emitted[SphereMonomial(CORE_B, kb + deg, mu, nu)] = f * c
         return emitted
 
     def star_mono(self, m: SphereMonomial) -> Tuple[SphereMonomial | None, Coefficient]:
-        if m.core == CORE_A:
-            f = var_pow("p", m.k * m.mu) if m.k and m.mu else ONE
-        else:
-            f = var_pow("q", m.k * m.nu) if m.k and m.nu else ONE
+        e = self._gen_exp(m)
+        f = var_pow("p" if m.core == CORE_A else "q", m.k * e) if m.k and e else ONE
         if m.mu and m.nu:
             f = f * w_pow(-2 * m.mu * m.nu)
         return self._normalize(SphereMonomial(m.core, m.k, -m.mu, -m.nu), f)
@@ -378,9 +360,11 @@ def add_on_core(acc, core, poly):
     """``acc`` plus a contraction polynomial evaluated on a core generator:
     the Y^deg term of ``poly`` becomes ``core(deg)`` scaled by its
     coefficient."""
+    out = dict(acc.terms())
     for deg, c in poly.items():
-        acc = acc + core(deg).scale(c)
-    return acc
+        for m, cm in core(deg).terms():
+            add_term(out, m, cm * c)
+    return acc._new(out)
 
 
 # ---------------------------------------------------------------------------

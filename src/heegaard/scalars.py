@@ -985,12 +985,6 @@ class QPoly(LinComb):
     def _mul_rule(self):
         return _add_exponents
 
-    @staticmethod
-    def term(m: int, c: Coefficient) -> "QPoly":
-        if m < 0:
-            raise ValueError("Y-exponents are nonnegative")
-        return QPoly({m: c})
-
     def degree(self) -> int:
         return max(self._t) if self._t else -1
 

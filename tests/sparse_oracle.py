@@ -1,12 +1,19 @@
-"""Test oracle for the packed Coefficient: the Laurent ring Z[p^±1, q^±1, w^±1]
-as a plain dict from exponent triples (i, j, k) to nonzero integers.
+"""Test oracles.
 
-No packing, no exponent bound: every operation is the textbook loop, so the
-differential tests in test_scalars.py compare the packed kernel against
-arithmetic that cannot alias.
+``SparseCoefficient`` is the oracle for the packed Coefficient: the Laurent
+ring Z[p^±1, q^±1, w^±1] as a plain dict from exponent triples (i, j, k) to
+nonzero integers.  No packing, no exponent bound: every operation is the
+textbook loop, so the differential tests in test_scalars.py compare the
+packed kernel against arithmetic that cannot alias.
+
+``reference_disc_mul_raw`` and ``reference_sphere_mul_raw`` are the raw
+monomial products of the two engines written out step by step, each side of
+the sphere spelled inline rather than through the shared disc rule, so
+test_raw_rules.py can compare the engines against them key for key.
 """
 
-from heegaard.scalars import EvaluationError, signed_join
+from heegaard.qalgebras import CORE_A, CORE_B, DiscMonomial, SphereMonomial
+from heegaard.scalars import ONE, EvaluationError, add_term, qpoly_Qpair_base, signed_join, var_pow, w_pow
 
 
 class SparseCoefficient:
@@ -68,3 +75,57 @@ class SparseCoefficient:
                     parts.append(name if e == 1 else f"{name}^{e}")
             pieces.append((1 if c > 0 else -1, "*".join(parts)))
         return signed_join(pieces)
+
+
+def reference_disc_mul_raw(alg, m1, m2):
+    """X^k1 x^mu1 * X^k2 x^mu2 in the disc ``alg``, before normalization."""
+    k1, mu1 = m1
+    k2, mu2 = m2
+    factor = alg.param_pow(-mu1 * k2) if k2 else ONE
+    cont = qpoly_Qpair_base(mu1, mu2, alg.base)
+    mu = mu1 + mu2
+    emitted = {DiscMonomial(k1 + k2, mu): factor}
+    for deg, c in cont.items():
+        add_term(emitted, DiscMonomial(k1 + k2 + deg, mu), factor * c)
+    return emitted
+
+
+def reference_sphere_mul_raw(m1, m2):
+    """The product of two sphere monomials, before normalization, in five steps."""
+    core1, k1, mu1, nu1 = m1
+    core2, k2, mu2, nu2 = m2
+    # (1) commute the right factor's core to the left
+    factor = ONE
+    if k2:
+        if core2 == CORE_A:
+            if mu1:
+                factor = factor * var_pow("p", -mu1 * k2)
+        else:
+            if nu1:
+                factor = factor * var_pow("q", -nu1 * k2)
+    # (2) merge cores; mixed cores annihilate
+    if k1 and k2 and core1 != core2:
+        return {}
+    if k1:
+        core, k = core1, k1 + (k2 if core1 == core2 else 0)
+    else:
+        core, k = (core2, k2) if k2 else (CORE_A, 0)
+    # (3) first factor's b-powers cross the second's a-powers
+    if nu1 and mu2:
+        factor = factor * w_pow(-2 * nu1 * mu2)
+    # (4) contract generator powers
+    cont_a = qpoly_Qpair_base(mu1, mu2, ("p", 1))
+    cont_b = qpoly_Qpair_base(nu1, nu2, ("q", 1))
+    mu = mu1 + mu2
+    nu = nu1 + nu2
+    # (5) merge produced core powers (mixed products annihilate) and emit
+    emitted = {SphereMonomial(core, k, mu, nu): factor}
+    for deg, c in cont_a.items():
+        if k and core == CORE_B:
+            continue
+        add_term(emitted, SphereMonomial(CORE_A, k + deg, mu, nu), factor * c)
+    for deg, c in cont_b.items():
+        if k and core == CORE_A:
+            continue
+        add_term(emitted, SphereMonomial(CORE_B, k + deg, mu, nu), factor * c)
+    return emitted

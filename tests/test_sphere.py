@@ -172,6 +172,29 @@ def test_associativity_random():
         assert (r * t) * u == r * (t * u)
 
 
+# every basis monomial with k <= 1 and |mu|, |nu| <= 1, unit coefficient
+WINDOW_1 = [
+    SPHERE.monomial(core, k, mu, nu)
+    for core, k in ((CORE_A, 0), (CORE_A, 1), (CORE_B, 1))
+    for mu in (-1, 0, 1)
+    for nu in (-1, 0, 1)
+]
+
+
+def test_associativity_and_adjoint_certificate_over_a_window():
+    # coefficients are central, so unit-coefficient basis monomials cover the
+    # whole window; it holds mixed cores, k = 0 against k = 1, each sign of mu
+    # and nu, and both contraction bases (a window is not a proof for all
+    # exponents)
+    assert len(WINDOW_1) == 27
+    products = {(i, j): x * y for i, x in enumerate(WINDOW_1) for j, y in enumerate(WINDOW_1)}
+    stars = [x.star() for x in WINDOW_1]
+    for (i, j), xy in products.items():
+        assert xy.star() == stars[j] * stars[i], (i, j)
+        for k, z in enumerate(WINDOW_1):
+            assert xy * z == WINDOW_1[i] * products[j, k], (i, j, k)
+
+
 def test_grading():
     s = SPHERE
     assert s.a().degree_support() == {1}

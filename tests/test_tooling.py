@@ -212,3 +212,25 @@ def test_no_test_replaces_a_memo_table():
         for line, name in _memo_replacements(path.read_text())
     ]
     assert not offenders, offenders
+
+
+def _calls(path, name):
+    """The lines of ``path`` that call ``name`` (by name or as an attribute)."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+    ]
+
+
+def test_one_contraction_rule_outside_scalars():
+    # the disc rule of qalgebras is the one place a monomial product contracts
+    # generator powers; the sphere's product calls it once per side
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "scalars.py"
+        for line in _calls(path, "qpoly_Qpair_base")
+    ]
+    assert len(sites) == 1 and sites[0].startswith("qalgebras.py:"), sites
