@@ -93,10 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_expr_cmd("nf", "normal form of an expression", lambda x: x)
     add_expr_cmd("mul", "normal form of a product of two expressions", operator.mul, nargs=2)
     add_expr_cmd("star", "normal form of the adjoint", lambda x: x.star())
-    c = add_cmd("deg", "degree support of a sphere expression", _deg)
+    c = add_cmd("deg", "degree support of a sphere expression", _value(_deg))
     c.add_argument("expr")
 
-    c = add_cmd("qpoly", "print a contraction polynomial", _qpoly)
+    c = add_cmd("qpoly", "print a contraction polynomial", _value(_qpoly))
     c.add_argument("MU", type=int)
     c.add_argument("--var", choices=("p", "q"), default="p")
 
@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--window", type=_at_least(1), default=SUITE_DEFAULTS["iso"]["window"])
     c.add_argument("--samples", type=_at_least(1), default=SUITE_DEFAULTS["iso"]["samples"])
 
-    c = add_cmd("unit-check", "decide invertibility of a sphere expression", _unit_check)
+    c = add_cmd("unit-check", "decide invertibility of a sphere expression", _value(_unit_check))
     c.add_argument("expr")
 
     for name, help_, least, suite, payload in (
@@ -173,32 +173,38 @@ def _finish(report: Report, args, show: bool = True) -> int:
     return report.exit_code(strict=args.strict)
 
 
-def _expression(combine):
-    """Evaluate the expressions in their dialect and print ``combine`` of them."""
+def _value(compute):
+    """Print ``compute(args)`` and report it as the command's computed entry."""
 
     def run(args):
-        out = combine(*(eval_expr(parse(e, args.dialect), args.dialect, args.N) for e in args.expr))
+        out = compute(args)
         print(out)
         return _finish(_report(args, args.command, [computed(args.command, out)]), args, show=False)
 
     return run
 
 
+def _expression(combine):
+    """``combine`` of the expressions, each evaluated in its dialect."""
+
+    def compute(args):
+        return combine(*(eval_expr(parse(e, args.dialect), args.dialect, args.N) for e in args.expr))
+
+    return _value(compute)
+
+
 def _deg(args):
     support = sorted(eval_expr(parse(args.expr, "sphere"), "sphere").degree_support())
-    print("{" + ", ".join(str(d) for d in support) + "}")
-    return 0
+    return "{" + ", ".join(str(d) for d in support) + "}"
 
 
 def _qpoly(args):
-    print(qpoly_Q(args.MU, args.var))
-    return 0
+    return qpoly_Q(args.MU, args.var)
 
 
 def _unit_check(args):
     c = is_unit(eval_expr(parse(args.expr, "sphere"), "sphere"))
-    print("non-unit" if c is None else f"unit: {c} (inverse {c.unit_inverse()})")
-    return 0
+    return "non-unit" if c is None else f"unit: {c} (inverse {c.unit_inverse()})"
 
 
 def _relcheck(args):

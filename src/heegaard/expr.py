@@ -91,7 +91,8 @@ def parse(text: str, dialect: str) -> Expr:
                 raise ParseError(f"atom {value!r} is not available in the {dialect} dialect", pos)
             atom = value
         else:
-            raise ParseError(f"expected an atom, found {value!r}", pos)
+            found = "end of input" if kind == "end" else repr(value)
+            raise ParseError(f"expected an atom, found {found}", pos)
         star = False
         if peek()[:2] == ("sym", "*"):
             advance()

@@ -102,13 +102,9 @@ def _coeff(terms, bound: int) -> "Coefficient":
     out = object.__new__(Coefficient)
     out._terms = terms
     out._bound = bound
-    out._hash = None
     return out
 
 
-# per operand, the fewest terms for which two dict values are multiplied
-# packed: that costs about as much as 60 term pairs of the sparse loop
-_KRONECKER_MIN_TERMS = 8
 # a value is packed when it has at least _PACK_MIN_TERMS terms that fill at
 # least 1/_SPREAD of their least box: below that size, dict operations are
 # the faster ones (CPython 3.11)
@@ -389,13 +385,13 @@ class Coefficient:
     the boxes when the sum passes the limit.  Instances are immutable.
     """
 
-    __slots__ = ("_terms", "_bound", "_hash")
+    __slots__ = ("_terms", "_bound")
 
     def __init__(self, terms: Dict[Triple, int] | None = None):
         terms = {e: c for e, c in (terms or {}).items() if c}
         bound = _exponent_bound(*(x for e in terms for x in e))
         got = _from_terms({_key(*e): c for e, c in terms.items()}, bound)
-        self._terms, self._bound, self._hash = got._terms, got._bound, None
+        self._terms, self._bound = got._terms, got._bound
 
     # -- constructors ------------------------------------------------
 
@@ -440,9 +436,7 @@ class Coefficient:
         return _from_terms(out, max(self._bound, other._bound))
 
     def __neg__(self) -> "Coefficient":
-        if type(self._terms) is not dict:
-            return _scaled(self._terms, 0, -1)
-        return _coeff({e: -c for e, c in self._terms.items()}, self._bound)
+        return self * -1
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
         if not isinstance(other, Coefficient):
@@ -475,8 +469,7 @@ class Coefficient:
             if type(a) is not dict:
                 return _scaled(a, eb, cb)
             return _coeff({e + eb: c * cb for e, c in a.items()}, bound)
-        packed = type(a) is not dict or type(b) is not dict
-        if a and b and (packed or min(len(a), len(b)) >= _KRONECKER_MIN_TERMS):
+        if a and b and (type(a) is not dict or type(b) is not dict):
             got = self._kronecker(other)
             if got is not None:
                 return got
@@ -518,9 +511,7 @@ class Coefficient:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -533,9 +524,6 @@ class Coefficient:
     def conjugate(self) -> "Coefficient":
         """p and q are fixed (real parameters); w is inverted."""
         t = self._terms
-        if type(t) is not dict and t.box[2][2] == 1:
-            (i, j, k), step, radix = t.box
-            return _packed(((i, j, -k), step, radix), t.width, t.top, t.value, t.count)
         return _from_terms({e - 2 * (((e + _HALF) & _DIGIT) - _HALF): c for e, c in t.items()}, self._bound)
 
     def eval_at_zero(self, var: str) -> "Coefficient":
@@ -544,11 +532,8 @@ class Coefficient:
         A negative var-exponent means the value is not defined there.
         """
         idx = _check_var(var)
-        t = self._terms
-        if type(t) is not dict and t.box[0][idx] >= 0 and (t.box[0][idx] or t.box[2][idx] == 1):
-            return ZERO if t.box[0][idx] else self
         out: Dict[int, int] = {}
-        for e, c in t.items():
+        for e, c in self._terms.items():
             d = _unkey(e)[idx]
             if d < 0:
                 raise EvaluationError(f"negative power of {var} cannot be evaluated at {var}=0: {self}")

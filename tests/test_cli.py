@@ -87,6 +87,19 @@ def test_cli_nf_and_unit_check(capsys):
     assert capsys.readouterr().out.strip() == "-Y"
 
 
+@pytest.mark.parametrize(
+    "argv", [["deg", "a + b^2"], ["qpoly", "3", "--var", "q"], ["unit-check", "a", "--strict"], ["unit-check", "w^2"]]
+)
+def test_value_commands_report_their_computed_entry(argv, tmp_path, capsys):
+    # --json records the printed value as the command's one computed entry
+    path = tmp_path / "value.json"
+    assert main([*argv, "--json", str(path)]) == 0
+    printed = capsys.readouterr().out
+    payload = json.loads(path.read_bytes())
+    assert payload["command"] == argv[0] and printed.count("\n") == 1
+    assert payload["entries"] == [{"id": argv[0], "paper_tag": "", "residual": printed.rstrip("\n"), "status": "pass"}]
+
+
 def test_cli_exit_codes(capsys, tmp_path):
     # known discrepancies are allowlisted
     assert main(["sconn", "--N", "3", "--variant", "printed"]) == 0
@@ -481,6 +494,14 @@ def test_cli_literal_without_inverse_is_a_usage_error(text, pos, capsys):
     assert main(["nf", text]) == 2
     err = capsys.readouterr().err
     assert "has no inverse" in err and err.rstrip().endswith(f"(at position {pos})")
+
+
+@pytest.mark.parametrize(
+    "argv, pos", [(["nf", ""], 0), (["nf", "a +"], 3), (["mul", "b", "-"], 1), (["nf", "a^2 -"], 5)]
+)
+def test_input_that_ends_early_is_a_usage_error(argv, pos, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: expected an atom, found end of input (at position {pos})\n"
 
 
 def test_literal_one_keeps_its_inverse():

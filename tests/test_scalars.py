@@ -521,7 +521,7 @@ def test_contraction_polynomials_shared_across_threads(monkeypatch, cold_process
 # -- unit pass-through and the one-variable Kronecker product ---------------------
 
 from heegaard import scalars  # noqa: E402
-from heegaard.scalars import _KRONECKER_MIN_TERMS, qbinomial_base  # noqa: E402
+from heegaard.scalars import qbinomial_base  # noqa: E402
 
 
 def test_unit_operand_passes_through():
@@ -643,7 +643,7 @@ def _product_cells(ta, tb):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_same_variable_pairs(st.integers(_KRONECKER_MIN_TERMS, 30)))
+@given(_same_variable_pairs(st.integers(8, 30)))
 def test_kronecker_product_matches_oracle(pair):
     _check_product(*pair)
 
@@ -655,10 +655,10 @@ def test_kronecker_product_of_long_operands_matches_oracle(pair):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_same_variable_pairs(st.integers(0, _KRONECKER_MIN_TERMS - 1)))
+@given(_same_variable_pairs(st.integers(0, 7)))
 def test_kronecker_product_of_short_operands_matches_oracle(pair):
-    # below the size threshold, empty operands included, the product takes
-    # the sparse loop; the packed path is checked on these operands directly
+    # short dict operands, empty ones included, take the sparse loop; the
+    # packed path is checked on these operands directly
     _check_product(*pair)
 
 
@@ -675,19 +675,17 @@ def _oracle(c):
     return SparseCoefficient(dict(c.terms()))
 
 
-def _spy_kronecker(monkeypatch):
-    results = []
-    real = Coefficient._kronecker
-    monkeypatch.setattr(
-        Coefficient, "_kronecker", lambda *args: results.append(real(*args)) or results[-1]
-    )
-    return results
+def _through_kronecker(a, b):
+    """a*b, which the packed path must give on the same (dict) operands
+    in the same form."""
+    packed, got = a._kronecker(b), a * b
+    assert packed is not None and packed == got and type(packed._terms) is type(got._terms)
+    return got
 
 
 @pytest.mark.parametrize("var", (0, 1, 2))
-def test_kronecker_product_cancellation_and_bounds(var, monkeypatch):
-    packed = _spy_kronecker(monkeypatch)
-    n = _KRONECKER_MIN_TERMS
+def test_kronecker_product_cancellation_and_bounds(var):
+    n = 8
     geometric = _dense(var, [1] * n)
     alternating = _dense(var, [(-1) ** d for d in range(n)])
     # (1 - t^8)/(1 - t) * (1 - t^8)/(1 + t): every odd digit cancels
@@ -696,32 +694,30 @@ def test_kronecker_product_cancellation_and_bounds(var, monkeypatch):
     for d in range(0, 2 * n - 1, 2):
         e[var] = d
         expected.append((tuple(e), 1 if d < n else -1))
-    assert list((geometric * alternating).terms()) == sorted(expected)
-    assert (geometric * alternating + (-geometric) * alternating).is_zero()
+    assert list(_through_kronecker(geometric, alternating).terms()) == sorted(expected)
+    assert (_through_kronecker(geometric, alternating) + _through_kronecker(-geometric, alternating)).is_zero()
     assert (geometric * ZERO).is_zero() and (ZERO * geometric).is_zero()
-    assert len(packed) == 3 and all(r is not None for r in packed)
     # a digit at the edge of the width: l1(a) max|b| = 2^63 needs a sign bit
     # on top of 64 bits, and the middle coefficient reaches +-2^63
     for sign in (1, -1):
         a = _dense(var, [sign * 2**60] * n)
-        _agree(a * geometric, _oracle(a) * _oracle(geometric))
-    assert all(r is not None for r in packed)
+        _agree(_through_kronecker(a, geometric), _oracle(a) * _oracle(geometric))
     # exponents at the ends of the range: refused exactly when a term leaves it
     top = _dense(var, [3] * n, _EMAX - n + 1)
     bottom = _dense(var, [-(2**70)] * n, -_EMAX)
-    assert max(e[var] for e, _ in (top * _dense(var, [1] * n, 1 - n)).terms()) == _EMAX
-    assert min(e[var] for e, _ in (bottom * _dense(var, [1] * n)).terms()) == -_EMAX
-    with pytest.raises(ExponentBoundError):
-        top * _dense(var, [1] * n, 2 - n)
-    with pytest.raises(ExponentBoundError):
-        bottom * _dense(var, [1] * n, -1)
+    assert max(e[var] for e, _ in _through_kronecker(top, _dense(var, [1] * n, 1 - n)).terms()) == _EMAX
+    assert min(e[var] for e, _ in _through_kronecker(bottom, _dense(var, [1] * n)).terms()) == -_EMAX
+    for x, y in ((top, _dense(var, [1] * n, 2 - n)), (bottom, _dense(var, [1] * n, -1))):
+        with pytest.raises(ExponentBoundError):
+            x * y
+        with pytest.raises(ExponentBoundError):
+            x._kronecker(y)
 
 
-def test_mixed_variable_products_follow_the_box_rule(monkeypatch):
-    # a product is packed exactly when its box has no more cells than the
-    # sparse loop has term pairs, whatever the variables
-    packed = _spy_kronecker(monkeypatch)
-    n = _KRONECKER_MIN_TERMS
+def test_mixed_variable_products_follow_the_box_rule():
+    # the packed path takes a product exactly when its box has no more cells
+    # than the sparse loop has term pairs, whatever the variables
+    n = 8
     by_var = [_dense(var, range(1, n + 1), -3) for var in range(3)]
     mixed = by_var[0] * q_pow(1) + by_var[1]
     # one variable, the exponents 1000 apart: a box of stride 1000
@@ -736,11 +732,15 @@ def test_mixed_variable_products_follow_the_box_rule(monkeypatch):
     )
     near_one = Coefficient({(0, j, 0): j + 5 for j in range(-3, 5)})
     pairs += [(edge, near_one), *((x, x) for x in by_var)]
-    expected = []
+    packed, expected = [], []
     for a, b in pairs:
         product = _oracle(a) * _oracle(b)
         _agree(a * b, product)
         _agree(b * a, product)
+        for x, y in ((a, b), (b, a)):
+            packed.append(x._kronecker(y))
+            if packed[-1] is not None:
+                _agree(packed[-1], product)
         ta, tb = dict(a.terms()), dict(b.terms())
         expected += [_product_cells(ta, tb) <= len(ta) * len(tb)] * 2
     assert [r is not None for r in packed] == expected
@@ -900,6 +900,46 @@ def test_cancellation_that_leaves_one_variable():
     for got in (Coefficient(rows) - Coefficient(second), Coefficient(rows) + (-Coefficient(second))):
         assert got == first and hash(got) == hash(first)
         assert got._terms.box == first._terms.box == ((0, 0, 0), (1, 1, 1), (_PACK_MIN_TERMS, 1, 1))
+
+
+def _filled(cells):
+    """Nonzero coefficients, some past 64 bits, on the given exponent triples."""
+    return {e: (d + 1) * (-1) ** d * (2**70 if d % 5 == 0 else 1) for d, e in enumerate(cells)}
+
+
+def test_unary_operations_have_one_body_for_both_forms():
+    # conjugation, evaluation at zero and negation act on the term map in
+    # either form: on packed values whose box alone decides the answer they
+    # must still return the value in its canonical form
+    packed_cases = [
+        # one cell on the w axis (w^-2), so conjugation only moves the box
+        _filled([(i, j, -2) for i in range(4) for j in range(-2, 2)]),
+        # lowest p and q exponents above 0: p = 0 and q = 0 leave nothing
+        _filled([(1 + i, 2 + 3 * j, k) for i in range(3) for j in range(3) for k in range(2)]),
+        # lowest p exponent 0 with one cell on the p axis: p = 0 keeps all
+        _filled([(0, j, k) for j in range(1, 5) for k in range(4)]),
+        # lowest q exponent 0 with one cell on the q axis: q = 0 keeps all
+        _filled([(i, 0, 2 * k) for i in range(4) for k in range(-2, 2)]),
+    ]
+    dict_case = {(0, 0, 1): 2, (1, -1, 0): -3, (0, 2, 0): 2**90}
+    for terms in packed_cases + [dict_case]:
+        c, oc = _both(terms)
+        assert (type(c._terms) is _Packed) == (terms is not dict_case)
+        results = [(-c, -oc), (c.conjugate(), oc.conjugate()), (-(-c), oc)]
+        for var in ("p", "q"):
+            try:
+                results.append((c.eval_at_zero(var), oc.eval_at_zero(var)))
+            except EvaluationError:
+                with pytest.raises(EvaluationError):
+                    oc.eval_at_zero(var)
+        for got, expected in results:
+            _agree(got, expected)
+            _check_form(got, expected)
+    # the answers the boxes decide
+    flat_w, above, p_at_zero, q_at_zero = map(Coefficient, packed_cases)
+    assert flat_w.conjugate()._terms.box[0] == (0, -2, 2)
+    assert above.eval_at_zero("p").is_zero() and above.eval_at_zero("q").is_zero()
+    assert p_at_zero.eval_at_zero("p") == p_at_zero and q_at_zero.eval_at_zero("q") == q_at_zero
 
 
 # -- one-term operands and accumulation ---------------------------------------------

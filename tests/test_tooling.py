@@ -96,6 +96,53 @@ def test_only_scalars_reads_coefficient_internals():
     assert not offenders, offenders
 
 
+# the only places in scalars.py that branch on a coefficient's form (a key
+# dict or packed): a new packed shortcut joins this list, in a change that
+# measures how often it is taken
+FORM_BRANCHES = {"_box", "_top", "_lay", "Coefficient.__add__", "Coefficient.__mul__"}
+
+
+def _tests_form(node):
+    """Whether ``node`` is ``type(...) is dict``, ``... is not dict`` or
+    ``isinstance(..., dict)`` (dict alone or in a tuple)."""
+    if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call):
+        return (
+            getattr(node.left.func, "id", None) == "type"
+            and all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(getattr(c, "id", None) == "dict" for c in node.comparators)
+        )
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+        return any(getattr(n, "id", None) == "dict" for n in ast.walk(node.args[1]))
+    return False
+
+
+def _form_branches(source):
+    """The functions and methods (``Class.name``) of ``source`` that test a
+    value's form; ``<module>`` for a test outside any function."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if _tests_form(child):
+                found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_one_list_of_places_that_branch_on_a_coefficients_form():
+    planted = "class C:\n    def f(self, t):\n        return type(t) is not dict\n"
+    assert _form_branches(planted) == {"C.f"}
+    assert _form_branches("def g(t):\n    return isinstance(t, (list, dict))\n") == {"g"}
+    assert _form_branches("x = type(y) is dict\ndef h(t):\n    return type(t) is list\n") == {"<module>"}
+    found = _form_branches((SRC / "scalars.py").read_text())
+    assert found == FORM_BRANCHES, sorted(found ^ FORM_BRANCHES)
+
+
 # the Bareiss determinant runs on int rows by design; it is no matrix operation
 INT_ROW_ALGORITHMS = {"mat_det"}
 
