@@ -389,12 +389,12 @@ def project_to_torus(c: CrossedElement, leg: int, torus: TorusAlgebra | None = N
     else:
         img_x = torus.Z(-1)
         img_u = torus.Z(t) * torus.U() * w_pow(t * (t - 1))
-    out = torus.zero()
-    for (mono, n), coeff in sorted(c.terms()):
-        if mono.k:
-            continue
-        out = out + (img_x.pow_signed(mono.mu) * img_u.pow_signed(n)).scale(coeff)
-    return out
+
+    def image(term):
+        mono, n = term
+        return torus.zero() if mono.k else img_x.pow_signed(mono.mu) * img_u.pow_signed(n)
+
+    return c.mapped(image, torus.zero())
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ with discrepancy reporting.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .scalars import (
@@ -180,12 +181,7 @@ def _basis_image(N: int, m: LensMonomial) -> SphereElement:
 
 def lens_from_abstract(t: LensElement) -> SphereElement:
     """Apply f term by term, summing the images of the basis monomials."""
-    N = t.N
-    out: Dict[SphereMonomial, Coefficient] = {}
-    for m, c in t.terms():
-        for im, ic in _basis_image(N, m).terms():
-            add_term(out, im, ic * c)
-    return SPHERE.element(out)
+    return t.mapped(partial(_basis_image, t.N), SPHERE.zero())
 
 
 def _single_term(e: SphereElement) -> Tuple[SphereMonomial, Coefficient]:
@@ -216,7 +212,7 @@ def _preimage(N: int, m: SphereMonomial) -> Tuple[LensMonomial, Coefficient, Sph
     got = _PREIMAGE_MEMO.get(key)
     if got is not None:
         return got
-    lam = (m.mu + m.nu) // N
+    lam = m.deg // N
     if m.k == 0:
         # the B'-family preimage, whose image also carries A-dressed corrections
         cand = LensMonomial(CORE_BPRIME, 0, -m.nu, lam)
@@ -275,17 +271,8 @@ def lens_mul(t1: LensElement, t2: LensElement) -> LensElement:
 
 def subspace_classify(t: LensElement) -> Tuple[LensElement, LensElement, LensElement]:
     """Split into the A'-core part, the core-free part, and the B'-core part."""
-    va: Dict[LensMonomial, Coefficient] = {}
-    v0: Dict[LensMonomial, Coefficient] = {}
-    vb: Dict[LensMonomial, Coefficient] = {}
-    for m, c in t.terms():
-        if m.core == CORE_APRIME:
-            va[m] = c
-        elif m.k == 0:
-            v0[m] = c
-        else:
-            vb[m] = c
-    return LensElement(t.N, va), LensElement(t.N, v0), LensElement(t.N, vb)
+    parts = t.graded(lambda m: 0 if m.core == CORE_APRIME else 1 if m.k == 0 else 2)
+    return tuple(parts.get(i, LensElement(t.N)) for i in range(3))
 
 
 # -- printed-phase cross-checks ------------------------------------------

@@ -142,12 +142,12 @@ class TensorSquare(AlgebraElement):
 
     def legs_multiplied_by_class(self, N: int) -> Dict[int, SphereElement]:
         """Multiply the legs of each term, grouped by right-leg degree mod N."""
-        acc: Dict[int, Dict[SphereMonomial, Coefficient]] = {}
-        for (x, y), c in self._t.items():
-            bucket = acc.setdefault((y.mu + y.nu) % N, {})
-            for mono, f in self.alg.mono_mul(x, y):
-                add_term(bucket, mono, c * f)
-        return {d: SphereElement(self.alg, t) for d, t in acc.items() if t}
+        alg = self.alg
+        classes = self.graded(lambda xy: xy[1].deg % N)
+        return {
+            d: img for d, part in classes.items()
+            if (img := part.mapped(lambda xy: alg.element(dict(alg.mono_mul(*xy))), alg.zero()))
+        }
 
 
 @dataclass
@@ -255,7 +255,7 @@ def verify_strong_connection(conn: StrongConnection) -> List[CheckEntry]:
             bad.append(f"class {n % N}: -1")
         out.append(check(f"unit-return[n={n}]", tag, not bad, "; ".join(bad)))
         for side, leg, sign in (("left", 0, -1), ("right", 1, 1)):
-            degrees = {mm[leg].mu + mm[leg].nu for mm, _ in val.terms()}
+            degrees = {mm[leg].deg for mm, _ in val.terms()}
             off = sorted(d for d in degrees if (d - sign * n) % N)
             out.append(
                 check(f"{side}-colinearity[n={n}]", tag, not off, f"offending {side} degrees {off}")
@@ -277,11 +277,9 @@ def associated_idempotent(conn: StrongConnection, n: int) -> Matrix:
     if not (1 <= n <= conn.N - 1):
         raise ValueError("n must satisfy 1 <= n <= N-1")
     alg = conn.algebra
-    grouped: Dict[SphereMonomial, Dict[SphereMonomial, Coefficient]] = {}
-    for (m1, m2), c in conn.values[n].terms():
-        grouped.setdefault(m2, {})[m1] = c
+    grouped = conn.values[n].graded(lambda mm: mm[1])
     right_legs = sorted(grouped, reverse=True)
-    xs = [SphereElement(alg, grouped[m]) for m in right_legs]
+    xs = [SphereElement(alg, {x: c for (x, _), c in grouped[m].terms()}) for m in right_legs]
     es = [SphereElement(alg, {m: ONE}) for m in right_legs]
     return Matrix([[e * x for x in xs] for e in es])
 
@@ -350,17 +348,14 @@ class ProlongElement(AlgebraElement):
 
 def prolong_phi(x: SphereElement, h: LaurentHopfElement, N: int) -> ProlongElement:
     """x (x) u^m  ->  x (x) u^(deg x + N m), term by term."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     return prolong_phi_map(ProlongElement.of(x, h), N)
 
 
 def prolong_phi_map(t: ProlongElement, N: int) -> ProlongElement:
-    """prolong_phi applied to an element already in tensor form."""
-    out: Dict[Tuple[SphereMonomial, int], Coefficient] = {}
-    for (mono, m), c in t.terms():
-        add_term(out, (mono, mono.mu + mono.nu + N * m), c)
-    return ProlongElement(t.alg, out)
+    """prolong_phi on an element in tensor form: one-to-one on monomials."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return t._new({(mono, mono.deg + N * m): c for (mono, m), c in t.terms()})
 
 
 def prolong_phi_inv(t: ProlongElement, N: int) -> ProlongElement:
@@ -370,7 +365,7 @@ def prolong_phi_inv(t: ProlongElement, N: int) -> ProlongElement:
         raise ValueError("N must be >= 1")
     out: Dict[Tuple[SphereMonomial, int], Coefficient] = {}
     for (mono, m), c in t.terms():
-        d = mono.mu + mono.nu
+        d = mono.deg
         if (m - d) % N != 0:
             raise ValueError(
                 f"term of tensor degree {m} over monomial degree {d} is not invariant mod {N}"
@@ -386,11 +381,7 @@ def prolong_action(t: ProlongElement, N: int) -> Dict[int, ProlongElement]:
     the action; only the weight data is ever needed."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    buckets: Dict[int, Dict[Tuple[SphereMonomial, int], Coefficient]] = {}
-    for (mono, m), c in t.terms():
-        w = (mono.mu + mono.nu - m) % N
-        buckets.setdefault(w, {})[(mono, m)] = c
-    return {w: ProlongElement(t.alg, b) for w, b in buckets.items()}
+    return t.graded(lambda mm: (mm[0].deg - mm[1]) % N)
 
 
 def prolong_is_invariant(t: ProlongElement, N: int) -> bool:

@@ -35,7 +35,6 @@ from .scalars import (
     QPoly,
     RUN_SCOPE,
     ZERO,
-    add_term,
     format_monomial,
     memo_table,
     qpoly_Qpair_base,
@@ -61,6 +60,11 @@ class SphereMonomial(NamedTuple):
     k: int
     mu: int
     nu: int
+
+    @property
+    def deg(self) -> int:
+        """The U(1) degree mu + nu of A^k a^mu b^nu."""
+        return self.mu + self.nu
 
 
 DISC_ONE = DiscMonomial(0, 0)
@@ -256,13 +260,14 @@ def kappa_iso(r: DiscElement) -> DiscElement:
     target = DISC_INV
     kx = target.x().star()
     kX = target.one() - kx * kx.star()
-    out = target.zero()
-    powX: Dict[int, DiscElement] = {0: target.one()}
-    for (k, mu), c in sorted(r.terms()):
-        while k not in powX:
-            powX[len(powX)] = powX[len(powX) - 1] * kX
-        out = out + (powX[k] * kx.pow_signed(mu)).scale(c)
-    return out
+    powX = [target.one()]
+
+    def image(m: DiscMonomial) -> DiscElement:
+        while len(powX) <= m.k:
+            powX.append(powX[-1] * kX)
+        return powX[m.k] * kx.pow_signed(m.mu)
+
+    return r.mapped(image, target.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +285,7 @@ class SphereElement(AlgebraElement):
     pow_signed = AlgebraElement.pow_signed
 
     def degree_support(self) -> set:
-        return {m.mu + m.nu for m in self._t}
+        return {m.deg for m in self._t}
 
     def is_invariant(self, n: int) -> bool:
         if n < 1:
@@ -360,11 +365,7 @@ def add_on_core(acc, core, poly):
     """``acc`` plus a contraction polynomial evaluated on a core generator:
     the Y^deg term of ``poly`` becomes ``core(deg)`` scaled by its
     coefficient."""
-    out = dict(acc.terms())
-    for deg, c in poly.items():
-        for m, cm in core(deg).terms():
-            add_term(out, m, cm * c)
-    return acc._new(out)
+    return acc + poly.mapped(core, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -741,6 +741,22 @@ class LinComb:
             return self.scale(other)
         return NotImplemented
 
+    def mapped(self, image, into: "LinComb") -> "LinComb":
+        """The linear extension of ``image``, a map from monomials to
+        elements of ``into``'s algebra: the sum of image(m) scaled by c."""
+        out: dict = {}
+        for m, c in self._t.items():
+            for im, ic in image(m)._t.items():
+                add_term(out, im, ic * c)
+        return into._new(out)
+
+    def graded(self, degree) -> dict:
+        """The nonzero homogeneous parts, keyed by ``degree(m)``."""
+        parts: dict = {}
+        for m, c in self._t.items():
+            parts.setdefault(degree(m), {})[m] = c
+        return {d: self._new(t) for d, t in parts.items()}
+
     # -- algebra structure -----------------------------------------------
 
     def __mul__(self, other):

@@ -639,7 +639,7 @@ def suite_prolong(opts: SuiteOptions) -> List[CheckEntry]:
             if not prolong_is_invariant(t, N):
                 failures.fail(inv, f"{t}")
             # invariant-side roundtrip
-            d = mono.mu + mono.nu
+            d = mono.deg
             minv = d + N * rng.randint(-3, 3)
             tinv = ProlongElement(SPHERE, {(mono, minv): random_coefficient(rng)})
             if prolong_phi_map(prolong_phi_inv(tinv, N), N) != tinv:

@@ -12,10 +12,10 @@ soundness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .scalars import Coefficient, QPoly, ZERO
-from .qalgebras import CORE_A, SphereElement, SphereMonomial
+from .qalgebras import CORE_A, CORE_B, SphereElement
 
 
 @dataclass(frozen=True)
@@ -28,37 +28,19 @@ class SplitTerm:
     alpha: QPoly  # zero constant term
     beta: QPoly  # zero constant term
 
-    def is_zero_a_side(self) -> bool:
-        return self.gamma.is_zero() and self.alpha.is_zero()
-
-    def is_zero_b_side(self) -> bool:
-        return self.gamma.is_zero() and self.beta.is_zero()
-
 
 def split_expansion(r: SphereElement) -> List[SplitTerm]:
-    """Group the basis terms of r by (mu, nu); lossless."""
-    gammas: Dict[Tuple[int, int], Coefficient] = {}
-    alphas: Dict[Tuple[int, int], Dict[int, Coefficient]] = {}
-    betas: Dict[Tuple[int, int], Dict[int, Coefficient]] = {}
-    for m, c in r.terms():
-        key = (m.mu, m.nu)
-        if m.k == 0:
-            gammas[key] = gammas.get(key, ZERO) + c
-        elif m.core == CORE_A:
-            alphas.setdefault(key, {})[m.k] = c
-        else:
-            betas.setdefault(key, {})[m.k] = c
+    """Group the basis terms of r by (mu, nu); lossless.  In normal form the
+    one core-free monomial of an index carries CORE_A."""
     out = []
-    for key in sorted(set(gammas) | set(alphas) | set(betas)):
-        out.append(
-            SplitTerm(
-                mu=key[0],
-                nu=key[1],
-                gamma=gammas.get(key, ZERO),
-                alpha=QPoly(alphas.get(key, {})),
-                beta=QPoly(betas.get(key, {})),
-            )
-        )
+    for (mu, nu), part in sorted(r.graded(lambda m: (m.mu, m.nu)).items()):
+        gamma, alpha, beta = ZERO, {}, {}
+        for m, c in part.terms():
+            if m.k == 0:
+                gamma = c
+            else:
+                (alpha if m.core == CORE_A else beta)[m.k] = c
+        out.append(SplitTerm(mu, nu, gamma, QPoly(alpha), QPoly(beta)))
     return out
 
 
@@ -68,31 +50,25 @@ def subspace_split(r: SphereElement, variant: str) -> Tuple[SphereElement, Spher
     variant "X+Y1": first part spans A^k a^mu b^nu (k >= 0), second part
     the strictly-positive B-core family; variant "X1+Y" dually.
     """
-    first: Dict[SphereMonomial, Coefficient] = {}
-    second: Dict[SphereMonomial, Coefficient] = {}
     if variant == "X+Y1":
-        for m, c in r.terms():
-            (first if m.core == CORE_A else second)[m] = c
+        parts = r.graded(lambda m: m.core == CORE_A)
     elif variant == "X1+Y":
-        for m, c in r.terms():
-            (first if (m.core == CORE_A and m.k > 0) else second)[m] = c
+        parts = r.graded(lambda m: m.core == CORE_A and m.k > 0)
     else:
         raise ValueError(f"unknown splitting variant {variant!r}")
-    return SphereElement(r.alg, first), SphereElement(r.alg, second)
+    return parts.get(True, r.alg.zero()), parts.get(False, r.alg.zero())
 
 
 def deg_extreme(r: SphereElement, side: str, which: str) -> Tuple[int, int]:
     """Lexicographic max/min of the index set with nonzero gamma+alpha
-    (side 'A') or gamma+beta (side 'B')."""
+    (side 'A') or gamma+beta (side 'B'), read off the support: the (mu, nu)
+    of every term on that side's core, and of every core-free term."""
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     if which not in ("max", "min"):
         raise ValueError("which must be 'max' or 'min'")
-    idx = []
-    for t in split_expansion(r):
-        nz = not (t.is_zero_a_side() if side == "A" else t.is_zero_b_side())
-        if nz:
-            idx.append((t.mu, t.nu))
+    core = CORE_A if side == "A" else CORE_B
+    idx = [(m.mu, m.nu) for m, _ in r.terms() if m.core == core or not m.k]
     if not idx:
         raise ValueError(f"empty index set on side {side}")
     return max(idx) if which == "max" else min(idx)

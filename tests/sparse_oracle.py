@@ -10,10 +10,42 @@ packed kernel against arithmetic that cannot alias.
 monomial products of the two engines written out step by step, each side of
 the sphere spelled inline rather than through the shared disc rule, so
 test_raw_rules.py can compare the engines against them key for key.
+
+The ``reference_*`` functions below them are the hand loops that linear maps
+and gradings replaced (``LinComb.mapped`` and ``LinComb.graded``), kept as
+they were written, so test_linear_maps.py can compare each new body with
+its old one.
 """
 
-from heegaard.qalgebras import CORE_A, CORE_B, DiscMonomial, SphereMonomial
-from heegaard.scalars import ONE, EvaluationError, add_term, qpoly_Qpair_base, signed_join, var_pow, w_pow
+from typing import Dict, List, Tuple
+
+from heegaard.lens import CORE_APRIME, LensElement, LensMonomial, _basis_image
+from heegaard.ktheory import TorusAlgebra
+from heegaard.principal import ProlongElement
+from heegaard.qalgebras import (
+    CORE_A,
+    CORE_B,
+    DISC,
+    DISC_INV,
+    SPHERE,
+    DiscElement,
+    DiscMonomial,
+    SphereElement,
+    SphereMonomial,
+)
+from heegaard.scalars import (
+    ONE,
+    ZERO,
+    Coefficient,
+    EvaluationError,
+    QPoly,
+    add_term,
+    qpoly_Qpair_base,
+    signed_join,
+    var_pow,
+    w_pow,
+)
+from heegaard.units import SplitTerm
 
 
 class SparseCoefficient:
@@ -129,3 +161,168 @@ def reference_sphere_mul_raw(m1, m2):
             continue
         add_term(emitted, SphereMonomial(CORE_B, k + deg, mu, nu), factor * c)
     return emitted
+
+
+# ---------------------------------------------------------------------------
+# The hand loops that LinComb.mapped and LinComb.graded replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_lens_from_abstract(t: LensElement) -> SphereElement:
+    """Apply f term by term, summing the images of the basis monomials."""
+    N = t.N
+    out: Dict[SphereMonomial, Coefficient] = {}
+    for m, c in t.terms():
+        for im, ic in _basis_image(N, m).terms():
+            add_term(out, im, ic * c)
+    return SPHERE.element(out)
+
+
+def reference_add_on_core(acc, core, poly):
+    out = dict(acc.terms())
+    for deg, c in poly.items():
+        for m, cm in core(deg).terms():
+            add_term(out, m, cm * c)
+    return acc._new(out)
+
+
+def reference_kappa_iso(r: DiscElement) -> DiscElement:
+    if r.alg is not DISC:
+        raise ValueError("kappa_iso is defined on the parameter-p disc")
+    target = DISC_INV
+    kx = target.x().star()
+    kX = target.one() - kx * kx.star()
+    out = target.zero()
+    powX: Dict[int, DiscElement] = {0: target.one()}
+    for (k, mu), c in sorted(r.terms()):
+        while k not in powX:
+            powX[len(powX)] = powX[len(powX) - 1] * kX
+        out = out + (powX[k] * kx.pow_signed(mu)).scale(c)
+    return out
+
+
+def reference_project_to_torus(c, leg: int, torus: TorusAlgebra | None = None):
+    t = c.alg.mult
+    if leg == 1:
+        if c.alg.sign != 1:
+            raise ValueError("leg 1 projects the positive-twist algebra")
+    elif leg == 2:
+        if c.alg.sign != -1:
+            raise ValueError("leg 2 projects the negative-twist algebra")
+    else:
+        raise ValueError("leg must be 1 or 2")
+    if torus is None:
+        torus = TorusAlgebra(t)
+    if torus.mult != t:
+        raise ValueError("torus twist multiple must match the crossed product")
+    if leg == 1:
+        img_x = torus.Z()
+        img_u = torus.U()
+    else:
+        img_x = torus.Z(-1)
+        img_u = torus.Z(t) * torus.U() * w_pow(t * (t - 1))
+    out = torus.zero()
+    for (mono, n), coeff in sorted(c.terms()):
+        if mono.k:
+            continue
+        out = out + (img_x.pow_signed(mono.mu) * img_u.pow_signed(n)).scale(coeff)
+    return out
+
+
+def reference_subspace_classify(t: LensElement) -> Tuple[LensElement, LensElement, LensElement]:
+    va: Dict[LensMonomial, Coefficient] = {}
+    v0: Dict[LensMonomial, Coefficient] = {}
+    vb: Dict[LensMonomial, Coefficient] = {}
+    for m, c in t.terms():
+        if m.core == CORE_APRIME:
+            va[m] = c
+        elif m.k == 0:
+            v0[m] = c
+        else:
+            vb[m] = c
+    return LensElement(t.N, va), LensElement(t.N, v0), LensElement(t.N, vb)
+
+
+def reference_subspace_split(r: SphereElement, variant: str) -> Tuple[SphereElement, SphereElement]:
+    first: Dict[SphereMonomial, Coefficient] = {}
+    second: Dict[SphereMonomial, Coefficient] = {}
+    if variant == "X+Y1":
+        for m, c in r.terms():
+            (first if m.core == CORE_A else second)[m] = c
+    elif variant == "X1+Y":
+        for m, c in r.terms():
+            (first if (m.core == CORE_A and m.k > 0) else second)[m] = c
+    else:
+        raise ValueError(f"unknown splitting variant {variant!r}")
+    return SphereElement(r.alg, first), SphereElement(r.alg, second)
+
+
+def reference_prolong_action(t: ProlongElement, N: int) -> Dict[int, ProlongElement]:
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    buckets: Dict[int, Dict[Tuple[SphereMonomial, int], Coefficient]] = {}
+    for (mono, m), c in t.terms():
+        w = (mono.mu + mono.nu - m) % N
+        buckets.setdefault(w, {})[(mono, m)] = c
+    return {w: ProlongElement(t.alg, b) for w, b in buckets.items()}
+
+
+def reference_legs_multiplied_by_class(tensor, N: int) -> Dict[int, SphereElement]:
+    acc: Dict[int, Dict[SphereMonomial, Coefficient]] = {}
+    for (x, y), c in tensor._t.items():
+        bucket = acc.setdefault((y.mu + y.nu) % N, {})
+        for mono, f in tensor.alg.mono_mul(x, y):
+            add_term(bucket, mono, c * f)
+    return {d: SphereElement(tensor.alg, t) for d, t in acc.items() if t}
+
+
+def reference_right_leg_grouping(tensor) -> Dict[SphereMonomial, Dict[SphereMonomial, Coefficient]]:
+    """The grouping that ``associated_idempotent`` ran on a connection value."""
+    grouped: Dict[SphereMonomial, Dict[SphereMonomial, Coefficient]] = {}
+    for (m1, m2), c in tensor.terms():
+        grouped.setdefault(m2, {})[m1] = c
+    return grouped
+
+
+def reference_split_expansion(r: SphereElement) -> List[SplitTerm]:
+    gammas: Dict[Tuple[int, int], Coefficient] = {}
+    alphas: Dict[Tuple[int, int], Dict[int, Coefficient]] = {}
+    betas: Dict[Tuple[int, int], Dict[int, Coefficient]] = {}
+    for m, c in r.terms():
+        key = (m.mu, m.nu)
+        if m.k == 0:
+            gammas[key] = gammas.get(key, ZERO) + c
+        elif m.core == CORE_A:
+            alphas.setdefault(key, {})[m.k] = c
+        else:
+            betas.setdefault(key, {})[m.k] = c
+    out = []
+    for key in sorted(set(gammas) | set(alphas) | set(betas)):
+        out.append(
+            SplitTerm(
+                mu=key[0],
+                nu=key[1],
+                gamma=gammas.get(key, ZERO),
+                alpha=QPoly(alphas.get(key, {})),
+                beta=QPoly(betas.get(key, {})),
+            )
+        )
+    return out
+
+
+def reference_deg_extreme(r: SphereElement, side: str, which: str) -> Tuple[int, int]:
+    """The index set read from the split expansion, one side at a time."""
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
+    if which not in ("max", "min"):
+        raise ValueError("which must be 'max' or 'min'")
+    idx = []
+    for t in reference_split_expansion(r):
+        zero_a_side = t.gamma.is_zero() and t.alpha.is_zero()
+        zero_b_side = t.gamma.is_zero() and t.beta.is_zero()
+        nz = not (zero_a_side if side == "A" else zero_b_side)
+        if nz:
+            idx.append((t.mu, t.nu))
+    if not idx:
+        raise ValueError(f"empty index set on side {side}")
+    return max(idx) if which == "max" else min(idx)

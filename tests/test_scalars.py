@@ -1044,3 +1044,51 @@ def test_sphere_product_with_mixed_core_annihilations(tx, ty, ca, cb):
         got = first * second
         assert got == _product_of_every_pair(first, second)
         assert all(got._t.values())
+
+
+# -- linear maps and gradings of the shared core ----------------------------------
+
+from heegaard.qalgebras import DISC, DiscElement, DiscMonomial  # noqa: E402
+
+
+def _into_disc(m):
+    """A map from sphere monomials into the disc whose images overlap, so
+    the images of different terms meet and may cancel."""
+    return DISC.element({DiscMonomial(m.k, m.mu): ONE, DiscMonomial(0, m.nu): p_pow(m.k) + w_pow(1)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(sphere_terms, sphere_terms, small_coefficients)
+def test_mapped_is_linear(tx, ty, c):
+    x, y, c = SPHERE.element(tx), SPHERE.element(ty), Coefficient(c)
+    fx, fy = x.mapped(_into_disc, DISC.zero()), y.mapped(_into_disc, DISC.zero())
+    assert type(fx) is DiscElement and fx.alg is DISC
+    assert (x + y).mapped(_into_disc, DISC.zero()) == fx + fy
+    assert (x - x).mapped(_into_disc, DISC.zero()) == DISC.zero()
+    assert x.scale(c).mapped(_into_disc, DISC.zero()) == fx.scale(c)
+    assert all(fx._t.values())
+    assert x.mapped(lambda m: SPHERE.element({m: ONE}), SPHERE.zero()) == x
+
+
+GRADINGS = {
+    "degree": lambda m: m.deg,
+    "degree mod 3": lambda m: m.deg % 3,
+    "core family": lambda m: (m.core, m.k > 0),
+    "index": lambda m: (m.mu, m.nu),
+    "constant": lambda m: 0,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(sphere_terms, st.sampled_from(sorted(GRADINGS)))
+def test_graded_parts_are_homogeneous_and_sum_back(tx, grading):
+    x, degree = SPHERE.element(tx), GRADINGS[grading]
+    parts = x.graded(degree)
+    assert all(parts.values())
+    supports = [set(dict(part.terms())) for part in parts.values()]
+    assert sum(map(len, supports)) == len(set().union(*supports)) == len(tx)
+    for d, part in parts.items():
+        assert type(part) is type(x) and part.alg is x.alg
+        assert {degree(m) for m, _ in part.terms()} == {d}
+    assert sum(parts.values(), SPHERE.zero()) == x
+    assert bool(parts) == bool(x)

@@ -281,3 +281,73 @@ def test_one_contraction_rule_outside_scalars():
         for line in _calls(path, "qpoly_Qpair_base")
     ]
     assert len(sites) == 1 and sites[0].startswith("qalgebras.py:"), sites
+
+
+def _circle_degree_sums(source):
+    """(line, object) for every sum that adds ``.mu`` and ``.nu`` of the same
+    object, outside ``SphereMonomial.deg``; a chain of additions counts as
+    one sum, so ``m.mu + m.nu + N * k`` is caught too."""
+
+    def operands(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return operands(node.left) + operands(node.right)
+        return [node]
+
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Add) and scope != "SphereMonomial.deg":
+                attrs = {}
+                for term in operands(child):
+                    if isinstance(term, ast.Attribute) and term.attr in ("mu", "nu"):
+                        attrs.setdefault(ast.dump(term.value), set()).add(term.attr)
+                found.update((child.lineno, obj) for obj, names in attrs.items() if names == {"mu", "nu"})
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_the_circle_degree_is_spelled_once():
+    # deg(A^k a^mu b^nu) = mu + nu is SphereMonomial.deg; a sum of the two
+    # exponents of one monomial anywhere else re-spells it
+    assert [line for line, _ in _circle_degree_sums("d = (m.mu + m.nu) // N\n")] == [1]
+    assert [line for line, _ in _circle_degree_sums("x = 1\nd = mm[0].mu + N * k + mm[0].nu\n")] == [2]
+    assert _circle_degree_sums("mu = m1.mu + m2.nu\nd = mu + nu\n") == []
+    qalgebras = (SRC / "qalgebras.py").read_text()
+    assert "return self.mu + self.nu" in qalgebras
+    offenders = [
+        f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) for line, _ in _circle_degree_sums(path.read_text())
+    ]
+    assert not offenders, offenders
+
+
+def _unused_imports(source):
+    """The names that ``source`` imports and never references."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+        elif isinstance(node, ast.Import):
+            imported.update({(alias.asname or alias.name).split(".")[0]: node.lineno for alias in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_every_import_is_used():
+    # __init__.py re-exports what it imports, so it is exempt
+    planted = "from typing import Dict, List\nimport os.path\n\ndef f(x: List[int]) -> int:\n    return len(x)\n"
+    assert _unused_imports(planted) == ["1: Dict", "2: os"]
+    assert _unused_imports("from __future__ import annotations\nimport sys\nsys.exit()\n") == []
+    offenders = [
+        f"{path.name}:{found}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for found in _unused_imports(path.read_text())
+    ]
+    assert not offenders, offenders
