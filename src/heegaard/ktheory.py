@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .scalars import Coefficient, ONE, format_monomial, w_pow
-from .qalgebras import DISC0, Algebra, AlgebraElement, DiscAlgebra, DiscMonomial, disc_mono_str
+from .qalgebras import DISC0, Algebra, AlgebraElement, DiscMonomial, disc_mono_str
 from .matrix import Matrix
 from .reports import CheckEntry, check, check_zero
 
@@ -290,20 +290,19 @@ class CrossedElement(AlgebraElement):
 
 
 class CrossedAlgebra(Algebra):
-    """Disc-at-zero crossed by the integers: u x = w^(2 s t) x u, with
-    s the twist sign and t the twist multiple (t = 1 at sphere level,
-    t = N at lens level)."""
+    """The disc at zero (``DISC0``) crossed by the integers:
+    u x = w^(2 s t) x u, with s the twist sign and t the twist multiple
+    (t = 1 at sphere level, t = N at lens level)."""
 
     elem_cls = CrossedElement
 
-    def __init__(self, sign: int, mult: int = 1, disc: DiscAlgebra = DISC0):
+    def __init__(self, sign: int, mult: int = 1):
         if sign not in (1, -1):
             raise ValueError("twist sign must be +1 or -1")
         if mult < 1:
             raise ValueError("twist multiple must be >= 1")
         self.sign = sign
         self.mult = mult
-        self.disc = disc
 
     def twist_phase(self, mu: int, n: int) -> Coefficient:
         """Phase for commuting u^n across x^mu."""
@@ -313,11 +312,11 @@ class CrossedAlgebra(Algebra):
         (f1, n1), (f2, n2) = t1, t2
         # u^n1 crosses the disc part f2: each x-power picks up the twist
         phase = self.twist_phase(f2.mu, n1)
-        return [((mono, n1 + n2), f * phase) for mono, f in self.disc.mono_mul(f1, f2)]
+        return [((mono, n1 + n2), f * phase) for mono, f in DISC0.mono_mul(f1, f2)]
 
     def star_mono(self, t):
         f, n = t
-        mono, fac = self.disc.star_mono(f)
+        mono, fac = DISC0.star_mono(f)
         if mono is None:
             return None, fac
         # (f u^n)* = u^-n f* ; cross u^-n to the right of the starred part

@@ -196,26 +196,25 @@ class DiscElement(AlgebraElement):
 
 
 class DiscAlgebra(_EngineBase):
-    """The one-generator disc algebra at parameter var^sign (or at zero).
+    """The one-generator disc algebra at parameter p^sign (or at zero).
 
-    var in {'p','q'}; sign -1 selects the inverse-parameter presentation
-    used as the target of the mirror isomorphism.
+    sign -1 selects the inverse-parameter presentation used as the target
+    of the mirror isomorphism.
     """
 
     elem_cls = DiscElement
     mono_mul = _EngineBase.mono_mul  # own binding, wrapped per class
 
-    def __init__(self, var: str = "p", sign: int = 1, isometric: bool = False):
+    def __init__(self, sign: int = 1, isometric: bool = False):
         if isometric and sign != 1:
             raise ValueError("the parameter-at-zero presentation uses sign +1")
-        super().__init__("DISC0" if isometric else "DISC_INV" if sign < 0 else "DISC", isometric, (var,))
-        self.var = var
+        super().__init__("DISC0" if isometric else "DISC_INV" if sign < 0 else "DISC", isometric, ("p",))
         self.sign = sign
-        self.base: Base = (var, sign)
+        self.base: Base = ("p", sign)
 
     # parameter powers as coefficients
     def param_pow(self, e: int) -> Coefficient:
-        return var_pow(self.var, self.sign * e)
+        return var_pow("p", self.sign * e)
 
     @staticmethod
     def _gen_exp(m: DiscMonomial) -> int:
@@ -244,9 +243,9 @@ class DiscAlgebra(_EngineBase):
         return DiscElement(self, {DiscMonomial(k, mu): coeff})
 
 
-DISC = DiscAlgebra("p")
-DISC_INV = DiscAlgebra("p", sign=-1)
-DISC0 = DiscAlgebra("p", isometric=True)
+DISC = DiscAlgebra()
+DISC_INV = DiscAlgebra(sign=-1)
+DISC0 = DiscAlgebra(isometric=True)
 
 
 def kappa_iso(r: DiscElement) -> DiscElement:
@@ -283,6 +282,14 @@ class SphereElement(AlgebraElement):
     __mul__ = AlgebraElement.__mul__
     star = AlgebraElement.star
     pow_signed = AlgebraElement.pow_signed
+
+    def __init__(self, alg, terms=None):
+        super().__init__(alg, terms)
+        for m in self._t:
+            if m.k < 0:
+                raise ValueError("core powers are nonnegative")
+            if m.core == CORE_B and m.k < 1:
+                raise ValueError("B-core monomials need k >= 1")
 
     def degree_support(self) -> set:
         return {m.deg for m in self._t}
@@ -352,8 +359,6 @@ class SphereAlgebra(_EngineBase):
         return SphereElement(self, {SphereMonomial(CORE_A, 0, 1, -1): ONE})
 
     def monomial(self, core: int, k: int, mu: int, nu: int, coeff: Coefficient = ONE):
-        if core == CORE_B and k < 1:
-            raise ValueError("B-core monomials need k >= 1")
         return SphereElement(self, {SphereMonomial(core, k, mu, nu): coeff})
 
 

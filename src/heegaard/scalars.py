@@ -36,7 +36,7 @@ import weakref
 from array import array
 from itertools import compress, repeat
 from math import comb, gcd
-from operator import add, and_, floordiv, itemgetter, lshift, mod, mul, rshift, sub
+from operator import add, and_, floordiv, itemgetter, lshift, mul, rshift, sub
 from typing import Dict, Iterator, List, Tuple
 
 Triple = Tuple[int, int, int]
@@ -267,12 +267,11 @@ def _from_terms(terms: Dict[int, int], bound: int) -> "Coefficient":
     """The value with these terms (none zero) in its form: packed when at
     least _PACK_MIN_TERMS of them fill at least 1/_SPREAD of their least
     box, else the dict itself."""
-    if len(terms) < _PACK_MIN_TERMS:
-        return _coeff(terms, bound)
-    box = _box_of(list(terms))
-    if _cells(box) > _SPREAD * len(terms):
-        return _coeff(terms, bound)
-    return _from_cells(box, _scatter(terms, box))
+    if len(terms) >= _PACK_MIN_TERMS:
+        box = _box_of(list(terms))
+        if _cells(box) <= _SPREAD * len(terms):
+            return _from_cells(box, _scatter(terms, box))
+    return _coeff(terms, bound)
 
 
 def _scatter(terms: Dict[int, int], box: Box) -> List[int]:
@@ -283,55 +282,51 @@ def _scatter(terms: Dict[int, int], box: Box) -> List[int]:
     return digits
 
 
-def _least(box: Box, cells: List[int]) -> Box:
-    """The least box holding the given (nonempty) cells of ``box``."""
-    rj, rk = box[2][1:]
-    coords = (
-        map(floordiv, cells, repeat(rj * rk)),
-        map(mod, map(floordiv, cells, repeat(rk)), repeat(rj)),
-        map(mod, cells, repeat(rk)),
-    )
-    out = []
-    for lo, s, axis in zip(*box[:2], map(list, coords)):
-        a = min(axis)
-        g = gcd(*map(sub, axis, repeat(a)))
-        out.append((lo + s * a, s * g or 1, (max(axis) - a) // (g or 1) + 1))
-    return tuple(zip(*out))
-
-
-def _relay(digits, src: Box, dst: Box, rows: Box) -> List[int]:
-    """The digits over ``src`` laid out over ``dst``, one slice per run
-    along w of the cells of ``rows`` (the smaller box, held by both)."""
-    (si, sj, sk), (ri, rj, rk) = rows[1:]
-
-    def steps(b: Box):  # the cell steps in b of a stride of rows along p, q, w
-        (bi, bj, bk), (_, bj_count, bk_count) = b[1:]
-        return si // bi * bj_count * bk_count, sj // bj * bk_count, sk // bk if rk > 1 else 1
-
-    out = [0] * _cells(dst)
-    (xi, xj, xk), (yi, yj, yk) = steps(src), steps(dst)
-    x0, y0 = _cell(rows[0], src), _cell(rows[0], dst)
+def _relay(digits, src: Box, dst: Box) -> List[int]:
+    """The digits over ``src`` laid out over ``dst``, a box holding it, one
+    contiguous slice of the source per run along w."""
+    (si, sj, sk), (ri, rj, rk) = src[1:]
+    (di, dj, dk), (_, dj_count, dk_count) = dst[1:]
+    # the cell steps in dst of a stride of src along p, q and w
+    yi, yj, yk = si // di * dj_count * dk_count, sj // dj * dk_count, sk // dk if rk > 1 else 1
+    out, y0 = [0] * _cells(dst), _cell(src[0], dst)
     for i in range(ri):
         for j in range(rj):
-            x, y = x0 + i * xi + j * xj, y0 + i * yi + j * yj
-            out[y : y + rk * yk : yk] = digits[x : x + rk * xk : xk]
+            x, y = (i * rj + j) * rk, y0 + i * yi + j * yj
+            out[y : y + rk * yk : yk] = digits[x : x + rk]
     return out
+
+
+def _fills(box: Box, digits) -> bool:
+    """The slab test, sufficient for ``box`` to be the least box of the
+    nonzero ``digits``: along each variable with two or more cells, the first,
+    second and last slabs (a run of ``inner`` cells per ``step``) are nonzero."""
+    n, inner = len(digits), 1
+    for r in reversed(box[2]):
+        step = r * inner
+        for a in (0, 1, r - 1) if r > 1 else ():
+            runs = [digits[a::step]] if inner == 1 else (digits[x : x + inner] for x in range(a * inner, n, step))
+            if not any(map(any, runs)):
+                return False
+        inner = step
+    return True
 
 
 def _from_cells(box: Box, digits, width: int = 0, value: int = 0) -> "Coefficient":
     """The value with balanced ``digits`` over the cells of ``box`` (which
-    ``value`` packs at ``width``, when given) in its form."""
-    cells = list(compress(range(len(digits)), digits))
-    least = _least(box, cells) if _PACK_MIN_TERMS <= len(cells) < len(digits) else box
-    if len(cells) < _PACK_MIN_TERMS or _cells(least) > _SPREAD * len(cells):
-        return _coeff(dict(zip(compress(_cell_keys(box), digits), filter(None, digits))), _box_bound(box))
-    if least != box:
-        box, digits, width = least, _relay(digits, box, least, least), 0
+    ``value`` packs at ``width``, when given) in its form: packed over a dense
+    ``box`` the slab test or ``_box_of`` finds least, else by ``_from_terms``."""
+    count = len(digits) - digits.count(0)
+    loose = count < _PACK_MIN_TERMS or _cells(box) > _SPREAD * count
+    if loose or not _fills(box, digits):
+        terms = dict(zip(compress(_cell_keys(box), digits), filter(None, digits)))
+        if loose or _box_of(list(terms)) != box:
+            return _from_terms(terms, _box_bound(box))
     top = max(max(digits), -min(digits))
     if _width_for(top) != width:
         width = _width_for(top)
         value = _encode(digits, width)
-    return _packed(box, width, top, value, len(cells))
+    return _packed(box, width, top, value, count)
 
 
 def _box(c: "Coefficient") -> Box:
@@ -356,7 +351,7 @@ def _lay(c: "Coefficient", box: Box, width: int) -> int:
         ):
             value = t.value if t.width == width else _encode(_unpack(t.value, t.width, _cells(t.box)), width)
             return value << width * _cell(t.box[0], box)
-        return _encode(_relay(_unpack(t.value, t.width, _cells(t.box)), t.box, box, t.box), width)
+        return _encode(_relay(_unpack(t.value, t.width, _cells(t.box)), t.box, box), width)
     if len(t) < _PACK_MIN_TERMS:
         return sum(map(lshift, t.values(), map(mul, _cells_of(list(t), box), repeat(width))))
     return _encode(_scatter(t, box), width)

@@ -74,7 +74,7 @@ def test_algebra_interface(alg, elem_type):
     "make, shared, left, right",
     [
         (lambda: SphereAlgebra(isometric=True), SPHERE0, "a", "A"),
-        (lambda: DiscAlgebra("p", isometric=True), DISC0, "x", "X"),
+        (lambda: DiscAlgebra(isometric=True), DISC0, "x", "X"),
     ],
     ids=["SPHERE0", "DISC0"],
 )
@@ -106,9 +106,9 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize(
     "shared, make, draw",
     [
-        (DISC, lambda: DiscAlgebra("p"), _disc_monomial),
-        (DISC_INV, lambda: DiscAlgebra("p", sign=-1), _disc_monomial),
-        (DISC0, lambda: DiscAlgebra("p", isometric=True), _disc_monomial),
+        (DISC, DiscAlgebra, _disc_monomial),
+        (DISC_INV, lambda: DiscAlgebra(sign=-1), _disc_monomial),
+        (DISC0, lambda: DiscAlgebra(isometric=True), _disc_monomial),
         (SPHERE, SphereAlgebra, lambda rng: random_sphere_monomial(rng, kmax=3, emax=3)),
         (
             SPHERE0,

@@ -942,6 +942,152 @@ def test_unary_operations_have_one_body_for_both_forms():
     assert p_at_zero.eval_at_zero("p") == p_at_zero and q_at_zero.eval_at_zero("q") == q_at_zero
 
 
+# -- the least box of a packed result: the slab test and the keys ----------------
+
+import sys  # noqa: E402
+from array import array  # noqa: E402
+from collections import Counter  # noqa: E402
+
+from heegaard.scalars import _box_of, _cell_keys, _fills  # noqa: E402
+
+
+@st.composite
+def slab_cases(draw):
+    """A dense box (one, two or three varying variables) and the slabs
+    along one variable that a cancellation empties: the first, the second,
+    every odd one (the stride doubles) or the last."""
+    axis = draw(st.sampled_from((0, 1, 2)))
+    empty = draw(st.sampled_from(("first", "second", "odd", "last")))
+    radix = [draw(st.integers(1, 4)) for _ in range(3)]
+    # an odd count along the axis, so the last slab survives every odd one,
+    # and enough slabs that what survives has at least _PACK_MIN_TERMS terms
+    half = -(-_PACK_MIN_TERMS // (radix[(axis + 1) % 3] * radix[(axis + 2) % 3]))
+    radix[axis] = max(3, 2 * draw(st.integers(half, half + 2)) - 1)
+    step = [draw(st.integers(1, 3)) if r > 1 else 1 for r in radix]
+    low = [draw(st.integers(-4, 4)) for _ in range(3)]
+    cells = [(i, j, k) for i in range(radix[0]) for j in range(radix[1]) for k in range(radix[2])]
+    coeffs = draw(st.lists(nonzero, min_size=len(cells), max_size=len(cells)))
+    gone = {"first": {0}, "second": {1}, "odd": set(range(1, radix[axis], 2)), "last": {radix[axis] - 1}}[empty]
+
+    def at(cell):
+        return tuple(lo + s * x for lo, s, x in zip(low, step, cell))
+
+    full = {at(cell): c for cell, c in zip(cells, coeffs)}
+    removed = {at(cell): c for cell, c in zip(cells, coeffs) if cell[axis] in gone}
+    return full, removed
+
+
+@settings(max_examples=300, deadline=None)
+@given(slab_cases())
+def test_cancellation_that_empties_a_slab_leaves_the_least_box(case):
+    full, removed = case
+    rest = {e: c for e, c in full.items() if e not in removed}
+    expected = SparseCoefficient(rest)
+    a, b = Coefficient(full), Coefficient(removed)
+    assert type(a._terms) is _Packed
+    for got in (a - b, -b + a, a + b * -1):
+        _agree(got, expected)
+        _check_form(got, expected)
+        assert got == Coefficient(rest)
+
+
+@pytest.mark.parametrize("var", (0, 1, 2))
+def test_a_product_whose_odd_slabs_cancel_is_packed_at_twice_the_stride(var):
+    # (1 + t) (1 - t) h(t^2) = (1 - t^2) h(t^2) for t = p, q or w: the
+    # product's box has stride 1 and every odd slab of it is empty
+    def poly(coeffs, stride=1):
+        return {tuple(stride * d if v == var else 0 for v in range(3)): c for d, c in enumerate(coeffs) if c}
+
+    h = [(-1) ** d * (d + 2) * (2**70 if d % 4 == 0 else 1) for d in range(_PACK_MIN_TERMS + 1)]
+    h2 = SparseCoefficient(poly(h, 2))
+    left, right = SparseCoefficient(poly([1, 1])), SparseCoefficient(poly([1, -1])) * h2
+    expected = SparseCoefficient(poly([1, -1], 2)) * h2
+    got = Coefficient(left.terms_) * Coefficient(right.terms_)
+    assert type(Coefficient(right.terms_)._terms) is _Packed
+    _agree(got, expected)
+    _check_form(got, expected)
+    assert got._terms.box[1][var] == 2
+
+
+def test_odd_terms_cancelled_from_a_run_of_p_powers():
+    x = Coefficient({(i, 0, 0): 1 for i in range(33)})
+    odd = Coefficient({(i, 0, 0): 1 for i in range(1, 33, 2)})
+    evens = Coefficient({(2 * i, 0, 0): 1 for i in range(17)})
+    for got in (x - odd, x + -odd, -odd + x):
+        assert got == evens and hash(got) == hash(evens) and str(got) == str(evens)
+        assert type(got._terms) is _Packed and got._terms.box == ((0, 0, 0), (2, 1, 1), (17, 1, 1))
+
+
+@st.composite
+def digit_boxes(draw):
+    """A canonical box (stride 1 wherever the count is 1) and digits over
+    its cells, zero about half the time."""
+    radix = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    step = tuple(draw(st.integers(1, 3)) if r > 1 else 1 for r in radix)
+    low = tuple(draw(st.integers(-3, 3)) for _ in range(3))
+    count = radix[0] * radix[1] * radix[2]
+    digits = draw(st.lists(st.sampled_from((0, 0, 0, 1, -5)), min_size=count, max_size=count))
+    return (low, step, radix), digits
+
+
+def _slabs_hold_digits(box, digits):
+    """The slab test by its definition, from each cell's coordinates."""
+    ri, rj, rk = box[2]
+    coords = [(c // (rj * rk), c // rk % rj, c % rk) for c in range(len(digits))]
+    return all(
+        r < 2 or all(any(d for d, x in zip(digits, coords) if x[v] == a) for a in (0, 1, r - 1))
+        for v, r in enumerate(box[2])
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(digit_boxes(), st.booleans())
+def test_slab_test_matches_its_definition_and_vouches_only_for_least_boxes(case, as_array):
+    box, digits = case
+    vouched = _fills(box, array("q", digits) if as_array else digits)
+    assert vouched == _slabs_hold_digits(box, digits)
+    if vouched and any(digits):
+        assert _box_of([k for k, d in zip(_cell_keys(box), digits) if d]) == box
+
+
+def test_slab_test_reads_the_middle_slab_in_every_p_row():
+    # a 3 x 3 x 3 box whose second q slab is empty in the first two p rows
+    box = ((0, 0, 0), (1, 1, 1), (3, 3, 3))
+    cells = [(c // 9, c // 3 % 3, c % 3) for c in range(27)]
+    hole = [i < 2 and j == 1 for i, j, _ in cells]
+    digits = [0 if h else c + 1 for c, h in enumerate(hole)]
+    assert _fills(box, digits) and _slabs_hold_digits(box, digits)
+    assert not _fills(box, [0 if j == 1 else 1 for _, j, _ in cells])
+    # the full box less the hole: a sum packed over the box the test vouches for
+    full = {e: c + 1 for c, e in enumerate(cells)}
+    got = Coefficient(full) - Coefficient({e: c for (e, c), h in zip(full.items(), hole) if h})
+    rest = {e: c for (e, c), h in zip(full.items(), hole) if not h}
+    assert type(got._terms) is _Packed and got._terms.box == box and got == Coefficient(rest)
+
+
+def test_powers_pack_every_result_over_a_box_the_slab_test_vouches_for(monkeypatch, cold_process_memos):
+    # (a + b + A)^16 from cold memos: every result of _from_cells is packed
+    # over a box the slab test vouches for, so _from_cells never asks the keys
+    calls = Counter()
+    box_of, fills = scalars._box_of, scalars._fills
+
+    def counted_box_of(keys):
+        calls["_box_of from " + sys._getframe(1).f_code.co_name] += 1
+        return box_of(keys)
+
+    def counted_fills(box, digits):
+        vouched = fills(box, digits)
+        calls["vouched" if vouched else "refused"] += 1
+        return vouched
+
+    monkeypatch.setattr(scalars, "_box_of", counted_box_of)
+    monkeypatch.setattr(scalars, "_fills", counted_fills)
+    scalars.clear_run_memos()
+    (SPHERE.a() + SPHERE.b() + SPHERE.A()).pow_signed(16)
+    assert calls["vouched"] > 500
+    assert calls["refused"] == calls["_box_of from _from_cells"] == 0
+
+
 # -- one-term operands and accumulation ---------------------------------------------
 
 from heegaard.qalgebras import CORE_A, CORE_B, SPHERE, SphereMonomial  # noqa: E402

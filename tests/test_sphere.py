@@ -220,6 +220,26 @@ def test_invariance():
         s.a().is_invariant(0)
 
 
+def test_elements_built_from_a_dict_are_in_normal_form():
+    # B^0 a is not a normal-form monomial: it would print as a and compare
+    # unequal to it, so every way of building an element refuses it
+    bad = [SphereMonomial(CORE_B, 0, 1, 0), SphereMonomial(CORE_A, -1, 0, 0), SphereMonomial(CORE_B, -2, 0, 1)]
+    for alg in (SPHERE, SPHERE0):
+        for m in bad:
+            for build in (alg.element, lambda t: SphereElement(alg, t)):
+                with pytest.raises(ValueError):
+                    build({m: ONE})
+                with pytest.raises(ValueError):
+                    build({SphereMonomial(CORE_A, 0, 0, 0): ONE, m: w_pow(1)})
+            with pytest.raises(ValueError):
+                alg.monomial(*m)
+        assert alg.element({SphereMonomial(CORE_A, 0, 1, 0): ONE}) == alg.a()
+        assert alg.element({SphereMonomial(CORE_B, 1, 1, 0): ONE}) == alg.monomial(CORE_B, 1, 1, 0)
+    # products and adjoints build their results unchecked, in normal form
+    x = SPHERE.B(2) * SPHERE.a(-1) + SPHERE.A(3).star() * SPHERE.b()
+    assert SPHERE.element(dict(x.terms())) == x
+
+
 def test_normal_form_closure_random():
     rng = SplitMix64(17)
     for _ in range(500):
