@@ -289,20 +289,22 @@ class CrossedElement(AlgebraElement):
         return disc_mono_str(t[0], ("u", t[1]))
 
 
+@dataclass(frozen=True)
 class CrossedAlgebra(Algebra):
     """The disc at zero (``DISC0``) crossed by the integers:
     u x = w^(2 s t) x u, with s the twist sign and t the twist multiple
-    (t = 1 at sphere level, t = N at lens level)."""
+    (t = 1 at sphere level, t = N at lens level).  A value: two objects
+    with the same sign and multiple are the same algebra."""
 
+    sign: int
+    mult: int = 1
     elem_cls = CrossedElement
 
-    def __init__(self, sign: int, mult: int = 1):
-        if sign not in (1, -1):
+    def __post_init__(self):
+        if self.sign not in (1, -1):
             raise ValueError("twist sign must be +1 or -1")
-        if mult < 1:
+        if self.mult < 1:
             raise ValueError("twist multiple must be >= 1")
-        self.sign = sign
-        self.mult = mult
 
     def twist_phase(self, mu: int, n: int) -> Coefficient:
         """Phase for commuting u^n across x^mu."""
@@ -341,15 +343,17 @@ class TorusElement(AlgebraElement):
         return format_monomial((("Z", ab[0]), ("U", ab[1])))
 
 
+@dataclass(frozen=True)
 class TorusAlgebra(Algebra):
-    """Two unitaries with U Z = w^(2 t) Z U, stored Z-first."""
+    """Two unitaries with U Z = w^(2 t) Z U, stored Z-first.  A value, like
+    ``CrossedAlgebra``: equal multiples make the same algebra."""
 
+    mult: int = 1
     elem_cls = TorusElement
 
-    def __init__(self, mult: int = 1):
-        if mult < 1:
+    def __post_init__(self):
+        if self.mult < 1:
             raise ValueError("twist multiple must be >= 1")
-        self.mult = mult
 
     def Z(self, a: int = 1) -> TorusElement:
         return TorusElement(self, {(a, 0): ONE})
@@ -366,28 +370,16 @@ class TorusAlgebra(Algebra):
         return (-a, -b), w_pow(2 * self.mult * a * b)
 
 
-def project_to_torus(c: CrossedElement, leg: int, torus: TorusAlgebra | None = None) -> TorusElement:
-    """Leg-1 projection sends x -> Z, u -> U; leg-2 sends x -> Z^-1 and
-    u -> w^(t(t-1)) Z^t U with t the twist multiple.  Core terms die."""
+def project_to_torus(c: CrossedElement) -> TorusElement:
+    """The crossed product's projection onto the torus of its twist
+    multiple t: the positive twist sends x -> Z, u -> U; the negative
+    sends x -> Z^-1 and u -> w^(t(t-1)) Z^t U.  Core terms die."""
     t = c.alg.mult
-    if leg == 1:
-        if c.alg.sign != 1:
-            raise ValueError("leg 1 projects the positive-twist algebra")
-    elif leg == 2:
-        if c.alg.sign != -1:
-            raise ValueError("leg 2 projects the negative-twist algebra")
+    torus = TorusAlgebra(t)
+    if c.alg.sign == 1:
+        img_x, img_u = torus.Z(), torus.U()
     else:
-        raise ValueError("leg must be 1 or 2")
-    if torus is None:
-        torus = TorusAlgebra(t)
-    if torus.mult != t:
-        raise ValueError("torus twist multiple must match the crossed product")
-    if leg == 1:
-        img_x = torus.Z()
-        img_u = torus.U()
-    else:
-        img_x = torus.Z(-1)
-        img_u = torus.Z(t) * torus.U() * w_pow(t * (t - 1))
+        img_x, img_u = torus.Z(-1), torus.Z(t) * torus.U() * w_pow(t * (t - 1))
 
     def image(term):
         mono, n = term
@@ -438,22 +430,22 @@ class PullbackElement:
         return PullbackElement(self.plus.scale(c), self.minus.scale(c))
 
 
-def pullback_make(a_plus: CrossedElement, a_minus: CrossedElement,
-                  torus: TorusAlgebra | None = None) -> PullbackElement:
+def pullback_make(a_plus: CrossedElement, a_minus: CrossedElement) -> PullbackElement:
+    if (a_plus.alg.sign, a_minus.alg.sign) != (1, -1):
+        raise ValueError("a pullback pair is a positive-twist leg and a negative-twist leg")
     if a_plus.alg.mult != a_minus.alg.mult:
         raise ValueError("twist multiples differ")
-    if torus is None:
-        torus = TorusAlgebra(a_plus.alg.mult)
-    res = project_to_torus(a_plus, 1, torus) - project_to_torus(a_minus, 2, torus)
+    res = project_to_torus(a_plus) - project_to_torus(a_minus)
     if res:
         raise PullbackMismatchError(res)
     return PullbackElement(a_plus, a_minus)
 
 
-def bass_idempotent(c, d, u_mat, minus_alg: CrossedAlgebra, torus: TorusAlgebra | None = None) -> Matrix:
+def bass_idempotent(c, d, u_mat) -> Matrix:
     """Block idempotent of the connecting homomorphism for the class of
     the invertible matrix u_mat (torus entries), lifted through c and d
     (plus-leg entries); each of the three is a ``Matrix`` or its rows.
+    The minus leg and the torus are those of the lift's twist multiple.
 
     The lifting conditions (leg projection of d equals u_mat; of c, a
     two-sided inverse of u_mat) are verified, not assumed, and the result
@@ -462,9 +454,8 @@ def bass_idempotent(c, d, u_mat, minus_alg: CrossedAlgebra, torus: TorusAlgebra 
     c, d, u_mat = Matrix(c), Matrix(d), Matrix(u_mat)
     n = c.rows
     alg = c[0][0].alg
-    if torus is None:
-        torus = TorusAlgebra(alg.mult)
-    pc, pd = (m.map(lambda e: project_to_torus(e, 1, torus)) for m in (c, d))
+    torus = TorusAlgebra(alg.mult)
+    pc, pd = (m.map(project_to_torus) for m in (c, d))
     ident = Matrix.identity(n, torus.one(), torus.zero())
     if pd != u_mat:
         raise ValueError("leg projection of d does not equal the given matrix")
@@ -477,10 +468,11 @@ def bass_idempotent(c, d, u_mat, minus_alg: CrossedAlgebra, torus: TorusAlgebra 
         [c_two_minus_dc * d, c_two_minus_dc * one_minus_dc],
         [one_minus_dc * d, one_minus_dc * one_minus_dc],
     ])
+    minus_alg = CrossedAlgebra(-1, alg.mult)
     mone, mzero = minus_alg.one(), minus_alg.zero()
     zeros = Matrix.identity(n, mzero, mzero)
     minus = Matrix.block([[Matrix.identity(n, mone, mzero), zeros], [zeros, zeros]])
-    out = plus.map(lambda a, b: pullback_make(a, b, torus), minus)
+    out = plus.map(pullback_make, minus)
     # symbolic idempotency check
     square = out * out
     for i in range(2 * n):
@@ -509,11 +501,10 @@ def sphere_pullback_consistency() -> List[CheckEntry]:
     pins the crossed-product commutation phase convention."""
     plus = CrossedAlgebra(1, 1)
     minus = CrossedAlgebra(-1, 1)
-    torus = TorusAlgebra(1)
     cids = ("ab-phase", "abstar-phase", "a-isometry", "b-isometry", "core-product")
     try:
-        a = pullback_make(plus.u(), minus.x() * minus.u(), torus)
-        b = pullback_make(plus.x() * plus.u(), minus.u(), torus)
+        a = pullback_make(plus.u(), minus.x() * minus.u())
+        b = pullback_make(plus.x() * plus.u(), minus.u())
     except PullbackMismatchError as exc:
         # the generators are no pullback pairs: every relation fails with why
         return [check(f"pullback:{cid}", "thm:not-free", False, str(exc)) for cid in cids]
@@ -538,9 +529,8 @@ def bass_class_report(N: int) -> BassReport:
         raise ValueError("N must be >= 1")
     plus = CrossedAlgebra(1, N)
     minus = CrossedAlgebra(-1, N)
-    torus = TorusAlgebra(N)
     try:
-        p_u, not_built = bass_idempotent([[plus.x().star()]], [[plus.x()]], [[torus.Z()]], minus, torus), ""
+        p_u, not_built = bass_idempotent([[plus.x().star()]], [[plus.x()]], [[TorusAlgebra(N).Z()]]), ""
     except (ValueError, AssertionError) as exc:
         # a failed lifting or idempotency self-check fails the checks that read p_U
         p_u, not_built = None, str(exc)
@@ -551,7 +541,7 @@ def bass_class_report(N: int) -> BassReport:
     matrix_identity = p_u == expected
     # the displayed identity: p_U = 1 - diag(0, (x x*, 1))
     try:
-        pair, pair_error = pullback_make(xxs, minus.one(), torus), ""
+        pair, pair_error = pullback_make(xxs, minus.one()), ""
     except PullbackMismatchError as exc:
         pair, pair_error = None, str(exc)
     valid_pair = pair is not None

@@ -165,6 +165,17 @@ def _tensor_one(alg: SphereAlgebra) -> TensorSquare:
     return TensorSquare(alg, {(SPHERE_ONE, SPHERE_ONE): ONE})
 
 
+def _connection_of_powers(N: int, ell1: TensorSquare, variant: str) -> StrongConnection:
+    """The connection whose value n, for n < N, is the n-th power of the
+    degree-one value ``ell1``."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    values = [_tensor_one(ell1.alg), ell1][:N]
+    while len(values) < N:
+        values.append(ell1 * values[-1])
+    return StrongConnection(N=N, values=values, variant=variant)
+
+
 def strong_connection_algebraic(N: int, coefficient_variant: str = "corrected") -> StrongConnection:
     """Connection on the generic sphere with values on the cyclic basis.
 
@@ -173,42 +184,23 @@ def strong_connection_algebraic(N: int, coefficient_variant: str = "corrected") 
     a*a + c*b*Ab = 1 - pA + cA); the printed variant keeps c = 1/p and is
     retained for discrepancy reporting.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     variant = CONNECTION_VARIANTS.get(coefficient_variant)
     if variant is None or variant.p_exp is None:
         raise ValueError(f"unknown variant {coefficient_variant!r}")
-    alg = SPHERE
-    c = p_pow(variant.p_exp)
-    values = [_tensor_one(alg)]
-    if N > 1:
-        ell1 = TensorSquare(
-            alg,
-            {
-                (SphereMonomial(CORE_A, 0, -1, 0), SphereMonomial(CORE_A, 0, 1, 0)): ONE,
-                (SphereMonomial(CORE_A, 1, 0, -1), SphereMonomial(CORE_A, 0, 0, 1)): c,
-            },
-        )
-        values.append(ell1)
-        for _ in range(2, N):
-            values.append(ell1 * values[-1])
-    return StrongConnection(N=N, values=values, variant=coefficient_variant)
+    ell1 = TensorSquare(
+        SPHERE,
+        {
+            (SphereMonomial(CORE_A, 0, -1, 0), SphereMonomial(CORE_A, 0, 1, 0)): ONE,
+            (SphereMonomial(CORE_A, 1, 0, -1), SphereMonomial(CORE_A, 0, 0, 1)): p_pow(variant.p_exp),
+        },
+    )
+    return _connection_of_powers(N, ell1, coefficient_variant)
 
 
 def strong_connection_isometric(N: int) -> StrongConnection:
     """Connection on the parameter-zero sphere: value k is a*^k (x) a^k."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    alg = SPHERE0
-    values = []
-    for k in range(N):
-        values.append(
-            TensorSquare(
-                alg,
-                {(SphereMonomial(CORE_A, 0, -k, 0), SphereMonomial(CORE_A, 0, k, 0)): ONE},
-            )
-        )
-    return StrongConnection(N=N, values=values, variant="isometric")
+    a = SPHERE0.a()
+    return _connection_of_powers(N, TensorSquare.of(a.star(), a), "isometric")
 
 
 class ConnectionVariant(NamedTuple):

@@ -423,9 +423,9 @@ _RELATIONS = {
 }
 
 
-def relation_residual(rid: str, alg: SphereAlgebra = None, **params) -> SphereElement:
-    """Normal form of LHS - RHS for the named displayed identity."""
+def relation_residual(rid: str, **params) -> SphereElement:
+    """Normal form of LHS - RHS for the named displayed identity in SPHERE."""
     rule = _RELATIONS.get(rid)
     if rule is None:
         raise UnknownRelationError(rid)
-    return rule(SPHERE if alg is None else alg, **params)
+    return rule(SPHERE, **params)

@@ -337,11 +337,11 @@ def suite_lens(opts: SuiteOptions) -> List[CheckEntry]:
         rng = SplitMix64(opts.seed + N)
         annihilate, stability = f"va-vb-annihilate[N={N}]", f"va-stability[N={N}]"
         for _ in range(60):
-            va = _random_lens_element(rng, N, CORE_APRIME)
-            vb = _random_lens_element(rng, N, CORE_BPRIME, kmin=1)
+            va = _random_lens_element(rng, N, CORE_APRIME, 1)
+            vb = _random_lens_element(rng, N, CORE_BPRIME, 1)
             if (va * vb) or (vb * va):
                 failures.fail(annihilate, f"{va} | {vb}")
-            w = _random_lens_element(rng, N, CORE_BPRIME, kmin=0)
+            w = _random_lens_element(rng, N, CORE_BPRIME, 0)
             prod = va * w
             prod2 = w * va
             for p_ in (prod, prod2):
@@ -352,11 +352,8 @@ def suite_lens(opts: SuiteOptions) -> List[CheckEntry]:
     return entries
 
 
-def _random_lens_element(rng: SplitMix64, N: int, core: int, kmin: int | None = None) -> LensElement:
-    if core == CORE_APRIME:
-        k = rng.randint(1, 3)
-    else:
-        k = rng.randint(0 if kmin is None else kmin, 3)
+def _random_lens_element(rng: SplitMix64, N: int, core: int, kmin: int) -> LensElement:
+    k = rng.randint(kmin, 3)
     mono = LensMonomial(core, k, rng.randint(-3, 3), rng.randint(-3, 3))
     return LensElement(N, {mono: random_coefficient(rng)})
 

@@ -220,13 +220,40 @@ def test_torus_relations():
     assert t.U().pow_signed(-1) * t.U() == t.one()
 
 
+def test_crossed_products_and_tori_are_values():
+    # equal parameters make the same algebra, whichever object built it
+    assert TorusAlgebra(2) == TorusAlgebra(2) != TorusAlgebra(3)
+    assert hash(CrossedAlgebra(-1, 2)) == hash(CrossedAlgebra(-1, 2))
+    assert CrossedAlgebra(1, 2) != CrossedAlgebra(-1, 2)
+    one, other = CrossedAlgebra(1, 3), CrossedAlgebra(1, 3)
+    assert one.x() + other.x() == one.x().scale(2)
+    assert one.u() * other.x() == (other.x() * one.u()).scale(w_pow(6))
+    c = one.x() * other.u(2)
+    assert project_to_torus(c) == project_to_torus(c)
+    with pytest.raises(ValueError, match="twist sign"):
+        CrossedAlgebra(2, 1)
+    with pytest.raises(ValueError, match="twist multiple"):
+        TorusAlgebra(0)
+
+
+def test_legs_of_another_sign_or_multiple_are_refused():
+    plus, minus = CrossedAlgebra(1, 2), CrossedAlgebra(-1, 2)
+    with pytest.raises(ValueError, match="positive-twist leg and a negative-twist leg"):
+        pullback_make(plus.one(), plus.one())
+    with pytest.raises(ValueError, match="twist multiples differ"):
+        pullback_make(plus.one(), CrossedAlgebra(-1, 3).one())
+    # a lift on the negative-twist leg projects onto the given unit, and is
+    # still refused
+    with pytest.raises(ValueError, match="positive-twist leg"):
+        bass_idempotent([[minus.one()]], [[minus.one()]], [[TorusAlgebra(2).one()]])
+
+
 def test_projection_is_algebra_map():
     # checked on every representable product; escapes raise and are skipped
     rng = SplitMix64(51)
     for N in (1, 2, 3):
-        for sign, leg in ((1, 1), (-1, 2)):
+        for sign in (1, -1):
             alg = CrossedAlgebra(sign, N)
-            torus = TorusAlgebra(N)
             from heegaard.qalgebras import DiscMonomial
             from heegaard.ktheory import CrossedElement
 
@@ -250,9 +277,7 @@ def test_projection_is_algebra_map():
                     prod = r * s
                 except EvaluationError:
                     continue
-                assert project_to_torus(prod, leg, torus) == project_to_torus(
-                    r, leg, torus
-                ) * project_to_torus(s, leg, torus)
+                assert project_to_torus(prod) == project_to_torus(r) * project_to_torus(s)
                 checked += 1
             assert checked == 60
 
@@ -262,23 +287,22 @@ def test_projection_examples():
     plus = CrossedAlgebra(1, N)
     minus = CrossedAlgebra(-1, N)
     torus = TorusAlgebra(N)
-    assert project_to_torus(plus.X() * plus.x(), 1, torus).is_zero()
-    assert project_to_torus(minus.x(), 2, torus) == torus.Z(-1)
-    got = project_to_torus(minus.u(), 2, torus)
+    assert project_to_torus(plus.X() * plus.x()).is_zero()
+    assert project_to_torus(minus.x()) == torus.Z(-1)
+    got = project_to_torus(minus.u())
     assert got == (torus.Z(N) * torus.U()).scale(w_pow(N * (N - 1)))
     with pytest.raises(ValueError):
-        project_to_torus(plus.x(), 2, torus)
+        pullback_make(minus.one(), plus.one())
 
 
 def test_pullback_make():
     N = 2
     plus = CrossedAlgebra(1, N)
     minus = CrossedAlgebra(-1, N)
-    torus = TorusAlgebra(N)
-    pullback_make(plus.one(), minus.one(), torus)
-    pullback_make(plus.x() * plus.x().star(), minus.one(), torus)
+    pullback_make(plus.one(), minus.one())
+    pullback_make(plus.x() * plus.x().star(), minus.one())
     with pytest.raises(PullbackMismatchError) as exc:
-        pullback_make(plus.x(), minus.one(), torus)
+        pullback_make(plus.x(), minus.one())
     assert not exc.value.residual.is_zero()
 
 
@@ -328,10 +352,10 @@ def test_failed_bass_square_says_why(monkeypatch):
     # the block idempotent no longer squares to itself: bass_idempotent
     # raises, and the entries that read it fail with its message
     _shift_pullback_products(monkeypatch)
-    plus, minus, torus = CrossedAlgebra(1, 3), CrossedAlgebra(-1, 3), TorusAlgebra(3)
+    plus, torus = CrossedAlgebra(1, 3), TorusAlgebra(3)
     message = "connecting idempotent fails to square on the plus leg at (0, 0)"
     with pytest.raises(AssertionError, match=re.escape(message)):
-        bass_idempotent([[plus.x().star()]], [[plus.x()]], [[torus.Z()]], minus, torus)
+        bass_idempotent([[plus.x().star()]], [[plus.x()]], [[torus.Z()]])
     entries = {e.id: e for e in bass_class_report(3).entries}
     for cid in ("bass:block-matrix", "bass:complement-identity"):
         assert (entries[cid].status, entries[cid].residual) == (FAIL, message)
@@ -341,9 +365,8 @@ def test_failed_bass_square_says_why(monkeypatch):
 def test_bass_trivial_lift():
     N = 2
     plus = CrossedAlgebra(1, N)
-    minus = CrossedAlgebra(-1, N)
     torus = TorusAlgebra(N)
-    p_u = bass_idempotent([[plus.one()]], [[plus.one()]], [[torus.one()]], minus, torus)
+    p_u = bass_idempotent([[plus.one()]], [[plus.one()]], [[torus.one()]])
     assert p_u[0][0].plus == plus.one()
     assert p_u[1][1].plus.is_zero()
     assert p_u[0][1].plus.is_zero() and p_u[1][0].plus.is_zero()
@@ -353,7 +376,6 @@ def test_bass_random_liftable_examples():
     rng = SplitMix64(53)
     N = 3
     plus = CrossedAlgebra(1, N)
-    minus = CrossedAlgebra(-1, N)
     torus = TorusAlgebra(N)
     for _ in range(20):
         k = rng.randint(-2, 2)
@@ -364,24 +386,23 @@ def test_bass_random_liftable_examples():
         else:
             d = [[plus.x().star().scale(w_pow(2 * k))]]
             c = [[plus.x().scale(w_pow(-2 * k))]]
-        bass_idempotent(c, d, [[u_val]], minus, torus)  # idempotency verified inside
+        bass_idempotent(c, d, [[u_val]])  # idempotency verified inside
     # 2x2 diagonal lift
     c = [[plus.x().star(), plus.zero()], [plus.zero(), plus.one()]]
     d = [[plus.x(), plus.zero()], [plus.zero(), plus.one()]]
     u_mat = [[torus.Z(), torus.zero()], [torus.zero(), torus.one()]]
-    p_u = bass_idempotent(c, d, u_mat, minus, torus)
+    p_u = bass_idempotent(c, d, u_mat)
     assert p_u.rows == 4
     with pytest.raises(ValueError):
-        bass_idempotent([[plus.x()]], [[plus.x()]], [[torus.Z()]], minus, torus)
+        bass_idempotent([[plus.x()]], [[plus.x()]], [[torus.Z()]])
 
 
 def test_bass_lift_precondition_checked():
     N = 2
     plus = CrossedAlgebra(1, N)
-    minus = CrossedAlgebra(-1, N)
     torus = TorusAlgebra(N)
     with pytest.raises(ValueError):
-        bass_idempotent([[plus.x().star()]], [[plus.x().star()]], [[torus.Z()]], minus, torus)
+        bass_idempotent([[plus.x().star()]], [[plus.x().star()]], [[torus.Z()]])
 
 
 def test_failed_bass_entries_say_why(monkeypatch):
@@ -401,11 +422,11 @@ def test_failed_bass_entries_say_why(monkeypatch):
     monkeypatch.setattr(ktheory, "w_pow", real)
     make = ktheory.pullback_make
 
-    def refuse_the_pair(a_plus, a_minus, torus=None):
+    def refuse_the_pair(a_plus, a_minus):
         x = a_plus.alg.x()
         if a_plus == x * x.star() and a_minus == a_minus.alg.one():
-            raise ktheory.PullbackMismatchError(torus.one())
-        return make(a_plus, a_minus, torus)
+            raise ktheory.PullbackMismatchError(TorusAlgebra(3).one())
+        return make(a_plus, a_minus)
 
     monkeypatch.setattr(ktheory, "pullback_make", refuse_the_pair)
     entries = {e.id: e for e in bass_class_report(3).entries}

@@ -38,6 +38,17 @@ def test_generator_images():
         lens_generator_image("z'", 0)
 
 
+def test_generator_powers_are_the_signed_powers_of_the_generator():
+    # every generator's power, the zeroth and adjoint ones included, is
+    # pulled back from the engine's power of its image
+    for N in (1, 2, 3, 5):
+        for g in ("A'", "B'", "z'", "at'", "bt'"):
+            for e in range(-3, 4):
+                assert lens_gen(N, g, e) == lens_gen(N, g).pow_signed(e), (N, g, e)
+    with pytest.raises(ValueError, match="unknown generator"):
+        lens_gen(3, "c'")
+
+
 def test_z_power_image_phase():
     # image of the squared invariant generator carries the engine phase
     t = lens_gen(3, "z'", 2)

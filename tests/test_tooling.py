@@ -351,3 +351,104 @@ def test_every_import_is_used():
         for found in _unused_imports(path.read_text())
     ]
     assert not offenders, offenders
+
+
+ROOT = SRC.parent.parent
+CALLERS = ("src", "tests", "demos", "perfbench")
+
+
+def _defaulted_parameters(source):
+    """(line, names, parameter, position) for every defaulted parameter of a
+    function in ``source``: the names a call may use for the function (a
+    class's ``__init__`` also goes by the class's name), and the position
+    counted from the first argument a call passes (after ``self`` or
+    ``cls``), None for a keyword-only parameter."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                decorators = {getattr(d, "id", None) for d in child.decorator_list}
+                bound = cls is not None and "staticmethod" not in decorators
+                names = (child.name, cls.name) if cls is not None and child.name == "__init__" else (child.name,)
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    found.append((child.lineno, names, arg.arg, i - bound))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((child.lineno, names, arg.arg, None))
+                visit(child, None)
+                continue
+            visit(child, cls)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def _called_name(func):
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def _parameter_settings(source):
+    """(function name, positional count, keyword names) for every call in
+    ``source``, a call through ``functools.partial`` included.  A ``*args``
+    counts as every position and a ``**kwargs`` as every keyword."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _called_name(node.func), node.args
+        if name == "partial" and args:
+            name, args = _called_name(args[0]), args[1:]
+        if name is None:
+            continue
+        count = float("inf") if any(isinstance(a, ast.Starred) for a in args) else len(args)
+        keywords = {k.arg for k in node.keywords}
+        found.append((name, count, None if None in keywords else keywords))
+    return found
+
+
+def _unset_defaults(sources, callers):
+    settings = {}
+    for source in callers:
+        for name, count, keywords in _parameter_settings(source):
+            settings.setdefault(name, []).append((count, keywords))
+
+    def is_set(names, param, position):
+        return any(
+            keywords is None or param in keywords or (position is not None and count > position)
+            for name in names
+            for count, keywords in settings.get(name, ())
+        )
+
+    return sorted(
+        f"{label}:{line}: {names[-1]}({param}=...)"
+        for label, source in sources
+        for line, names, param, position in _defaulted_parameters(source)
+        if not is_set(names, param, position)
+    )
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # a default that no call overrides is a constant dressed as an option
+    planted = (
+        "def f(x, y=1, *, z=2):\n    pass\n"
+        "class C:\n    def __init__(self, a=0):\n        pass\n    def m(self, b=3):\n        pass\n"
+    )
+    assert _unset_defaults([("p", planted)], []) == [
+        "p:1: f(y=...)", "p:1: f(z=...)", "p:4: C(a=...)", "p:6: m(b=...)"
+    ]
+    assert _unset_defaults([("p", planted)], ["f(0, 1, z=2)\nC(1)\nc.m(**kw)\n"]) == []
+    assert _unset_defaults([("p", planted)], ["g = partial(f, z=5)\nc.m()\nf(0)\n"]) == [
+        "p:1: f(y=...)", "p:4: C(a=...)", "p:6: m(b=...)"
+    ]
+    assert "p:4: C(a=...)" not in _unset_defaults([("p", planted)], ["super().__init__(1)\n"])
+    callers = [path.read_text() for folder in CALLERS for path in sorted((ROOT / folder).rglob("*.py"))]
+    sources = [(path.name, path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    offenders = _unset_defaults(sources, callers)
+    assert not offenders, offenders
