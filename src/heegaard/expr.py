@@ -169,7 +169,7 @@ DIALECTS: Dict[str, Dialect] = {
     "disc": Dialect(lambda N: DISC.one(), _generator_powers(DISC, ("x", "X"))),
     "sphere": Dialect(lambda N: SPHERE.one(), _SPHERE_ATOMS),
     "lens": Dialect(
-        lens_one, {g: (lambda e, N, g=g: lens_gen(N, g).pow_signed(e)) for g in LENS_GENERATORS}
+        lens_one, {g: (lambda e, N, g=g: lens_gen(N, g, e)) for g in LENS_GENERATORS}
     ),
     "prolong": Dialect(
         lambda N: ProlongElement(SPHERE, {(SPHERE_ONE, 0): ONE}),

@@ -95,10 +95,6 @@ class LaurentHopfElement(_GroupLike):
     __slots__ = ()
     _gen = "u"
 
-    @property
-    def coeffs(self) -> Dict[int, Coefficient]:
-        return self._t
-
     @staticmethod
     def generator_power(m: int) -> "LaurentHopfElement":
         return LaurentHopfElement({m: ONE})
@@ -321,7 +317,7 @@ class ProlongElement(AlgebraElement):
 
     @staticmethod
     def of(x: SphereElement, h: LaurentHopfElement) -> "ProlongElement":
-        terms = {(mono, m): c1 * c2 for mono, c1 in x.terms() for m, c2 in h.coeffs.items()}
+        terms = {(mono, m): c1 * c2 for mono, c1 in x.terms() for m, c2 in h.terms()}
         return ProlongElement(x.alg, terms)
 
     def _mul_rule(self):

@@ -870,14 +870,11 @@ Base = Tuple[str, int]
 
 
 def qint(n: int, var: str = "p") -> Coefficient:
-    """1 + v + ... + v^(n-1); zero for n = 0."""
+    """1 + v + ... + v^(n-1), the binomial C(n, 1); zero for n = 0."""
     _check_var(var)
     if n < 0:
         raise ValueError("deformed integers are defined for n >= 0")
-    acc = ZERO
-    for m in range(n):
-        acc = acc + var_pow(var, m)
-    return acc
+    return qbinomial(n, 1, var) if n else ZERO
 
 
 # The deformed binomials C(n, m)_t, over the deformation unit t, packed as

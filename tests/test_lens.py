@@ -549,3 +549,39 @@ def test_inverse_map_refusals_still_raise(monkeypatch):
     for x in (SPHERE.z(), SPHERE.A(), SPHERE.A() * SPHERE.b(2), SPHERE.one() + SPHERE.B()):
         with pytest.raises(AssertionError, match="is not a ring unit"):
             lens_to_abstract(x, 2)
+
+
+def test_window_check_reports_a_shared_leading_support(monkeypatch):
+    # every basis image made 1: the window's second monomial shares the
+    # first one's lead; the registry's clears keep the patched images out
+    # of every later test
+    real = lens_module._basis_image
+    clear_run_memos()
+    monkeypatch.setattr(lens_module, "_basis_image", lambda N, m: real(N, LensMonomial(CORE_BPRIME, 0, 0, 0)))
+    try:
+        entries = {e.id: (e.status, e.residual) for e in basis_window_check(3, 1, samples=20)}
+    finally:
+        clear_run_memos()
+    assert entries["iso:independence"] == (FAIL, "A' z'^-1 bt'^-1 and z'^-1 at'^-1 share leading support")
+    assert entries["iso:roundtrip"] == (FAIL, "roundtrip failed on z'^-1 at'^-1")
+
+
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        (lambda img: img.scale(2), "inverse failed on a product"),
+        (lambda img: img * SPHERE.a(), "product of images left the invariant subalgebra"),
+    ],
+)
+def test_window_check_reports_a_failed_product(monkeypatch, image, message):
+    # the spot checks' elements carry random coefficients; the window's own
+    # one-term transports, with coefficient 1, stay exact
+    real = lens_module.lens_from_abstract
+
+    def transport(t):
+        return real(t) if all(c == ONE for _, c in t.terms()) else image(real(t))
+
+    monkeypatch.setattr(lens_module, "lens_from_abstract", transport)
+    entries = {e.id: (e.status, e.residual) for e in basis_window_check(3, 1, samples=20)}
+    assert entries["iso:homomorphism"] == (FAIL, message)
+    assert entries["iso:roundtrip"] == entries["iso:independence"] == (PASS, "0")

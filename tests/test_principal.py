@@ -262,3 +262,15 @@ def test_prolong_star_and_unit():
     t = ProlongElement.of(SPHERE.a(), u(2))
     assert t.star() == ProlongElement.of(SPHERE.a().star(), u(-2))
     assert t.star().star() == t
+
+
+def test_a_value_missing_its_class_fails_unit_return():
+    # a zero value multiplies out to no class at all, so its unit-return
+    # residual is the missing -1 in class n; without it the check would pass
+    from heegaard.reports import FAIL, PASS
+
+    conn = strong_connection_algebraic(2)
+    conn.values[1] = TensorSquare(SPHERE)
+    entries = {e.id: (e.status, e.residual) for e in verify_strong_connection(conn)}
+    assert entries["unit-return[n=1]"] == (FAIL, "class 1: -1")
+    assert entries["unit-return[n=0]"] == (PASS, "0")

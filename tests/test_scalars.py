@@ -1238,3 +1238,31 @@ def test_graded_parts_are_homogeneous_and_sum_back(tx, grading):
         assert {degree(m) for m, _ in part.terms()} == {d}
     assert sum(parts.values(), SPHERE.zero()) == x
     assert bool(parts) == bool(x)
+
+
+# -- two branches that only some inputs reach -------------------------------------
+
+
+@pytest.mark.parametrize("var", ["p", "q"])
+def test_pascal_rule_across_packing_widths(var):
+    # rows 62 and up are packed at 128-bit digits, while the sums that give
+    # them come out at 64: equal values of two widths compare by their terms
+    from heegaard.scalars import var_pow
+
+    widths = set()
+    for n in range(62, 72):
+        for m in range(1, n):
+            lhs = qbinomial(n, m, var)
+            rhs = qbinomial(n - 1, m, var) + var_pow(var, n - m) * qbinomial(n - 1, m - 1, var)
+            assert (lhs, hash(lhs), str(lhs)) == (rhs, hash(rhs), str(rhs)), (n, m)
+            widths.add((lhs._terms.width, rhs._terms.width))
+    assert (128, 64) in widths
+
+
+def test_products_that_cancel_store_no_zero():
+    from heegaard.qalgebras import DISC, SPHERE
+
+    for one, gen in ((DISC.one(), DISC.X()), (SPHERE.one(), SPHERE.A())):
+        got = (one + gen) * (one - gen)
+        assert got == one - gen * gen and len(got.terms()) == 2
+        assert all(c for _, c in got.terms())

@@ -452,3 +452,64 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     sources = [(path.name, path.read_text()) for path in sorted(SRC.glob("*.py"))]
     offenders = _unset_defaults(sources, callers)
     assert not offenders, offenders
+
+
+# the only loops in the package that multiply an accumulator by a fixed
+# name: the one signed power, and two tables of powers that a power per
+# entry would rebuild from the start (each measured)
+POWER_LOOPS = {"scalars.LinComb.pow_signed", "qalgebras.kappa_iso.image", "principal._connection_of_powers"}
+
+
+def _multiplies_by_a_name(node):
+    """Whether ``node`` is ``acc = acc * g``, ``acc = g * acc``, ``acc *= g``,
+    ``seq.append(seq[-1] * g)`` or ``seq.append(g * seq[-1])``, g a name."""
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.op, ast.Mult) and isinstance(node.value, ast.Name)
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        acc, value = ast.unparse(node.targets[0]), node.value
+    elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "append" and len(node.args) == 1:
+        acc, value = f"{ast.unparse(node.func.value)}[-1]", node.args[0]
+    else:
+        return False
+    if not (isinstance(value, ast.BinOp) and isinstance(value.op, ast.Mult)):
+        return False
+    sides = (value.left, value.right)
+    return any(ast.unparse(a) == acc and isinstance(b, ast.Name) for a, b in (sides, sides[::-1]))
+
+
+def _power_loops(source):
+    """The functions (``Class.name``, a nested one as ``outer.inner``) of
+    ``source`` with a loop that multiplies an accumulator by a fixed name."""
+    found = set()
+
+    def visit(node, scope, looped):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name, False)
+                continue
+            if looped and _multiplies_by_a_name(child):
+                found.add(scope or "<module>")
+            visit(child, scope, looped or isinstance(child, (ast.For, ast.While)))
+
+    visit(ast.parse(source), "", False)
+    return found
+
+
+def test_one_list_of_loops_that_multiply_by_a_fixed_name():
+    # a power is pow_signed: a new hand loop re-derives it, unless it builds
+    # a table whose cost was measured, and then it joins the list
+    assert _power_loops("def f(g, n):\n    acc = 1\n    for _ in range(n):\n        acc = acc * g\n") == {"f"}
+    assert _power_loops("class C:\n    def f(self, s):\n        while s:\n            s.append(self * s[-1])\n") == {
+        "C.f"
+    }
+    assert _power_loops("def f(g):\n    def h(a):\n        for _ in a:\n            a = g * a\n") == {"f.h"}
+    assert _power_loops("for _ in r:\n    t[0] *= g\n") == {"<module>"}
+    missed = (
+        "def f(g, s):\n    acc = acc * g\n    for _ in s:\n        acc = acc * h(g)\n"
+        "        acc = acc + g\n        s.append(s[-2] * g)\n        acc = b * g\n"
+    )
+    assert _power_loops(missed) == set()
+    found = {
+        f"{path.stem}.{scope}" for path in sorted(SRC.glob("*.py")) for scope in _power_loops(path.read_text())
+    }
+    assert found == POWER_LOOPS, sorted(found ^ POWER_LOOPS)
