@@ -14,8 +14,9 @@ which registers it with a name and a scope.  Process tables (the binomial
 rows and the closed forms here) are bounded by the index ranges asked for
 and live as long as the process.  Run-scoped tables (the engines' monomial
 products and interned monomials, the lens transport images) grow with the
-inputs; ``clear_run_memos`` empties them, and only a full verification run
-calls it, after each suite.  Within a table, entries are only ever added,
+inputs; ``clear_run_memos`` empties them, and only the verification suites
+call it: a full verification run after each suite, and the lens suite after
+each lens type, run alone too.  Within a table, entries are only ever added,
 under the GIL.
 
 Both layers run on packed integers (Kronecker substitution).  A term
@@ -788,17 +789,16 @@ class LinComb:
         return self._new(out)
 
     def pow_signed(self, e: int):
-        """e >= 0: ordinary power; e < 0: power of the adjoint.
+        """e >= 0: ordinary power; e < 0: power of the adjoint, taken once.
 
         Left to right on purpose: multiplying by the short base costs a few
         monomial products per term of the accumulator, where squaring an
         m-term power costs m^2 of them.
         """
-        if e < 0:
-            return self.star().pow_signed(-e)
+        base = self.star() if e < 0 else self
         acc = self._new({self._one: ONE})
-        for _ in range(e):
-            acc = acc * self
+        for _ in range(abs(e)):
+            acc = acc * base
         return acc
 
     # -- printing ----------------------------------------------------------
@@ -823,7 +823,8 @@ class LinComb:
 # Memo tables: plain dicts, each registered with a name and a scope.
 # ---------------------------------------------------------------------------
 
-# emptied after each suite of a full verification run
+# emptied after each suite of a full verification run and each lens type
+# of the lens suite
 RUN_SCOPE = "run"
 # kept for the life of the process: bounded by the index ranges asked for
 PROCESS_SCOPE = "process"

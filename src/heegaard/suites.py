@@ -333,6 +333,10 @@ def suite_lens(opts: SuiteOptions) -> List[CheckEntry]:
                 if v0 or vbp:
                     failures.fail(stability, f"{va} | {w} -> {p_}")
         entries += [failures.entry(annihilate, "thm:basis"), failures.entry(stability, "muldlem")]
+        # what one lens type memoized is mostly its own (images of its own
+        # generator powers a^(N mu), b^(N nu)); keeping it would make the peak
+        # memory of the suite the sum over types
+        clear_run_memos()
     return entries
 
 
@@ -670,7 +674,9 @@ def run_suite(name: str, opts: SuiteOptions) -> Report:
         for part in SUITES:
             entries += run_suite(part, opts).entries
             # what one suite memoized is mostly its own; keeping it would make
-            # the peak memory of the run the sum over suites
+            # the peak memory of the run the sum over suites (lens empties the
+            # tables after each of its types too, so the peak is that of the
+            # largest suite at one lens type)
             clear_run_memos()
     else:
         entries = SUITES[name](opts)

@@ -5,6 +5,7 @@ with fresh engines of the same presentation."""
 import pytest
 
 from heegaard.ktheory import CrossedAlgebra, CrossedElement, TorusAlgebra, TorusElement
+from heegaard.lens import LensElement, lens_gen
 from heegaard.qalgebras import (
     DISC,
     DISC0,
@@ -132,3 +133,38 @@ def test_fresh_engine_matches_shared_engine(shared, make, draw):
     assert len(fresh._mul_memo) == len(set(pairs) - escapes)
     for m, _ in pairs:
         assert _outcome(fresh.star_mono, m) == _outcome(shared.star_mono, m)
+
+
+SIGNED_POWER_BASES = [
+    ("DISC", DiscElement, lambda: DISC.x() + DISC.X().scale(Coefficient.integer(2))),
+    ("DISC_INV", DiscElement, lambda: DISC_INV.x(2) + DISC_INV.x(-1)),
+    ("SPHERE", SphereElement, lambda: SPHERE.a() + SPHERE.b(-1) + SPHERE.A()),
+    ("lens N=3", LensElement, lambda: lens_gen(3, "at'") + lens_gen(3, "z'", -1)),
+]
+
+
+@pytest.mark.parametrize(
+    "elem_type, make", [b[1:] for b in SIGNED_POWER_BASES], ids=[b[0] for b in SIGNED_POWER_BASES]
+)
+def test_a_negative_power_takes_the_adjoint_once(monkeypatch, elem_type, make):
+    x = make()
+    assert type(x) is elem_type
+    expected = {e: x.star().pow_signed(-e) for e in range(-4, 0)}
+    calls = {"pow_signed": 0, "star": 0}
+
+    def counting(name):
+        method = getattr(elem_type, name)
+
+        def wrapper(self, *args):
+            if type(self) is elem_type:
+                calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(elem_type, name, counting(name))
+    for e, want in expected.items():
+        calls.update(pow_signed=0, star=0)
+        assert x.pow_signed(e) == want, e
+        assert calls == {"pow_signed": 1, "star": 1}, e

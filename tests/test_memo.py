@@ -1,11 +1,12 @@
 """The memo registry: which tables a full run empties, which it keeps, and
 that emptying them changes no result."""
 
+import hashlib
 import sys
 
 import pytest
 
-from heegaard import lens, memo_sizes
+from heegaard import lens, memo_sizes, suites
 from heegaard.lens import lens_mul
 from heegaard.qalgebras import SPHERE
 from heegaard.rng import SplitMix64
@@ -21,6 +22,11 @@ RUN_TABLES = {f"{e}.{t}" for e in ENGINES for t in ("_mul_memo", "_intern")} | {
 PROCESS_TABLES = {"scalars._ROW_MEMO", "scalars._QBINOM_MEMO", "scalars._QPOLY_MEMO"}
 
 
+def _run_sizes():
+    sizes = memo_sizes()
+    return {name: sizes[name] for name in RUN_TABLES}
+
+
 def _process_sizes():
     return {name: n for name, n in memo_sizes().items() if name in PROCESS_TABLES}
 
@@ -28,13 +34,38 @@ def _process_sizes():
 def test_a_full_run_empties_the_run_tables_and_keeps_the_process_tables():
     assert set(memo_sizes()) == RUN_TABLES | PROCESS_TABLES
     run_suite("all", SuiteOptions(seed=1, samples=50))
-    sizes = memo_sizes()
-    assert {name: sizes[name] for name in RUN_TABLES} == dict.fromkeys(RUN_TABLES, 0)
+    assert _run_sizes() == dict.fromkeys(RUN_TABLES, 0)
     kept = _process_sizes()
     assert all(kept.values()), kept
     # the index ranges a run asks for do not depend on the seed
     run_suite("all", SuiteOptions(seed=2, samples=50))
     assert _process_sizes() == kept
+
+
+def test_the_lens_suite_empties_the_run_tables_after_each_type(monkeypatch):
+    # what one lens type memoizes is mostly its own, so the next type starts
+    # from empty tables: the suite's peak is that of one type, not the sum
+    empty = dict.fromkeys(RUN_TABLES, 0)
+    relation_suite = suites.lens_relation_suite
+    seen = []
+
+    def each_type(N, window):
+        seen.append((N, _run_sizes()))
+        entries = relation_suite(N, window)
+        assert _run_sizes() != empty, N
+        return entries
+
+    monkeypatch.setattr(suites, "lens_relation_suite", each_type)
+    clear_run_memos()
+    report = run_suite("lens", SuiteOptions(window=2, lens_types=(2, 3, 5)))
+    assert seen == [(N, empty) for N in (2, 3, 5)]
+    assert _run_sizes() == empty
+    # byte for byte the report of a run that keeps every type's tables:
+    # emptying them changes no result
+    assert (
+        hashlib.sha256(report.to_json_bytes()).hexdigest()
+        == "786be72e0c05a293f04f59c705759de98fe94dbf40fae0dd174b53ca2ec4a829"
+    )
 
 
 def test_lens_products_outside_a_suite_keep_their_memo_entries():

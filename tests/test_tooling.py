@@ -513,3 +513,47 @@ def test_one_list_of_loops_that_multiply_by_a_fixed_name():
         f"{path.stem}.{scope}" for path in sorted(SRC.glob("*.py")) for scope in _power_loops(path.read_text())
     }
     assert found == POWER_LOOPS, sorted(found ^ POWER_LOOPS)
+
+
+# the only places that empty the run-scoped memo tables: a full run after each
+# suite, and the lens suite after each type; an engine or lens path that
+# emptied them would cost library callers (and lens-warm) their memo hits
+MEMO_CLEARERS = {"suites.run_suite", "suites.suite_lens"}
+
+
+def _callers(source, name):
+    """The functions (``Class.name``, a nested one as ``outer.inner``) of
+    ``source`` that call ``name``, by name or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None),
+            ):
+                found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_one_list_of_places_that_empty_the_run_memos():
+    def clearers(source):
+        return _callers(source, "clear_run_memos")
+
+    assert clearers("def f():\n    clear_run_memos()\n") == {"f"}
+    assert clearers("class C:\n    def f(self):\n        scalars.clear_run_memos()\n") == {"C.f"}
+    assert clearers("def f():\n    def g():\n        for _ in r:\n            clear_run_memos()\n") == {"f.g"}
+    assert clearers("clear_run_memos()\n") == {"<module>"}
+    assert clearers("def f():\n    clear = clear_run_memos\n    clear_run_memos\n    clear_memos()\n") == set()
+    found = {
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope in _callers(path.read_text(), "clear_run_memos")
+    }
+    assert found == MEMO_CLEARERS, sorted(found ^ MEMO_CLEARERS)
