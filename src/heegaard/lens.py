@@ -216,7 +216,7 @@ def _preimage(N: int, m: SphereMonomial) -> Tuple[LensMonomial, Coefficient, Sph
         imono, lead = _single_term(img)
         if imono != m:
             raise AssertionError("core-family preimage mismatch")
-    got = _PREIMAGE_MEMO[key] = (cand, _invert_unit(lead), img)
+    got = _PREIMAGE_MEMO[key] = (cand, SPHERE.share(_invert_unit(lead)), img)
     return got
 
 
@@ -236,13 +236,13 @@ def lens_to_abstract(r: SphereElement, N: int) -> LensElement:
     rest = dict(r.terms())
     for m in [m for m in rest if m.k == 0]:
         cand, inv, img = _preimage(N, m)
-        factor = rest[m] * inv
+        factor = rest[m] if inv is ONE else rest[m] * inv
         add_term(out, cand, factor)
         for im, ic in img.terms():
             add_term(rest, im, -(ic * factor))
     for m, c in rest.items():
         cand, inv, _ = _preimage(N, m)
-        out[cand] = c * inv
+        out[cand] = c if inv is ONE else c * inv
     # every key came from _preimage and no coefficient is zero
     return LensElement(N)._new(out)
 

@@ -13,11 +13,11 @@ Every memo table in the package is a plain dict made by ``memo_table``,
 which registers it with a name and a scope.  Process tables (the binomial
 rows and the closed forms here) are bounded by the index ranges asked for
 and live as long as the process.  Run-scoped tables (the engines' monomial
-products and interned monomials, the lens transport images) grow with the
-inputs; ``clear_run_memos`` empties them, and only the verification suites
-call it: a full verification run after each suite, and the lens suite after
-each lens type, run alone too.  Within a table, entries are only ever added,
-under the GIL.
+products, interned monomials and one-term coefficients, the lens transport
+images) grow with the inputs; ``clear_run_memos`` empties them, and only
+the verification suites call it: a full verification run after each suite,
+and the lens suite after each lens type, run alone too.  Within a table,
+entries are only ever added, under the GIL.
 
 Both layers run on packed integers (Kronecker substitution).  A term
 p^i q^j w^k is keyed by the one int ``i*2^(2S) + j*2^S + k`` with balanced
@@ -850,6 +850,21 @@ def clear_run_memos() -> None:
             table.clear()
 
 
+def shared(c: Coefficient, table: dict) -> Coefficient:
+    """``c`` as the one object of its value, when it has one term: 1 is the
+    ``ONE`` object, any other the first equal value stored through the run
+    memo ``table`` (hash-consing).  A one-term value carries a dict as large
+    as its own object, and hashes in O(1); a longer one is returned as is,
+    since its hash costs O(terms).  Values have one form each (see
+    ``Coefficient``), so equal values are interchangeable."""
+    t = c._terms
+    if len(t) != 1:
+        return c
+    if 0 in t and t[0] == 1:
+        return ONE
+    return table.setdefault(c, c)
+
+
 def memo_sizes() -> Dict[str, int]:
     """Entries per memo table name (tables sharing a name are summed)."""
     sizes: Dict[str, int] = {}
@@ -871,11 +886,13 @@ Base = Tuple[str, int]
 
 
 def qint(n: int, var: str = "p") -> Coefficient:
-    """1 + v + ... + v^(n-1), the binomial C(n, 1); zero for n = 0."""
+    """1 + v + ... + v^(n-1), the binomial C(n, 1); zero for n = 0.  Every
+    coefficient is 1, so it is built from its n unit digits in O(n), with
+    no Pascal row."""
     _check_var(var)
     if n < 0:
         raise ValueError("deformed integers are defined for n >= 0")
-    return qbinomial(n, 1, var) if n else ZERO
+    return _poly(int.from_bytes((1).to_bytes(8, "little") * n, "little"), 64, 0, (var, 1), 1) if n else ZERO
 
 
 # The deformed binomials C(n, m)_t, over the deformation unit t, packed as

@@ -8,9 +8,9 @@ import pytest
 
 from heegaard import lens, memo_sizes, suites
 from heegaard.lens import lens_mul
-from heegaard.qalgebras import SPHERE
-from heegaard.rng import SplitMix64
-from heegaard.scalars import clear_run_memos
+from heegaard.qalgebras import DISC, SPHERE
+from heegaard.rng import SplitMix64, random_coefficient
+from heegaard.scalars import ONE, Coefficient, clear_run_memos
 from heegaard.suites import SuiteOptions, run_suite
 
 ENGINES = ("DISC", "DISC_INV", "DISC0", "SPHERE", "SPHERE0")
@@ -102,6 +102,66 @@ def test_clearing_between_runs_changes_no_result():
     assert not SPHERE._mul_memo and not lens._BASIS_IMAGE_MEMO
     assert [lens_mul(t1, t2) for t1, t2 in pairs] == products
     assert run_suite("lens", opts).entries == report.entries
+
+
+def _one_term(coefficients):
+    return [c for c in coefficients if len(list(c.terms())) == 1]
+
+
+def _objects_per_value(coefficients):
+    """value -> the number of distinct objects holding it."""
+    ids: dict = {}
+    for c in coefficients:
+        ids.setdefault(c, set()).add(id(c))
+    return {c: len(objects) for c, objects in ids.items()}
+
+
+def _stored(engine):
+    """The coefficients of the products in an engine's ``_mul_memo``."""
+    return [c for products in engine._mul_memo.values() for _, c in products]
+
+
+def _sharing_inputs():
+    from test_lens import random_lens_element
+
+    rng = SplitMix64(23)
+    lens_pairs = [(random_lens_element(rng, N), random_lens_element(rng, N)) for N in (2, 3, 5) for _ in range(4)]
+    discs = [
+        sum((DISC.monomial(rng.randint(0, 3), rng.randint(-4, 4), random_coefficient(rng)) for _ in range(3)), DISC.zero())
+        for _ in range(40)
+    ]
+    return lens_pairs, list(zip(discs[::2], discs[1::2]))
+
+
+def _products(lens_pairs, disc_pairs):
+    return [lens_mul(t1, t2) for t1, t2 in lens_pairs], [r * s for r, s in disc_pairs]
+
+
+def test_product_memos_hold_one_object_per_one_term_value():
+    lens_pairs, disc_pairs = _sharing_inputs()
+    clear_run_memos()
+    cold = _products(lens_pairs, disc_pairs)
+    # the lens preimages share through the sphere engine's table
+    inverses = [inv for _, inv, _ in lens._PREIMAGE_MEMO.values()]
+    for engine, coefficients in ((SPHERE, _stored(SPHERE) + inverses), (DISC, _stored(DISC))):
+        one_term = _one_term(coefficients)
+        counts = _objects_per_value(one_term)
+        assert len(counts) > 10, engine
+        assert set(counts.values()) == {1}, engine
+        # 1 is the ONE object, every other value the one in the run's table
+        assert all(c is ONE for c in one_term if c == 1) and any(c is ONE for c in one_term)
+        interned = {c: c for c in engine._intern if isinstance(c, Coefficient)}
+        assert all(interned[c] is c for c in one_term if c is not ONE), engine
+    # longer values are stored as they come
+    assert len(_stored(SPHERE)) > len(_one_term(_stored(SPHERE)))
+    # the same products again are memo reads, and equal the cold ones
+    assert _products(lens_pairs, disc_pairs) == cold
+    # the shared values go with their tables
+    clear_run_memos()
+    for engine in (SPHERE, DISC):
+        assert not engine._intern and not engine._mul_memo
+    assert not lens._PREIMAGE_MEMO
+    assert _products(lens_pairs, disc_pairs) == cold
 
 
 # In a fresh interpreter, so that the peaks read are those of these runs.  The

@@ -5,6 +5,7 @@ computes [n]!/([m]![n-m]!) by exact dense-polynomial division.
 """
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -874,6 +875,78 @@ def test_both_forms_occur():
     # a monomial multiple moves the box and shares the packed int
     moved = dense * p_pow(3) * w_pow(-1)
     assert moved._terms.value is dense._terms.value and moved != dense
+
+
+# -- one form per value: what sharing equal values rests on ------------------------
+
+from heegaard.scalars import _key, _scaled, shared  # noqa: E402
+
+shift = st.tuples(*[st.integers(-3, 3)] * 3)
+
+
+def _moved(terms, s, sign=1):
+    """``terms`` times sign * (the monomial of -s), or None when a term
+    leaves the exponent range."""
+    out = {tuple(map(operator.sub, e, s)): sign * c for e, c in terms.items()}
+    return out if all(abs(x) <= _EMAX for e in out for x in e) else None
+
+
+def _paths(terms, s, data):
+    """The value of ``terms`` built by the constructor, as products, as a
+    sum of two parts and, when packed, by ``_scaled``."""
+    got = [Coefficient(terms)]
+    keys = sorted(terms)
+    part = set(data.draw(st.lists(st.sampled_from(keys), unique=True))) if keys else set()
+    got.append(Coefficient({e: terms[e] for e in part}) + Coefficient({e: c for e, c in terms.items() if e not in part}))
+    for sign in (1, -1):
+        moved = _moved(terms, s, sign)
+        if moved is None:
+            continue
+        base, unit = Coefficient(moved), Coefficient.monomial(sign, *s)
+        got += [base * unit, unit * base]
+        if type(base._terms) is _Packed:
+            got.append(_scaled(base._terms, _key(*s), sign))
+    return got
+
+
+def _one_form(values):
+    first = values[0]
+    for v in values:
+        assert v == first and hash(v) == hash(first), (v, first)
+        assert type(v._terms) is type(first._terms), (v, first)
+    # so one object can stand for all of them, when they have one term
+    table: dict = {}
+    objects = {id(shared(v, table)) for v in values}
+    assert len(objects) == (1 if len(list(first.terms())) == 1 else len({id(v) for v in values}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(boxed_terms(), term_dicts), one_term, shift, st.integers(-9, 9), st.data())
+def test_equal_values_have_one_form_whatever_the_path(ta, tm, s, k, data):
+    # the memos keep one object per one-term value (scalars.shared) and hand
+    # it out for every equal value, which is sound only if equal values are
+    # alike in all a reader can tell: their hash and their form
+    _one_form(_paths(ta, s, data))
+    ((e, c),) = tm.items()
+    values = _paths(tm, s, data) + [Coefficient.monomial(c, *e), (Coefficient(ta) + Coefficient(tm)) - Coefficient(ta)]
+    if k not in (0, c):
+        # a sum of two terms on one key
+        values.append(Coefficient.monomial(k, *e) + Coefficient.monomial(c - k, *e))
+    # a cancellation of all but one term of a longer value
+    rest = {f: d for f, d in ta.items() if f != e}
+    values.append(Coefficient({**rest, e: c}) - Coefficient(rest))
+    _one_form(values)
+
+
+def test_one_term_values_share_one_object():
+    table: dict = {}
+    a = shared(w_pow(3) * p_pow(-1), table)
+    assert shared(p_pow(-1) * w_pow(3), table) is a and shared(Coefficient({(-1, 0, 3): 1}), table) is a
+    # 1 is the ONE object itself, and longer values are not stored
+    assert shared(p_pow(2) * p_pow(-2), table) is ONE
+    long = ONE + p_pow(1)
+    assert shared(long, table) is long and shared(ONE + p_pow(1), table) is not long
+    assert list(table) == [a]
 
 
 def test_cancellation_down_to_a_smaller_dense_box():

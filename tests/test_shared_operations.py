@@ -1,8 +1,11 @@
 """Every body that one of the package's own operations replaced, against
 the old body kept here verbatim: stepwise disc powers (now
-``pow_signed``), summed deformed integers (now the Pascal row C(n, 1)),
-lens atoms raised by transported products (now ``lens_gen(N, g, e)``)
-and one-term transports (now ``_basis_image``)."""
+``pow_signed``), summed deformed integers (now built from their unit
+digits, the binomial C(n, 1)), lens atoms raised by transported products
+(now ``lens_gen(N, g, e)``) and one-term transports (now
+``_basis_image``)."""
+
+import sys
 
 import pytest
 
@@ -18,7 +21,7 @@ from heegaard.lens import (
     lens_gen,
 )
 from heegaard.qalgebras import DISC
-from heegaard.scalars import ONE, ZERO, _check_var, qint, var_pow
+from heegaard.scalars import ONE, ZERO, _check_var, qbinomial, qint, var_pow
 from heegaard.suites import SUITE_DEFAULTS
 
 
@@ -52,6 +55,36 @@ def test_deformed_integers_match_their_sums(var):
     for n in range(0, 71):
         got, want = qint(n, var), summed_qint(n, var)
         assert (got, hash(got), str(got)) == (want, hash(want), str(want)), n
+        # and the binomial C(n, 1), in value and form
+        binomial = qbinomial(n, 1, var) if n else ZERO
+        assert got == binomial and type(got._terms) is type(want._terms) is type(binomial._terms), n
+
+
+# In a fresh interpreter under an address-space limit it sets on itself:
+# row 600 of the Pascal triangle, packed, would take gigabytes.
+QINT_SCRIPT = r"""
+import resource
+from heegaard import scalars
+
+with open("/proc/self/status") as status:
+    mapped = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) * 1024
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = mapped + (64 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+got = scalars.qint(600, "q")
+assert 600 not in scalars._ROW_MEMO
+assert [e for e, _ in got.terms()] == [(0, d, 0) for d in range(600)]
+assert {c for _, c in got.terms()} == {1}
+print("ok")
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_large_deformed_integers_build_no_pascal_row():
+    from test_demos import _run
+
+    proc = _run(["-c", QINT_SCRIPT])
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr[-2000:]
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 7])
