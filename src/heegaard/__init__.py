@@ -32,11 +32,11 @@ from .qalgebras import (
     DiscMonomial,
     SPHERE,
     SPHERE0,
+    SPHERE_RELATIONS,
     SphereAlgebra,
     SphereElement,
     SphereMonomial,
     kappa_iso,
-    relation_residual,
 )
 from .lens import (
     LensElement,

@@ -114,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--nmax",
         type=_at_least(1),
-        default=7,
+        default=SuiteOptions.nmax,
         help="sconn and idem check types up to this when --types is not given",
     )
     c.add_argument(
@@ -123,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=_own_sizes("samples"),
     )
-    c.add_argument("--max", type=_at_least(1), default=50, help="largest K-theory type")
+    c.add_argument("--max", type=_at_least(1), default=SuiteOptions.kmax, help="largest K-theory type")
 
     c = add_type_cmd(
         "iso-check", "basis-isomorphism window certificate", suites.suite_iso, " --window {window}"
@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = add_cmd("ktheory", "K-groups of the lens pullback", _ktheory)
     g = c.add_mutually_exclusive_group()
     g.add_argument("--N", type=_at_least(1), default=None)
-    g.add_argument("--max", type=_at_least(1), default=50)
+    g.add_argument("--max", type=_at_least(1), default=SuiteOptions.kmax)
 
     bass = partial(suites.suite_bass, show=_show_bass)
     add_type_cmd("bass", "connecting-homomorphism class report", bass)

@@ -10,7 +10,8 @@ with discrepancy reporting.
 
 from __future__ import annotations
 
-from functools import partial
+import operator
+from functools import partial, reduce
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .scalars import (
@@ -50,17 +51,18 @@ class NonInvariantError(ValueError):
 class LensMonomial(NamedTuple):
     core: int  # CORE_APRIME (k >= 1) or CORE_BPRIME (k >= 0)
     k: int
-    mu: int  # power of z'
-    nu: int  # power of bt' for the A' family, of at' for the B' family
+    mu: int
+    nu: int
 
+
+# each basis family by its core: the generators whose powers are (k, mu, nu)
+_FAMILIES = {CORE_APRIME: ("A'", "z'", "bt'"), CORE_BPRIME: ("B'", "z'", "at'")}
 
 LENS_ONE = LensMonomial(CORE_BPRIME, 0, 0, 0)
 
 
 def lens_mono_str(m: LensMonomial) -> str:
-    if m.core == CORE_APRIME:
-        return format_monomial((("A'", m.k), ("z'", m.mu), ("bt'", m.nu)))
-    return format_monomial((("B'", m.k), ("z'", m.mu), ("at'", m.nu)))
+    return format_monomial(zip(_FAMILIES[m.core], m[1:]))
 
 
 class LensElement(LinComb):
@@ -150,16 +152,8 @@ def _basis_image(N: int, m: LensMonomial) -> SphereElement:
     key = (N, m)
     img = _BASIS_IMAGE_MEMO.get(key)
     if img is None:
-        if m.core == CORE_APRIME:
-            img = _image_power("A'", m.k, N) * _image_power("z'", m.mu, N)
-            if m.nu:
-                img = img * _image_power("bt'", m.nu, N)
-        else:
-            img = _image_power("B'", m.k, N) if m.k else SPHERE.one()
-            img = img * _image_power("z'", m.mu, N)
-            if m.nu:
-                img = img * _image_power("at'", m.nu, N)
-        _BASIS_IMAGE_MEMO[key] = img
+        powers = [_image_power(g, e, N) for g, e in zip(_FAMILIES[m.core], m[1:]) if e]
+        img = _BASIS_IMAGE_MEMO[key] = reduce(operator.mul, powers) if powers else SPHERE.one()
     return img
 
 
@@ -302,7 +296,7 @@ def printed_phase_checks(N: int) -> List[CheckEntry]:
 # -- relation suite --------------------------------------------------------
 
 
-def lens_relation_suite(N: int, window: int = 6) -> List[CheckEntry]:
+def lens_relation_suite(N: int, window: int) -> List[CheckEntry]:
     """Residuals of the invariant-subalgebra relations, computed in the
     sphere engine through generator images.
 
@@ -431,16 +425,14 @@ def lens_relation_suite(N: int, window: int = 6) -> List[CheckEntry]:
 # -- window certificate for the basis isomorphism ---------------------------
 
 
-def basis_window_check(
-    N: int, bound: int, samples: int = 500, seed: int | None = None
-) -> List[CheckEntry]:
+def basis_window_check(N: int, bound: int, samples: int, seed: int = DEFAULT_SEED) -> List[CheckEntry]:
     """Window-scale certificate for the generator map being a linear
     isomorphism onto the invariant subalgebra: exact roundtrips, disjoint
     leading supports (independence certificate), and randomized
     homomorphism spot checks."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    rng = SplitMix64(DEFAULT_SEED if seed is None else seed)
+    rng = SplitMix64(seed)
 
     window: List[LensMonomial] = []
     for mu in range(-bound, bound + 1):

@@ -72,13 +72,12 @@ class CyclicHopfElement(_GroupLike):
     _ctx = "N"
     _gen = "ut"
 
-    def __init__(self, N: int, coeffs=None):
+    def __init__(self, N: int, coeffs: Dict[int, Coefficient]):
         if N < 1:
             raise ValueError("N must be >= 1")
         self.N = N
         self._t = {}
-        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs or ())
-        for m, c in items:
+        for m, c in coeffs.items():
             add_term(self._t, m % N, c)
 
     def _reduce(self, m: int) -> int:
@@ -150,7 +149,7 @@ class TensorSquare(AlgebraElement):
 class StrongConnection:
     N: int
     values: List[TensorSquare]
-    variant: str
+    variant: ConnectionVariant
 
     @property
     def algebra(self) -> SphereAlgebra:
@@ -161,7 +160,7 @@ def _tensor_one(alg: SphereAlgebra) -> TensorSquare:
     return TensorSquare(alg, {(SPHERE_ONE, SPHERE_ONE): ONE})
 
 
-def _connection_of_powers(N: int, ell1: TensorSquare, variant: str) -> StrongConnection:
+def _connection_of_powers(N: int, ell1: TensorSquare, variant: ConnectionVariant) -> StrongConnection:
     """The connection whose value n, for n < N, is the n-th power of the
     degree-one value ``ell1``."""
     if N < 1:
@@ -170,33 +169,6 @@ def _connection_of_powers(N: int, ell1: TensorSquare, variant: str) -> StrongCon
     while len(values) < N:
         values.append(ell1 * values[-1])
     return StrongConnection(N=N, values=values, variant=variant)
-
-
-def strong_connection_algebraic(N: int, coefficient_variant: str = "corrected") -> StrongConnection:
-    """Connection on the generic sphere with values on the cyclic basis.
-
-    The degree-one value is a* (x) a + c * b*A (x) b.  The corrected
-    variant takes c = p (forced by the unit-return axiom, since
-    a*a + c*b*Ab = 1 - pA + cA); the printed variant keeps c = 1/p and is
-    retained for discrepancy reporting.
-    """
-    variant = CONNECTION_VARIANTS.get(coefficient_variant)
-    if variant is None or variant.p_exp is None:
-        raise ValueError(f"unknown variant {coefficient_variant!r}")
-    ell1 = TensorSquare(
-        SPHERE,
-        {
-            (SphereMonomial(CORE_A, 0, -1, 0), SphereMonomial(CORE_A, 0, 1, 0)): ONE,
-            (SphereMonomial(CORE_A, 1, 0, -1), SphereMonomial(CORE_A, 0, 0, 1)): p_pow(variant.p_exp),
-        },
-    )
-    return _connection_of_powers(N, ell1, coefficient_variant)
-
-
-def strong_connection_isometric(N: int) -> StrongConnection:
-    """Connection on the parameter-zero sphere: value k is a*^k (x) a^k."""
-    a = SPHERE0.a()
-    return _connection_of_powers(N, TensorSquare.of(a.star(), a), "isometric")
 
 
 class ConnectionVariant(NamedTuple):
@@ -210,12 +182,25 @@ class ConnectionVariant(NamedTuple):
     p_exp: int | None
 
     def build(self, N: int) -> StrongConnection:
+        """The connection of type N with values on the cyclic basis.  On the
+        parameter-zero sphere value k is a*^k (x) a^k; on the generic sphere
+        the degree-one value is a* (x) a + c * b*A (x) b with c = p^p_exp.
+        The unit-return axiom forces c = p (a*a + c*b*Ab = 1 - pA + cA); the
+        printed c = 1/p is kept for discrepancy reporting."""
         if self.p_exp is None:
-            return strong_connection_isometric(N)
-        return strong_connection_algebraic(N, self.name)
+            a = SPHERE0.a()
+            return _connection_of_powers(N, TensorSquare.of(a.star(), a), self)
+        ell1 = TensorSquare(
+            SPHERE,
+            {
+                (SphereMonomial(CORE_A, 0, -1, 0), SphereMonomial(CORE_A, 0, 1, 0)): ONE,
+                (SphereMonomial(CORE_A, 1, 0, -1), SphereMonomial(CORE_A, 0, 0, 1)): p_pow(self.p_exp),
+            },
+        )
+        return _connection_of_powers(N, ell1, self)
 
 
-# every variant, by the name that check ids and ``StrongConnection.variant`` carry
+# every variant, by the name that check ids carry
 CONNECTION_VARIANTS: Dict[str, ConnectionVariant] = {v.name: v for v in (
     ConnectionVariant("corrected", "corrected", "algstrong", 1),
     ConnectionVariant("printed_p_inverse", "printed", "algstrong", -1),
@@ -223,12 +208,25 @@ CONNECTION_VARIANTS: Dict[str, ConnectionVariant] = {v.name: v for v in (
 )}
 
 
+def strong_connection_algebraic(N: int, coefficient_variant: str = "corrected") -> StrongConnection:
+    """Connection on the generic sphere (``ConnectionVariant.build``)."""
+    variant = CONNECTION_VARIANTS.get(coefficient_variant)
+    if variant is None or variant.p_exp is None:
+        raise ValueError(f"unknown variant {coefficient_variant!r}")
+    return variant.build(N)
+
+
+def strong_connection_isometric(N: int) -> StrongConnection:
+    """Connection on the parameter-zero sphere: value k is a*^k (x) a^k."""
+    return CONNECTION_VARIANTS["isometric"].build(N)
+
+
 def verify_strong_connection(conn: StrongConnection) -> List[CheckEntry]:
     """Check unitality, the unit-return axiom and both colinearity axioms
     for every cyclic basis element; ids read ``unit-return[n=1]``."""
     alg = conn.algebra
     N = conn.N
-    tag = CONNECTION_VARIANTS[conn.variant].tag
+    tag = conn.variant.tag
     out = [check("unitality[n=0]", tag, conn.values[0] == _tensor_one(alg), str(conn.values[0]))]
     one = alg.one()
     for n, val in enumerate(conn.values):

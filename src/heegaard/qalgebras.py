@@ -48,10 +48,6 @@ CORE_A = 0
 CORE_B = 1
 
 
-class UnknownRelationError(ValueError):
-    """Raised for an unrecognized relation identifier."""
-
-
 class DiscMonomial(NamedTuple):
     k: int
     mu: int
@@ -395,14 +391,15 @@ def add_on_core(acc, core, poly):
 # ---------------------------------------------------------------------------
 
 
-def _res_aaminus(alg, n: int):
-    a = alg.a()
+def aaminus_residual(n: int) -> SphereElement:
+    """a a^-n - a^-n a against (p^n - 1) A a^-(n-1)."""
+    a = SPHERE.a()
     lhs = a * a.pow_signed(-n) - a.pow_signed(-n) * a
-    rhs = (alg.A() * a.pow_signed(-(n - 1))).scale(var_pow("p", n) - ONE)
+    rhs = (SPHERE.A() * a.pow_signed(-(n - 1))).scale(var_pow("p", n) - ONE)
     return lhs - rhs
 
 
-def _res_chlemma(x, y, phase_exp: int, mu: int):
+def phase_power_residual(x, y, phase_exp: int, mu: int):
     """x^mu y^mu against the phase-corrected (xy)^mu for a pair with
     x y = w^phase_exp y x."""
     lhs = x.pow_signed(mu) * y.pow_signed(mu)
@@ -415,7 +412,9 @@ def _twisted_commutator(x, y, e: int):
     return x * y - (y * x).scale(w_pow(e))
 
 
-_RELATIONS = {
+# the displayed relations of the sphere, by check id, each as its residual in
+# an engine: the coordinate algebra is universal for them
+SPHERE_RELATIONS = {
     "heegard:ab": lambda s: _twisted_commutator(s.a(), s.b(), 2),
     "heegard:abstar": lambda s: _twisted_commutator(s.a(), s.b().star(), -2),
     "heegard:aa": lambda s: (
@@ -433,15 +432,4 @@ _RELATIONS = {
     "core:Bb": lambda s: s.B() * s.b() - (s.b() * s.B()).scale(var_pow("q", 1)),
     "core:Astar": lambda s: s.A().star() - s.A(),
     "core:Bstar": lambda s: s.B().star() - s.B(),
-    "aaminus": _res_aaminus,
-    "chlemma:ab": lambda s, mu: _res_chlemma(s.a(), s.b(), 2, mu),
-    "chlemma:abstar": lambda s, mu: _res_chlemma(s.a(), s.b().star(), -2, mu),
 }
-
-
-def relation_residual(rid: str, **params) -> SphereElement:
-    """Normal form of LHS - RHS for the named displayed identity in SPHERE."""
-    rule = _RELATIONS.get(rid)
-    if rule is None:
-        raise UnknownRelationError(rid)
-    return rule(SPHERE, **params)

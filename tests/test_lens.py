@@ -23,6 +23,7 @@ from heegaard.lens import (
     printed_phase_checks,
     subspace_classify,
 )
+from heegaard.expr import eval_expr, parse
 from heegaard.reports import FAIL, KNOWN, PASS
 from heegaard.rng import SplitMix64, random_coefficient
 
@@ -425,6 +426,21 @@ def test_printing():
     assert str(t) == "A'^2 z'^-1 bt'"
     t = LensElement(N, {LensMonomial(CORE_BPRIME, 0, 0, -2): ONE})
     assert str(t) == "at'^-2"
+
+
+def test_printed_elements_of_both_families_parse_back():
+    # a monomial prints through the basis families and parses through the
+    # generator atoms, so this ties the two tables together
+    rng = SplitMix64(29)
+    for N in (1, 2, 3, 5, 7):
+        for _ in range(6):
+            terms = {}
+            for core in (CORE_APRIME, CORE_BPRIME, rng.choice((CORE_APRIME, CORE_BPRIME))):
+                k = rng.randint(1 if core == CORE_APRIME else 0, 3)
+                m = LensMonomial(core, k, rng.randint(-3, 3), rng.randint(-3, 3))
+                terms[m] = random_coefficient(rng) + random_coefficient(rng) + random_coefficient(rng)
+            t = LensElement(N, terms)
+            assert eval_expr(parse(str(t), "lens"), "lens", N) == t, (N, str(t))
 
 
 

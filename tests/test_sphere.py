@@ -23,9 +23,10 @@ from heegaard.qalgebras import (
     SPHERE,
     SPHERE0,
     SphereElement,
+    SPHERE_RELATIONS,
     SphereMonomial,
-    UnknownRelationError,
-    relation_residual,
+    aaminus_residual,
+    phase_power_residual,
 )
 from heegaard.rng import SplitMix64, random_sphere_element, random_sphere_monomial
 
@@ -133,16 +134,15 @@ def test_invariant_algebra_values():
     assert z.star() == (s.a(-1) * s.b()).scale(w_pow(2))
 
 
-def test_relation_residual_registry():
-    for rid in ("heegard:ab", "heegard:abstar", "heegard:aa", "heegard:bb", "heegard:AB"):
-        assert relation_residual(rid).is_zero(), rid
+def test_sphere_relation_table():
+    for rid, rule in SPHERE_RELATIONS.items():
+        assert rule(SPHERE).is_zero(), rid
     for n in range(1, 13):
-        assert relation_residual("aaminus", n=n).is_zero(), n
+        assert aaminus_residual(n).is_zero(), n
+    a, b = SPHERE.a(), SPHERE.b()
     for mu in range(-6, 7):
-        assert relation_residual("chlemma:ab", mu=mu).is_zero(), mu
-        assert relation_residual("chlemma:abstar", mu=mu).is_zero(), mu
-    with pytest.raises(UnknownRelationError):
-        relation_residual("nonsense")
+        assert phase_power_residual(a, b, 2, mu).is_zero(), mu
+        assert phase_power_residual(a, b.star(), -2, mu).is_zero(), mu
 
 
 def test_phase_power_identity_gives_z_powers():

@@ -38,16 +38,16 @@ def test_run_all_suites_no_failures():
 def test_broken_connection_fails_with_exact_entries(monkeypatch):
     # the degree-one value gains the leg a^2 (x) b: unit-return and left
     # colinearity break, and the printed residual moves off the recorded one
-    original = principal.strong_connection_algebraic
+    original = principal.ConnectionVariant.build
 
-    def broken(N, variant="corrected"):
-        conn = original(N, variant)
-        if N > 1:
+    def broken(variant, N):
+        conn = original(variant, N)
+        if variant.p_exp is not None and N > 1:
             leg = (SphereMonomial(CORE_A, 0, 2, 0), SphereMonomial(CORE_A, 0, 0, 1))
             conn.values[1] = conn.values[1] + TensorSquare(conn.algebra, {leg: ONE})
         return conn
 
-    monkeypatch.setattr(principal, "strong_connection_algebraic", broken)
+    monkeypatch.setattr(principal.ConnectionVariant, "build", broken)
     entries = {e.id: (e.status, e.residual) for e in run_suite("sconn", SuiteOptions(nmax=3)).entries}
     assert entries["sconn.corrected[N=2]"] == (
         FAIL,

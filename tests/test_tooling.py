@@ -557,3 +557,58 @@ def test_one_list_of_places_that_empty_the_run_memos():
         for scope in _callers(path.read_text(), "clear_run_memos")
     }
     assert found == MEMO_CLEARERS, sorted(found ^ MEMO_CLEARERS)
+
+
+# each vocabulary, by the module that keeps its one table: the keys are
+# spelled in the table and nowhere else in the package, save in the lens
+# basis families, which name generators of the lens vocabulary
+VOCABULARIES = {"SPHERE_RELATIONS": "qalgebras.py", "LENS_GENERATORS": "lens.py"}
+SPELLING_TABLES = set(VOCABULARIES) | {"_FAMILIES"}
+
+
+def _assigned_name(node):
+    """The name a module-level assignment binds, or None."""
+    if isinstance(node, ast.AnnAssign):
+        return getattr(node.target, "id", None)
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        return getattr(node.targets[0], "id", None)
+    return None
+
+
+def _table_keys(source, name):
+    """The keys of the dict literal that ``source`` binds to ``name``."""
+    (table,) = [node.value for node in ast.parse(source).body if _assigned_name(node) == name]
+    return {key.value for key in table.keys}
+
+
+def _vocabulary_spellings(source, keys):
+    """(line, key) for every string constant of ``source`` equal to one of
+    ``keys``, outside the tables that may spell them."""
+    tree = ast.parse(source)
+    allowed = {
+        id(inner) for node in tree.body if _assigned_name(node) in SPELLING_TABLES for inner in ast.walk(node)
+    }
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in keys
+        and id(node) not in allowed
+    )
+
+
+def test_each_vocabulary_key_is_spelled_once():
+    # a relation id or a lens generator spelled outside its table re-lists
+    # the table, which then no longer says what the package checks or prints
+    planted = 'LENS_GENERATORS = {"k": 1}\n_FAMILIES = {0: ("k",)}\ndef f():\n    return g("k", "kk")\n'
+    assert _table_keys(planted, "LENS_GENERATORS") == {"k"}
+    assert _vocabulary_spellings(planted, {"k"}) == [(4, "k")]
+    keys = set()
+    for name, module in VOCABULARIES.items():
+        keys |= _table_keys((SRC / module).read_text(), name)
+    assert {"heegard:ab", "core:Bstar", "A'", "bt'"} <= keys
+    offenders = [
+        f"{path.name}:{line}: {key}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, key in _vocabulary_spellings(path.read_text(), keys)
+    ]
+    assert not offenders, offenders
